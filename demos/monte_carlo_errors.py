@@ -7,7 +7,8 @@ across-set standard deviation in brackets and the separation failure
 rate alongside.
 
 Pass ``--full`` for the 10 x 1000 protocol (a few minutes); the default
-runs 4 x 200 for a quick look.  ``SPARSEBSS_WORKERS`` parallelizes runs.
+runs 4 x 200 for a quick look.  To parallelize runs, pass ``workers=N``
+to ``monte_carlo``.
 """
 
 import sys

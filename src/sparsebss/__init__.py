@@ -37,7 +37,15 @@ from .errors import (
     TooShortError,
     ZeroChannelError,
 )
-from .evaluation import Association, EvalReport, associate, monte_carlo, pointwise_error, rms_metrics
+from .evaluation import (
+    Association,
+    EvalReport,
+    associate,
+    monte_carlo,
+    pointwise_error,
+    rms_metrics,
+    source_errors,
+)
 from .headings import (
     HeadingSet,
     apply_velocity_threshold,

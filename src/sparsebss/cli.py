@@ -5,10 +5,9 @@ estimated sources), ``evaluate`` (estimates against known sources),
 ``montecarlo`` (RMS-error tables over repeated noisy runs), and
 ``plotdata`` (phase-plot and sorted-heading diagnostic CSVs).
 
-Reports are written twice: a human-readable text file at the requested
-path and a machine-readable JSON document next to it (``.json`` suffix).
-The ``SPARSEBSS_WORKERS`` environment variable sets the default process
-count for ``montecarlo``.
+Each report is built once as a JSON record, written next to the
+requested path (``.json`` suffix), and rendered from that record as the
+human-readable text file at the requested path.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +27,7 @@ from .errors import (
     ClusterFormationFailedError,
     SparseBssError,
 )
-from .evaluation import (
-    WORKERS_ENV_VAR,
-    associate,
-    monte_carlo,
-    pointwise_error,
-    rms_metrics,
-)
+from .evaluation import monte_carlo, rms_metrics, source_errors
 from .headings import compute_velocities, normalize_headings
 from .io import read_csv, write_csv
 from .rng import derive_seed
@@ -43,13 +37,13 @@ from .simulate import add_noise
 from .whitening import gram_schmidt_whiten
 
 
-def _write_report(path: Path, text: str, payload: dict) -> None:
-    """Text report at ``path``; JSON alongside (suffix swapped to .json)."""
+def _write_report(path: Path, lines: list[str], record: dict) -> None:
+    """Text ``lines`` at ``path``; the JSON ``record`` alongside (.json suffix)."""
     json_path = path.with_suffix(".json")
     text_path = path if path != json_path else path.with_suffix(".txt")
     text_path.parent.mkdir(parents=True, exist_ok=True)
-    text_path.write_text(text)
-    json_path.write_text(json.dumps(payload, indent=2, default=_jsonify) + "\n")
+    text_path.write_text("\n".join(lines) + "\n")
+    json_path.write_text(json.dumps(record, indent=2, default=_jsonify) + "\n")
 
 
 def _jsonify(obj):
@@ -83,31 +77,22 @@ def cmd_separate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     names = [f"estimate_{i+1}" for i in range(result.estimates.shape[0])]
     write_csv(out, result.estimates, names)
-    report_path = out.with_name(out.stem + "_report.txt")
-    lines = [f"separation report ({params.method}, v_th={params.v_th}, alpha={params.alpha})"]
-    payload = {
+    record = {
         "method": params.method,
         "v_th": params.v_th,
         "alpha": params.alpha,
         "directions": [d.unit_vector for d in result.directions],
-        "iterations": [],
+        "iterations": [asdict(diag) for diag in result.iterations],
     }
-    for i, (direction, diag) in enumerate(zip(result.directions, result.iterations)):
-        vec = ", ".join(f"{v:+.6f}" for v in direction.unit_vector)
+    lines = [f"separation report ({params.method}, v_th={params.v_th}, alpha={params.alpha})"]
+    for i, (direction, it) in enumerate(zip(record["directions"], record["iterations"])):
+        vec = ", ".join(f"{v:+.6f}" for v in direction)
         lines.append(
-            f"  iteration {i}: direction ({vec}), accepted {diag.accepted_count}, "
-            f"cluster size {diag.cluster_size}, residual energy {diag.residual_energy:.6g}"
+            f"  iteration {i}: direction ({vec}), accepted {it['accepted_count']}, "
+            f"cluster size {it['cluster_size']}, residual energy {it['residual_energy']:.6g}"
         )
-        payload["iterations"].append(
-            {
-                "accepted_count": diag.accepted_count,
-                "cluster_size": diag.cluster_size,
-                "epsilon": diag.epsilon,
-                "member_indices": diag.member_indices,
-                "residual_energy": diag.residual_energy,
-            }
-        )
-    _write_report(report_path, "\n".join(lines) + "\n", payload)
+    report_path = out.with_name(out.stem + "_report.txt")
+    _write_report(report_path, lines, record)
     print(f"wrote {out} and {report_path}")
     return 0
 
@@ -115,54 +100,41 @@ def cmd_separate(args) -> int:
 def cmd_evaluate(args) -> int:
     _, actual = read_csv(args.actual)
     _, estimates = read_csv(args.estimates)
-    actual_n = normalize_unit_norm(actual)
-    estimates_n = normalize_unit_norm(estimates)
-    assoc = associate(actual_n, estimates_n)
-    lines = ["evaluation report"]
-    payload = {"association": [], "unit": "per-sample error on unit-norm signals"}
-    for r in range(actual_n.shape[0]):
-        err = pointwise_error(
-            actual_n[r], estimates_n[assoc.permutation[r]], assoc.signs[r]
-        )
-        _, rms_tot, rms_max = rms_metrics(err[None, :])
-        lines.append(
-            f"  source {r+1} <- estimate {assoc.permutation[r]+1}"
-            f" (corr {assoc.correlations[r]:+.6f}):"
-            f" rms_tot {rms_tot:.6g}, rms_max {rms_max:.6g}"
-        )
-        payload["association"].append(
+    assoc, errors = source_errors(normalize_unit_norm(actual), normalize_unit_norm(estimates))
+    _, rms_tot, rms_max = rms_metrics(errors[None])
+    record = {
+        "association": [
             {
                 "source": r + 1,
                 "estimate": int(assoc.permutation[r]) + 1,
                 "correlation": float(assoc.correlations[r]),
                 "sign": float(assoc.signs[r]),
-                "rms_tot": rms_tot,
-                "rms_max": rms_max,
+                "rms_tot": float(rms_tot[r]),
+                "rms_max": float(rms_max[r]),
             }
-        )
-    _write_report(Path(args.report), "\n".join(lines) + "\n", payload)
+            for r in range(len(errors))
+        ],
+        "unit": "per-sample error on unit-norm signals",
+    }
+    lines = ["evaluation report"] + [
+        f"  source {e['source']} <- estimate {e['estimate']}"
+        f" (corr {e['correlation']:+.6f}):"
+        f" rms_tot {e['rms_tot']:.6g}, rms_max {e['rms_max']:.6g}"
+        for e in record["association"]
+    ]
+    _write_report(Path(args.report), lines, record)
     print(f"wrote {args.report}")
     return 0
 
 
 def cmd_montecarlo(args) -> int:
     config = load_config(args.config)
-    metric = args.metric
-    header = (
-        f"{'method':8s} {'v_th':>5s}  "
-        + "  ".join(f"source_{i+1} (x1e3)" for i in range(len(config.mixing)))
-        + "  failures"
-    )
-    lines = [
-        f"monte carlo: {args.sets} sets x {args.runs} runs, "
-        f"noise sd {config.noise_sd}, metric rms_{metric}",
-        header,
-    ]
-    payload = {
+    n_sources = len(config.mixing)
+    record = {
         "sets": args.sets,
         "runs_per_set": args.runs,
         "noise_sd": config.noise_sd,
-        "metric": f"rms_{metric}",
+        "metric": f"rms_{args.metric}",
         "rows": [],
     }
     for vth in args.vth:
@@ -173,24 +145,13 @@ def cmd_montecarlo(args) -> int:
                 master_seed=args.seed, workers=args.workers,
             )
         except AllRunsFailedError:
-            lines.append(
-                f"{args.method:8s} {vth:5.2f}  "
-                + "  ".join("---".center(16) for _ in range(len(config.mixing)))
-                + "  100.0%"
-            )
-            payload["rows"].append(
+            record["rows"].append(
                 {"method": args.method, "v_th": vth, "failure_rate": 1.0, "values": None}
             )
             continue
-        mean = report.mean_rms_max if metric == "max" else report.mean_rms_tot
-        sd = report.sd_rms_max if metric == "max" else report.sd_rms_tot
-        cells = [f"{1e3*m:.3g} ({1e3*s:.3g})".ljust(16) for m, s in zip(mean, sd)]
-        lines.append(
-            f"{args.method:8s} {vth:5.2f}  "
-            + "  ".join(cells)
-            + f"  {100 * report.failure_rate:.1f}%"
-        )
-        payload["rows"].append(
+        mean = getattr(report, f"mean_rms_{args.metric}")
+        sd = getattr(report, f"sd_rms_{args.metric}")
+        record["rows"].append(
             {
                 "method": args.method,
                 "v_th": vth,
@@ -201,7 +162,25 @@ def cmd_montecarlo(args) -> int:
                 "failure_rate": report.failure_rate,
             }
         )
-    _write_report(Path(args.report), "\n".join(lines) + "\n", payload)
+
+    lines = [
+        f"monte carlo: {record['sets']} sets x {record['runs_per_set']} runs, "
+        f"noise sd {record['noise_sd']}, metric {record['metric']}",
+        f"{'method':8s} {'v_th':>5s}  "
+        + "  ".join(f"source_{i+1} (x1e3)" for i in range(n_sources))
+        + "  failures",
+    ]
+    for row in record["rows"]:
+        if "mean_x1e3" in row:
+            cells = [f"{m:.3g} ({s:.3g})".ljust(16) for m, s in zip(row["mean_x1e3"], row["sd_x1e3"])]
+        else:
+            cells = ["---".center(16)] * n_sources
+        lines.append(
+            f"{row['method']:8s} {row['v_th']:5.2f}  "
+            + "  ".join(cells)
+            + f"  {100 * row['failure_rate']:.1f}%"
+        )
+    _write_report(Path(args.report), lines, record)
     print("\n".join(lines))
     return 0
 
@@ -266,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: the config's seed)")
     p.add_argument("--metric", choices=["max", "tot"], default="max")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"process count (default: ${WORKERS_ENV_VAR} or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process count")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("plotdata", help="diagnostic plot data as CSV")

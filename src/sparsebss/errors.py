@@ -19,7 +19,8 @@ class TooShortError(SparseBssError):
 
 
 class ZeroChannelError(SparseBssError):
-    """A channel is identically zero where a nonzero rms is required."""
+    """A channel is identically zero, or constant, where a nonzero rms or a
+    nonzero variance (for a correlation) is required."""
 
 
 class RankDeficientError(SparseBssError):

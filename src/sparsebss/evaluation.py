@@ -16,20 +16,18 @@ time are the two summary figures.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import AllRunsFailedError, DimensionMismatchError, SparseBssError
+from .errors import AllRunsFailedError, DimensionMismatchError, SparseBssError, ZeroChannelError
 from .rng import derive_seed
 from .separation import MethodParams, separate
 from .signals import normalize_unit_norm
 from .simulate import add_noise
-
-WORKERS_ENV_VAR = "SPARSEBSS_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ def associate(actual, estimates) -> Association:
     """Greedily pair sources with estimates by largest |Pearson correlation|.
 
     Exact ties go to the lowest (source, estimate) pair in row-major
-    order.  Inputs must have equal channel counts.
+    order.  Inputs must have equal channel counts, and no row may be
+    constant (its correlation would be undefined).
     """
     s = np.atleast_2d(np.asarray(actual, dtype=float))
     e = np.atleast_2d(np.asarray(estimates, dtype=float))
@@ -92,8 +91,11 @@ def associate(actual, estimates) -> Association:
         raise DimensionMismatchError(
             f"sources have {s.shape[1]} samples, estimates {e.shape[1]}"
         )
+    rows = np.vstack([s, e])
+    if (rows.max(axis=1) == rows.min(axis=1)).any():
+        raise ZeroChannelError("a source or estimate is constant; correlation undefined")
     n = s.shape[0]
-    corr = np.corrcoef(np.vstack([s, e]))[:n, n:]
+    corr = np.corrcoef(rows)[:n, n:]
     permutation = np.full(n, -1, dtype=int)
     signs = np.zeros(n)
     correlations = np.zeros(n)
@@ -112,47 +114,49 @@ def pointwise_error(actual_row, estimate_row, sign: float) -> np.ndarray:
     """Per-sample error with the estimate's sign resolved.
 
     ``actual - estimate`` for a positive correlation, ``actual + estimate``
-    for a negative one (the estimate came out inverted).
+    for a negative one (the estimate came out inverted).  ``source_errors``
+    computes this for every source at once.
     """
     s = np.asarray(actual_row, dtype=float)
     e = np.asarray(estimate_row, dtype=float)
     return s - e if sign >= 0.0 else s + e
 
 
-def rms_metrics(errors) -> tuple[np.ndarray, float, float]:
+def source_errors(actual, estimates) -> tuple[Association, np.ndarray]:
+    """Associate estimates with sources; per-sample errors with signs resolved.
+
+    Row ``r`` of the (S, L) error array is
+    ``pointwise_error(actual[r], estimates[permutation[r]], signs[r])``.
+    """
+    assoc = associate(actual, estimates)
+    s = np.atleast_2d(np.asarray(actual, dtype=float))
+    e = np.atleast_2d(np.asarray(estimates, dtype=float))
+    return assoc, s - assoc.signs[:, None] * e[assoc.permutation]
+
+
+def rms_metrics(errors):
     """Per-sample RMS over runs, plus its quadratic time-mean and time-max.
 
     ``errors`` is a (Q, L) array of one source's error sequences over Q
-    runs.  Returns ``(rms_per_sample, rms_tot, rms_max)``.
+    runs, or a (Q, S, L) stack of S sources' sequences.  Returns
+    ``(rms_per_sample, rms_tot, rms_max)``: shapes (L,), (), () for one
+    source and (S, L), (S,), (S,) for a stack.
     """
     err = np.atleast_2d(np.asarray(errors, dtype=float))
     rms_per_sample = np.sqrt(np.mean(np.square(err), axis=0))
-    rms_tot = float(np.sqrt(np.mean(np.square(rms_per_sample))))
-    rms_max = float(np.max(rms_per_sample))
+    rms_tot = np.sqrt(np.mean(np.square(rms_per_sample), axis=-1))
+    rms_max = np.max(rms_per_sample, axis=-1)
     return rms_per_sample, rms_tot, rms_max
 
 
 def _run_once(clean_mixtures, actual_norm, params, noise_sd, seed):
-    """One Monte Carlo run: returns the (S, L) squared-error array or None."""
+    """One Monte Carlo run: the (S, L) error array, or None if it failed."""
     noisy = add_noise(clean_mixtures, noise_sd, seed)
     try:
-        result = separate(noisy, params)
-        estimates = normalize_unit_norm(result.estimates)
+        estimates = normalize_unit_norm(separate(noisy, params).estimates)
+        return source_errors(actual_norm, estimates)[1]
     except SparseBssError:
         return None
-    assoc = associate(actual_norm, estimates)
-    errors = np.empty_like(actual_norm)
-    for r in range(actual_norm.shape[0]):
-        errors[r] = pointwise_error(
-            actual_norm[r], estimates[assoc.permutation[r]], assoc.signs[r]
-        )
-    return np.square(errors)
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
 
 
 def monte_carlo(
@@ -161,19 +165,20 @@ def monte_carlo(
     sets: int,
     runs_per_set: int,
     master_seed: int | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> EvalReport:
     """Repeated separation of one scenario under fresh noise realizations.
 
     Run ``q`` of set ``k`` regenerates noise with seed
     ``master_seed + k * runs_per_set + q``, separates, associates, and
-    accumulates squared errors per actual source.  Per-set RMS figures are
-    summarized by their mean and standard deviation across sets.  Runs
-    whose separation fails are counted and excluded from the RMS figures.
+    collects the per-sample errors of each actual source.  Per-set RMS
+    figures are summarized by their mean and standard deviation across
+    sets.  Runs whose separation fails are counted and excluded from the
+    RMS figures.
 
-    ``workers`` (default: the ``SPARSEBSS_WORKERS`` environment variable,
-    else 1) parallelizes runs across processes; results are reduced in run
-    order, so the report is identical for any worker count.
+    ``workers`` > 1 parallelizes runs across that many processes; results
+    are reduced in run order, so the report is identical for any worker
+    count.
 
     Raises
     ------
@@ -185,30 +190,18 @@ def monte_carlo(
     if master_seed is None:
         master_seed = scenario.seed
     sources, clean = scenario.generate()
-    actual_norm = normalize_unit_norm(sources)
-    n_sources, n_samples = actual_norm.shape
+    if clean.shape[0] != sources.shape[0]:
+        raise DimensionMismatchError(f"{clean.shape[0]} mixtures of {sources.shape[0]} sources")
 
     total_runs = sets * runs_per_set
     seeds = [derive_seed(master_seed, q) for q in range(total_runs)]
-    n_workers = _worker_count(workers)
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(
-                    _run_once,
-                    [clean] * total_runs,
-                    [actual_norm] * total_runs,
-                    [params] * total_runs,
-                    [scenario.noise_sd] * total_runs,
-                    seeds,
-                    chunksize=max(1, total_runs // (8 * n_workers)),
-                )
-            )
+    run = partial(_run_once, clean, normalize_unit_norm(sources), params, scenario.noise_sd)
+    if workers > 1:
+        chunksize = max(1, total_runs // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, seeds, chunksize=chunksize))
     else:
-        results = [
-            _run_once(clean, actual_norm, params, scenario.noise_sd, seed)
-            for seed in seeds
-        ]
+        results = list(map(run, seeds))
 
     failures = sum(1 for r in results if r is None)
     if failures == total_runs:
@@ -217,29 +210,18 @@ def monte_carlo(
             f"v_th={params.v_th})"
         )
 
-    pooled_sq = np.zeros((n_sources, n_samples))
-    pooled_count = 0
-    set_rms_tot, set_rms_max = [], []
+    per_set = []
     for k in range(sets):
-        chunk = results[k * runs_per_set : (k + 1) * runs_per_set]
-        good = [r for r in chunk if r is not None]
-        if not good:
-            continue
-        sq_sum = np.sum(good, axis=0)
-        pooled_sq += sq_sum
-        pooled_count += len(good)
-        rms_per_sample = np.sqrt(sq_sum / len(good))
-        set_rms_tot.append(np.sqrt(np.mean(np.square(rms_per_sample), axis=1)))
-        set_rms_max.append(np.max(rms_per_sample, axis=1))
-
-    set_rms_tot = np.array(set_rms_tot)
-    set_rms_max = np.array(set_rms_max)
-    pooled_rms = np.sqrt(pooled_sq / pooled_count)
-    ddof = 1 if len(set_rms_tot) > 1 else 0
+        good = [r for r in results[k * runs_per_set : (k + 1) * runs_per_set] if r is not None]
+        if good:
+            per_set.append(rms_metrics(np.array(good))[1:])
+    set_rms_tot, set_rms_max = map(np.array, zip(*per_set))
+    rms_per_sample, rms_tot, rms_max = rms_metrics(np.array([r for r in results if r is not None]))
+    ddof = 1 if len(per_set) > 1 else 0
     return EvalReport(
-        rms_per_sample=pooled_rms,
-        rms_tot=np.sqrt(np.mean(np.square(pooled_rms), axis=1)),
-        rms_max=np.max(pooled_rms, axis=1),
+        rms_per_sample=rms_per_sample,
+        rms_tot=rms_tot,
+        rms_max=rms_max,
         set_rms_tot=set_rms_tot,
         set_rms_max=set_rms_max,
         mean_rms_tot=set_rms_tot.mean(axis=0),

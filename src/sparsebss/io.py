@@ -7,7 +7,7 @@ digits, so a write/read round trip reproduces every double exactly.
 
 from __future__ import annotations
 
-from pathlib import Path
+import warnings
 
 import numpy as np
 
@@ -22,24 +22,23 @@ def write_csv(path, data, names: list[str] | None = None) -> None:
         names = [f"channel_{i + 1}" for i in range(n_channels)]
     if len(names) != n_channels:
         raise ValueError(f"{len(names)} names for {n_channels} channels")
-    lines = [",".join(names)]
-    for row in x.T:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, x.T, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a channels-as-columns CSV back into (names, (N, L) matrix)."""
-    text = Path(path).read_text().strip()
-    if not text:
-        raise ValueError(f"{path}: empty file")
-    lines = text.splitlines()
-    names = [c.strip() for c in lines[0].split(",")]
-    try:
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
-    data = np.array(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(names):
+    with open(path) as fh:
+        header = next((line for line in fh if line.strip()), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [c.strip() for c in header.split(",")]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+    if data.shape[0] == 0 or data.shape[1] != len(names):
         raise ValueError(f"{path}: ragged or empty table")
     return names, data.T

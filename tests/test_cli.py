@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsebss.cli import main
-from sparsebss.io import read_csv
+from sparsebss.io import read_csv, write_csv
 
 
 def run_cli(*args):
@@ -94,6 +94,16 @@ def test_evaluate_channel_mismatch(simulated, tmp_path, capsys):
     single = tmp_path / "one.csv"
     single.write_text("only\n" + "\n".join(str(v) for v in range(50)) + "\n")
     assert run_cli("evaluate", simulated / "sources.csv", single, tmp_path / "r.txt") != 0
+
+
+def test_evaluate_constant_estimate_rejected(simulated, tmp_path, capsys):
+    _, sources = read_csv(simulated / "sources.csv")
+    constant = tmp_path / "constant.csv"
+    write_csv(constant, np.vstack([sources[0], np.ones(sources.shape[1])]), ["e1", "e2"])
+    report_path = tmp_path / "r.txt"
+    assert run_cli("evaluate", simulated / "sources.csv", constant, report_path) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not report_path.exists() and not report_path.with_suffix(".json").exists()
 
 
 def test_montecarlo_table(tmp_path):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebss import (
     AllRunsFailedError,
@@ -9,13 +11,30 @@ from sparsebss import (
     GaussianPulseSpec,
     MethodParams,
     ScenarioConfig,
+    ZeroChannelError,
     associate,
     load_preset,
     monte_carlo,
     normalize_unit_norm,
     pointwise_error,
     rms_metrics,
+    source_errors,
 )
+
+#: Fixed example sequence, so every run of the suite tests the same cases.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def signed_permutations(draw):
+    """Random sources (S, L) with a random permutation and signs of them."""
+    n = draw(st.integers(2, 5))
+    length = draw(st.integers(8, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    perm = np.array(draw(st.permutations(range(n))))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    actual = np.random.default_rng(seed).normal(size=(n, length))
+    return actual, perm, signs, seed
 
 
 def greedy_oracle(corr):
@@ -74,6 +93,15 @@ class TestAssociate:
         with pytest.raises(DimensionMismatchError):
             associate(np.ones((2, 10)), np.ones((3, 10)))
 
+    def test_constant_row_rejected(self):
+        rng = np.random.default_rng(76)
+        actual = rng.normal(size=(2, 20))
+        constant = np.vstack([rng.normal(size=20), np.ones(20)])
+        with pytest.raises(ZeroChannelError):
+            associate(actual, constant)
+        with pytest.raises(ZeroChannelError):
+            associate(constant, actual)
+
     def test_correlations_bounded(self):
         rng = np.random.default_rng(74)
         assoc = associate(rng.normal(size=(3, 30)), rng.normal(size=(3, 30)))
@@ -94,7 +122,45 @@ class TestPointwiseError:
         np.testing.assert_array_equal(err, [1.0, -1.0])
 
 
+class TestSourceErrors:
+    @PROPERTY
+    @given(signed_permutations())
+    def test_signed_permutation_recovered_with_zero_error(self, case):
+        actual, perm, signs, _ = case
+        estimates = np.empty_like(actual)
+        estimates[perm] = signs[:, None] * actual
+        assoc, errors = source_errors(actual, estimates)
+        np.testing.assert_array_equal(assoc.permutation, perm)
+        np.testing.assert_array_equal(assoc.signs, signs)
+        assert np.all(errors == 0.0)
+
+    @PROPERTY
+    @given(signed_permutations())
+    def test_rows_equal_pointwise_error(self, case):
+        actual, perm, signs, seed = case
+        estimates = np.empty_like(actual)
+        estimates[perm] = signs[:, None] * actual
+        estimates += 0.5 * np.random.default_rng(seed + 1).normal(size=actual.shape)
+        assoc, errors = source_errors(actual, estimates)
+        for r in range(actual.shape[0]):
+            expected = pointwise_error(
+                actual[r], estimates[assoc.permutation[r]], assoc.signs[r]
+            )
+            assert np.array_equal(errors[r], expected)
+
+
 class TestRmsMetrics:
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 120), st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_source_calls(self, runs, n_sources, length, seed):
+        stack = np.random.default_rng(seed).normal(size=(runs, n_sources, length))
+        per_sample, rms_tot, rms_max = rms_metrics(stack)
+        assert per_sample.shape == (n_sources, length)
+        for r in range(n_sources):
+            one = rms_metrics(stack[:, r, :])
+            assert np.array_equal(per_sample[r], one[0])
+            assert rms_tot[r] == one[1] and rms_max[r] == one[2]
+
     def test_zero_errors(self):
         _, rms_tot, rms_max = rms_metrics(np.zeros((5, 20)))
         assert rms_tot == 0.0 and rms_max == 0.0
@@ -173,6 +239,20 @@ class TestMonteCarlo:
             seed=1,
         )
         with pytest.raises(AllRunsFailedError):
+            monte_carlo(config, MethodParams("global", 0.4), 1, 3)
+
+    def test_mixture_count_must_match_sources(self):
+        # each run would give 2 estimates for 3 sources
+        config = ScenarioConfig(
+            kind="gaussian",
+            sources=tuple(GaussianPulseSpec(1.0, c, 0.0125) for c in (0.05, 0.1, 0.15)),
+            sample_rate_hz=250.0,
+            duration_s=0.2,
+            mixing=((1.0, 0.5, 0.2), (0.3, 1.0, 0.7)),
+            noise_sd=0.005,
+            seed=1,
+        )
+        with pytest.raises(DimensionMismatchError):
             monte_carlo(config, MethodParams("global", 0.4), 1, 3)
 
     def test_report_invariants(self):
