@@ -117,25 +117,32 @@ def find_largest_run(adjacency: np.ndarray) -> tuple[int, int, int]:
     NoRunFoundError
         If the table contains no true entry.
     """
-    best = None
-    n_rows, n_cols = adjacency.shape
-    for component in range(n_cols):
-        column = adjacency[:, component]
-        m = 0
-        while m < n_rows:
-            if column[m]:
-                lo = m
-                while m < n_rows and column[m]:
-                    m += 1
-                length = m - lo
-                if best is None or length > best[0]:
-                    best = (length, component, lo)
-            else:
-                m += 1
-    if best is None:
+    component, lo, length = longest_runs(np.asarray(adjacency, dtype=bool)[None])
+    if length[0] == 0:
         raise NoRunFoundError("adjacency table contains no true entries")
-    length, component, lo = best
-    return component, lo, lo + length - 1
+    return int(component[0]), int(lo[0]), int(lo[0] + length[0] - 1)
+
+
+def longest_runs(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`find_largest_run` for a (..., M, N) stack of tables at once.
+
+    Returns ``(component, lo, length)`` arrays over the leading axes; a
+    table without a true entry gets length 0.  The columns are laid end to
+    end with one false entry after each, so a cumulative count of trues,
+    less its value at the latest false entry, is the length of the run
+    ending at each position.  The first maximum is then the longest run in
+    the lowest component, and among those the lowest start.
+    """
+    *lead, m, n = adjacency.shape
+    columns = np.zeros((*lead, n, m + 1), dtype=bool)
+    columns[..., :m] = np.swapaxes(adjacency, -1, -2)
+    flat = columns.reshape(*lead, n * (m + 1))
+    count = np.cumsum(flat, axis=-1)
+    ending = count - np.maximum.accumulate(np.where(flat, 0, count), axis=-1)
+    end = np.argmax(ending, axis=-1)
+    length = np.take_along_axis(ending, end[..., None], axis=-1)[..., 0]
+    component, last = np.divmod(end, m + 1)
+    return component, last - length + 1, length
 
 
 def expand_and_remap(

@@ -17,17 +17,17 @@ time are the two summary figures.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import AllRunsFailedError, DimensionMismatchError, SparseBssError, ZeroChannelError
+from .errors import AllRunsFailedError, DimensionMismatchError, ZeroChannelError
 from .rng import derive_seed
-from .separation import MethodParams, separate
+from .separation import MethodParams
 from .signals import normalize_unit_norm
-from .simulate import add_noise
 
 
 @dataclass(frozen=True)
@@ -91,23 +91,45 @@ def associate(actual, estimates) -> Association:
         raise DimensionMismatchError(
             f"sources have {s.shape[1]} samples, estimates {e.shape[1]}"
         )
-    rows = np.vstack([s, e])
-    if (rows.max(axis=1) == rows.min(axis=1)).any():
+    permutation, signs, correlations, constant = associate_stack(s, e[None])
+    if constant[0]:
         raise ZeroChannelError("a source or estimate is constant; correlation undefined")
-    n = s.shape[0]
-    corr = np.corrcoef(rows)[:n, n:]
-    permutation = np.full(n, -1, dtype=int)
-    signs = np.zeros(n)
-    correlations = np.zeros(n)
-    remaining = np.abs(corr).copy()
+    return Association(
+        permutation=permutation[0], signs=signs[0], correlations=correlations[0]
+    )
+
+
+def associate_stack(actual: np.ndarray, estimates: np.ndarray):
+    """:func:`associate` for a (Q, S, L) stack of estimates, one set per run.
+
+    Returns ``(permutation, signs, correlations, constant)`` as (Q, S)
+    arrays plus a (Q,) mask of runs with a constant row, whose other
+    outputs are meaningless.  The correlations follow ``np.corrcoef``'s
+    steps over a stacked ``matmul``, which gives its exact bits.
+    """
+    q, n, _ = estimates.shape
+    rows = np.concatenate([np.broadcast_to(actual, estimates.shape), estimates], axis=1)
+    constant = (rows.max(axis=-1) == rows.min(axis=-1)).any(axis=-1)
+    centred = rows - np.average(rows, axis=-1)[..., None]
+    cov = centred @ centred.swapaxes(-1, -2)
+    cov *= np.true_divide(1, rows.shape[-1] - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stddev = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+        cov /= stddev[:, :, None]
+        cov /= stddev[:, None, :]
+    corr = np.clip(cov, -1, 1, out=cov)[:, :n, n:]
+    runs = np.arange(q)
+    permutation = np.full((q, n), -1, dtype=int)
+    correlations = np.zeros((q, n))
+    remaining = np.abs(corr)
     for _ in range(n):
-        r, c = np.unravel_index(np.argmax(remaining), remaining.shape)
-        permutation[r] = c
-        correlations[r] = corr[r, c]
-        signs[r] = 1.0 if corr[r, c] >= 0.0 else -1.0
-        remaining[r, :] = -np.inf
-        remaining[:, c] = -np.inf
-    return Association(permutation=permutation, signs=signs, correlations=correlations)
+        r, c = np.divmod(np.argmax(remaining.reshape(q, -1), axis=-1), n)
+        permutation[runs, r] = c
+        correlations[runs, r] = corr[runs, r, c]
+        remaining[runs, r, :] = -np.inf
+        remaining[runs, :, c] = -np.inf
+    signs = np.where(correlations >= 0.0, 1.0, -1.0)
+    return permutation, signs, correlations, constant
 
 
 def pointwise_error(actual_row, estimate_row, sign: float) -> np.ndarray:
@@ -131,7 +153,13 @@ def source_errors(actual, estimates) -> tuple[Association, np.ndarray]:
     assoc = associate(actual, estimates)
     s = np.atleast_2d(np.asarray(actual, dtype=float))
     e = np.atleast_2d(np.asarray(estimates, dtype=float))
-    return assoc, s - assoc.signs[:, None] * e[assoc.permutation]
+    return assoc, signed_errors(s, e, assoc.permutation, assoc.signs)
+
+
+def signed_errors(actual, estimates, permutation, signs) -> np.ndarray:
+    """``actual[r] - signs[r] * estimates[permutation[r]]``, over any leading run axes."""
+    matched = np.take_along_axis(estimates, permutation[..., None], axis=-2)
+    return actual - signs[..., None] * matched
 
 
 def rms_metrics(errors):
@@ -147,16 +175,6 @@ def rms_metrics(errors):
     rms_tot = np.sqrt(np.mean(np.square(rms_per_sample), axis=-1))
     rms_max = np.max(rms_per_sample, axis=-1)
     return rms_per_sample, rms_tot, rms_max
-
-
-def _run_once(clean_mixtures, actual_norm, params, noise_sd, seed):
-    """One Monte Carlo run: the (S, L) error array, or None if it failed."""
-    noisy = add_noise(clean_mixtures, noise_sd, seed)
-    try:
-        estimates = normalize_unit_norm(separate(noisy, params).estimates)
-        return source_errors(actual_norm, estimates)[1]
-    except SparseBssError:
-        return None
 
 
 def monte_carlo(
@@ -176,15 +194,23 @@ def monte_carlo(
     sets.  Runs whose separation fails are counted and excluded from the
     RMS figures.
 
-    ``workers`` > 1 parallelizes runs across that many processes; results
-    are reduced in run order, so the report is identical for any worker
-    count.
+    The seeds are cut, in order, into chunks of at most
+    ``batch.CHUNK_RUNS`` runs (fewer for long records), and each chunk
+    runs as one array pass of :func:`sparsebss.batch.run_chunk`.  Each
+    run gives the errors that ``separate``, ``normalize_unit_norm`` and
+    ``source_errors`` give it alone.  ``workers`` > 1 hands the chunks to
+    that many processes, one chunk per task; the chunks do not depend on
+    ``workers`` and are stacked in seed order, so the report is identical
+    for any worker count.
 
     Raises
     ------
     AllRunsFailedError
         If not a single run separated successfully.
     """
+    # The engine builds on this module's association, so it is imported here.
+    from .batch import chunk_runs, run_chunk
+
     if sets < 1 or runs_per_set < 1:
         raise ValueError("sets and runs_per_set must be at least 1")
     if master_seed is None:
@@ -193,30 +219,31 @@ def monte_carlo(
     if clean.shape[0] != sources.shape[0]:
         raise DimensionMismatchError(f"{clean.shape[0]} mixtures of {sources.shape[0]} sources")
 
+    run = partial(run_chunk, clean, normalize_unit_norm(sources), params, scenario.noise_sd)
     total_runs = sets * runs_per_set
     seeds = [derive_seed(master_seed, q) for q in range(total_runs)]
-    run = partial(_run_once, clean, normalize_unit_norm(sources), params, scenario.noise_sd)
-    if workers > 1:
-        chunksize = max(1, total_runs // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, seeds, chunksize=chunksize))
-    else:
-        results = list(map(run, seeds))
+    size = chunk_runs(*clean.shape)
+    chunks = [seeds[i : i + size] for i in range(0, total_runs, size)]
+    errors = np.empty((total_runs, *sources.shape))
+    ok = np.empty(total_runs, dtype=bool)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(run, chunks) if pool else map(run, chunks)
+        for start, (e, k) in zip(range(0, total_runs, size), results):
+            errors[start : start + size] = e
+            ok[start : start + size] = k
+    errors = errors.reshape(sets, runs_per_set, *sources.shape)
+    ok = ok.reshape(sets, runs_per_set)
 
-    failures = sum(1 for r in results if r is None)
+    failures = total_runs - int(ok.sum())
     if failures == total_runs:
         raise AllRunsFailedError(
             f"all {total_runs} runs failed to separate ({params.method}, "
             f"v_th={params.v_th})"
         )
 
-    per_set = []
-    for k in range(sets):
-        good = [r for r in results[k * runs_per_set : (k + 1) * runs_per_set] if r is not None]
-        if good:
-            per_set.append(rms_metrics(np.array(good))[1:])
+    per_set = [rms_metrics(e[k])[1:] for e, k in zip(errors, ok) if k.any()]
     set_rms_tot, set_rms_max = map(np.array, zip(*per_set))
-    rms_per_sample, rms_tot, rms_max = rms_metrics(np.array([r for r in results if r is not None]))
+    rms_per_sample, rms_tot, rms_max = rms_metrics(errors[ok])
     ddof = 1 if len(per_set) > 1 else 0
     return EvalReport(
         rms_per_sample=rms_per_sample,

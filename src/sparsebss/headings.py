@@ -68,12 +68,8 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
         True at indices whose velocity is exactly zero.
     """
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speeds = np.linalg.norm(v, axis=1)
-    zero_mask = speeds == 0.0
-    headings = np.zeros_like(v)
-    live = ~zero_mask
-    headings[live] = v[live] / speeds[live, None]
-    return headings, zero_mask
+    speeds = _speeds(v)
+    return _unit_headings(v, speeds), speeds == 0.0
 
 
 def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
@@ -81,26 +77,41 @@ def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
 
     ``v_th`` must lie in (0, 1).  Zero velocities are never accepted.
     """
+    v = np.atleast_2d(np.asarray(velocities, dtype=float))
+    return _threshold(v, _speeds(v), v_th)[0]
+
+
+def _speeds(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the velocity rows of a (..., M, N) array."""
+    return np.linalg.norm(v, axis=-1)
+
+
+def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """``v / |v|`` row by row, with zero rows where the speed is zero."""
+    live = speeds != 0.0
+    return np.divide(v, speeds[..., None], out=np.zeros_like(v), where=live[..., None])
+
+
+def _threshold(v: np.ndarray, speeds: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray]:
+    """Acceptance mask and largest speed of each (M, N) record in ``v``."""
     if not 0.0 < v_th < 1.0:
         raise ValueError(f"v_th must lie in (0, 1), got {v_th}")
-    v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speeds = np.linalg.norm(v, axis=1)
-    v_max = speeds.max() if v.size else 0.0
-    component_max = np.max(np.abs(v), axis=1)
-    return (speeds > 0.0) & (component_max >= v_th * v_max)
+    v_max = speeds.max(axis=-1, initial=0.0)
+    component_max = np.max(np.abs(v), axis=-1)
+    accepted = (speeds > 0.0) & (component_max >= v_th * v_max[..., None])
+    return accepted, v_max
 
 
 def compute_headings(whitened, v_th: float) -> HeadingSet:
     """Full velocity/heading/threshold pass over one (possibly deflated) record."""
     v = compute_velocities(whitened)
-    headings, zero_mask = normalize_headings(v)
-    speeds = np.linalg.norm(v, axis=1)
-    accepted = apply_velocity_threshold(v, v_th)
+    speeds = _speeds(v)
+    accepted, v_max = _threshold(v, speeds, v_th)
     return HeadingSet(
         velocities=v,
-        headings=headings,
+        headings=_unit_headings(v, speeds),
         speeds=speeds,
-        nonzero=~zero_mask,
+        nonzero=speeds != 0.0,
         accepted=accepted,
-        v_max=float(speeds.max()) if speeds.size else 0.0,
+        v_max=float(v_max),
     )

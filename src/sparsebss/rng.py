@@ -31,11 +31,17 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def uniform_values(seed: int, count: int, start: int = 0) -> np.ndarray:
     """``count`` uniforms on [0, 1) from stream ``seed`` starting at ``start``."""
+    return _uniform_grid([seed], count, start)[0]
+
+
+def _uniform_grid(seeds, count: int, start: int = 0) -> np.ndarray:
+    """(len(seeds), count) uniforms: row ``q`` is stream ``seeds[q]``."""
     if count < 0:
         raise ValueError("count must be nonnegative")
+    base = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed % 2**64) + idx * _GOLDEN
+        state = base[:, None] + idx * _GOLDEN
         bits = _mix64(state)
     return (bits >> np.uint64(11)).astype(np.float64) * _U53
 
@@ -47,19 +53,28 @@ def normal_values(seed: int, count: int) -> np.ndarray:
     (r*cos, r*sin) with r = sqrt(-2*log(1 - u[2i])); outputs are
     interleaved in that order and truncated to ``count``.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    pairs = (count + 1) // 2
-    u = uniform_values(seed, 2 * pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = (2.0 * np.pi) * u[1::2]
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:count]
+    return normal_grid([seed], (count,))[0]
 
 
 def normal_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard-normal array of ``shape``, filled in C (row-major) order."""
-    n = int(np.prod(shape))
-    return normal_values(seed, n).reshape(shape)
+    return normal_grid([seed], shape)[0]
+
+
+def normal_grid(seeds, shape: tuple[int, ...]) -> np.ndarray:
+    """One :func:`normal_matrix` per seed, stacked: shape ``(len(seeds), *shape)``.
+
+    Each row depends only on its own seed, so a stream comes out the same
+    whichever other seeds share the call.
+    """
+    count = int(np.prod(shape))
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    pairs = (count + 1) // 2
+    u = _uniform_grid(seeds, 2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    theta = (2.0 * np.pi) * u[:, 1::2]
+    out = np.empty((len(seeds), 2 * pairs))
+    out[:, 0::2] = r * np.cos(theta)
+    out[:, 1::2] = r * np.sin(theta)
+    return out[:, :count].reshape((len(seeds), *shape))

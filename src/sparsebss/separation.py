@@ -102,17 +102,33 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
         If the weighted members cancel to (near) zero length.
     """
     members = np.atleast_2d(np.asarray(cluster.member_velocities, dtype=float))
-    magnitudes = np.linalg.norm(members, axis=1)
-    if not np.any(magnitudes > 0.0):
+    unit, length, moving = average_directions(members[None])
+    if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
-    reference = members[np.argmax(magnitudes)]
-    flips = np.where(members @ reference < 0.0, -1.0, 1.0)
-    aligned = members * flips[:, None]
-    average = (magnitudes @ aligned) / np.sum(np.square(magnitudes))
-    length = np.linalg.norm(average)
-    if length < DEGENERATE_TOLERANCE:
+    if length[0] < DEGENERATE_TOLERANCE:
         raise DegenerateClusterError("cluster members cancel; no average direction")
-    return EstimatedDirection(unit_vector=average / length, support_size=len(members))
+    return EstimatedDirection(unit_vector=unit[0], support_size=len(members))
+
+
+def average_directions(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`weighted_average_heading` for a (B, k, N) stack of k-member clusters.
+
+    Returns ``(unit, length, moving)``: the unit directions (B, N), the
+    lengths of the averages before scaling, and whether any member moves.
+    Each product is a batched ``matmul`` whose items have the one-cluster
+    shapes, so every cluster averages exactly as it would alone.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        magnitudes = np.linalg.norm(members, axis=-1)
+        moving = np.any(magnitudes > 0.0, axis=-1)
+        strongest = np.argmax(magnitudes, axis=-1)[:, None, None]
+        reference = np.take_along_axis(members, strongest, axis=-2)
+        flips = np.where((members @ reference.swapaxes(-1, -2))[..., 0] < 0.0, -1.0, 1.0)
+        aligned = members * flips[..., None]
+        weights = np.sum(np.square(magnitudes), axis=-1)[:, None]
+        average = (magnitudes[:, None, :] @ aligned)[:, 0] / weights
+        length = np.sqrt((average[:, None, :] @ average[:, :, None])[:, 0, 0])
+        return average / length[:, None], length, moving
 
 
 def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
@@ -128,22 +144,34 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
     NoConsecutivePairError
         If no two consecutive headings are both accepted.
     """
-    accepted = heading_set.accepted
-    headings = heading_set.headings
-    best_change = np.inf
-    best_index = -1
-    for n in range(1, len(accepted)):
-        if accepted[n] and accepted[n - 1]:
-            change = min(
-                float(np.linalg.norm(headings[n] - headings[n - 1])),
-                float(np.linalg.norm(headings[n] + headings[n - 1])),
-            )
-            if change < best_change:
-                best_change = change
-                best_index = n
-    if best_index < 0:
+    best, found = mhc_pick(heading_set.headings[None], heading_set.accepted[None])
+    if not found[0]:
         raise NoConsecutivePairError("no consecutive pair of accepted headings")
-    return EstimatedDirection(unit_vector=headings[best_index].copy(), support_size=1)
+    return EstimatedDirection(unit_vector=heading_set.headings[best[0]].copy(), support_size=1)
+
+
+def mhc_pick(headings: np.ndarray, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mhc_find_direction`'s winning index for each of Q records.
+
+    ``headings`` is (Q, M, N) and ``accepted`` (Q, M).  The change is
+    evaluated only at consecutive accepted pairs.  Returns the winning
+    heading index of each record and whether it has any such pair.
+    """
+    run, n = np.nonzero(accepted[:, 1:] & accepted[:, :-1])
+    n += 1
+    here, before = headings[run, n], headings[run, n - 1]
+    change = np.minimum(
+        np.linalg.norm(here - before, axis=-1), np.linalg.norm(here + before, axis=-1)
+    )
+    # Within a record the pairs come in index order, and lexsort is stable,
+    # so the first entry per record is its smallest change at the lowest index.
+    order = np.lexsort((change, run))
+    first = order[np.diff(run[order], prepend=-1) != 0]
+    best = np.zeros(len(accepted), dtype=int)
+    best[run[first]] = n[first]
+    found = np.zeros(len(accepted), dtype=bool)
+    found[run[first]] = True
+    return best, found
 
 
 def project_source(data, direction: EstimatedDirection) -> np.ndarray:

@@ -51,25 +51,42 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
         ``RANK_TOLERANCE`` times the channel rms.
     """
     z = as_signal_matrix(mixtures)
-    n, L = z.shape
-    components = np.empty_like(z)
-    transform = np.zeros((n, n))
-    for i in range(n):
-        channel_rms = rms(z[i])[0]
-        if channel_rms == 0.0:
+    components, transform, failed = whiten_stack(z[None])
+    i = int(failed[0])
+    if i >= 0:
+        if rms(z[i])[0] == 0.0:
             raise ZeroChannelError(f"channel {i} is identically zero")
-        residual = z[i].copy()
-        row = np.zeros(n)
-        row[i] = 1.0
-        for k in range(i):
-            coeff = np.mean(residual * components[k])
-            residual -= coeff * components[k]
-            row -= coeff * transform[k]
-        residual_rms = rms(residual)[0]
-        if residual_rms < RANK_TOLERANCE * channel_rms:
-            raise RankDeficientError(
-                f"channel {i} is linearly dependent on channels 0..{i - 1}"
-            )
-        components[i] = residual / residual_rms
-        transform[i] = row / residual_rms
-    return WhitenedData(components=components, transform=transform)
+        raise RankDeficientError(
+            f"channel {i} is linearly dependent on channels 0..{i - 1}"
+        )
+    return WhitenedData(components=components[0], transform=transform[0])
+
+
+def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram-Schmidt whitening of a (Q, n, L) stack of records, one per run.
+
+    Every reduction runs along the sample axis, so each record whitens
+    exactly as it would alone.  Returns ``(components, transform, failed)``:
+    ``failed[q]`` is the first channel at which record ``q`` is zero or
+    rank deficient (its other outputs are then meaningless), or -1.
+    """
+    q, n, _ = z.shape
+    components = np.empty_like(z)
+    transform = np.zeros((q, n, n))
+    failed = np.full(q, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            channel_rms = rms(z[:, i])
+            residual = z[:, i].copy()
+            row = np.zeros((q, n))
+            row[:, i] = 1.0
+            for k in range(i):
+                coeff = np.mean(residual * components[:, k], axis=-1)[:, None]
+                residual -= coeff * components[:, k]
+                row -= coeff * transform[:, k]
+            residual_rms = rms(residual)[:, None]
+            bad = (channel_rms == 0.0) | (residual_rms[:, 0] < RANK_TOLERANCE * channel_rms)
+            failed[bad & (failed < 0)] = i
+            components[:, i] = residual / residual_rms
+            transform[:, i] = row / residual_rms
+    return components, transform, failed

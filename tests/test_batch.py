@@ -1,0 +1,248 @@
+"""The batched Monte Carlo engine against the per-run path it batches."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparsebss import (
+    AllRunsFailedError,
+    GaussianPulseSpec,
+    HeadingSet,
+    MethodParams,
+    NoConsecutivePairError,
+    NoRunFoundError,
+    ScenarioConfig,
+    SparseBssError,
+    ZeroChannelError,
+    add_noise,
+    associate,
+    find_largest_run,
+    load_preset,
+    mhc_find_direction,
+    monte_carlo,
+    normalize_unit_norm,
+    separate,
+    source_errors,
+)
+from sparsebss.batch import CHUNK_RUNS, chunk_runs, run_chunk
+from sparsebss.clustering import longest_runs
+from sparsebss.evaluation import associate_stack
+from sparsebss.rng import derive_seed
+from sparsebss.separation import mhc_pick
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+#: The acceptance gate's six Monte Carlo rows: (noise sd, method, v_th).
+GATE_ROWS = [
+    (0.005, "global", 0.40),
+    (0.005, "global", 0.35),
+    (0.005, "mhc", 0.70),
+    (0.010, "mhc", 0.80),
+    (0.010, "global", 0.30),
+    (0.010, "global", 0.40),
+]
+
+
+def noisy_example1(noise_sd):
+    return ScenarioConfig.from_dict(dict(load_preset("example1").to_dict(), noise_sd=noise_sd))
+
+
+def per_run(clean, actual, params, noise_sd, seed):
+    """One run on the per-run path: its (S, L) errors, or None if it raises."""
+    try:
+        estimates = normalize_unit_norm(separate(add_noise(clean, noise_sd, seed), params).estimates)
+        return source_errors(actual, estimates)[1]
+    except SparseBssError:
+        return None
+
+
+@pytest.mark.parametrize("noise_sd, method, v_th", GATE_ROWS)
+def test_batched_matches_per_run_on_gate_rows(noise_sd, method, v_th):
+    sources, clean = noisy_example1(noise_sd).generate()
+    actual = normalize_unit_norm(sources)
+    params = MethodParams(method, v_th, 1.0)
+    seeds = [derive_seed(20240707, q) for q in range(320)]
+    chunks = [run_chunk(clean, actual, params, noise_sd, seeds[i : i + CHUNK_RUNS])
+              for i in range(0, len(seeds), CHUNK_RUNS)]
+    errors = np.concatenate([e for e, _ in chunks])
+    ok = np.concatenate([k for _, k in chunks])
+    reference = [per_run(clean, actual, params, noise_sd, s) for s in seeds]
+    assert list(ok) == [r is not None for r in reference]
+    for q in np.flatnonzero(ok):
+        np.testing.assert_allclose(errors[q], reference[q], rtol=0, atol=1e-12)
+
+
+def test_result_independent_of_worker_count():
+    config = noisy_example1(0.005)
+    params = MethodParams("global", 0.4)
+    reports = [monte_carlo(config, params, 2, 300, master_seed=7, workers=w) for w in (1, 2, 3)]
+    for other in reports[1:]:
+        np.testing.assert_array_equal(other.rms_per_sample, reports[0].rms_per_sample)
+        np.testing.assert_array_equal(other.set_rms_max, reports[0].set_rms_max)
+        np.testing.assert_array_equal(other.set_rms_tot, reports[0].set_rms_tot)
+        assert other.failures == reports[0].failures
+
+
+@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7)])
+def test_run_alone_equals_run_inside_a_full_chunk(method, v_th):
+    sources, clean = noisy_example1(0.005).generate()
+    actual = normalize_unit_norm(sources)
+    params = MethodParams(method, v_th, 1.0)
+    seeds = [derive_seed(31, q) for q in range(CHUNK_RUNS)]
+    errors, ok = run_chunk(clean, actual, params, 0.005, seeds)
+    assert 0 < ok.sum()
+    for q in (0, 1, 117, CHUNK_RUNS - 1):
+        alone, alone_ok = run_chunk(clean, actual, params, 0.005, seeds[q : q + 1])
+        assert alone_ok[0] == ok[q]
+        if ok[q]:
+            np.testing.assert_array_equal(alone[0], errors[q])
+
+
+def test_chunks_stay_small():
+    assert CHUNK_RUNS <= 256
+    assert chunk_runs(2, 50) == CHUNK_RUNS
+    assert chunk_runs(4, 10**6) == 1
+
+
+def test_rank_deficient_scenario_fails_every_run():
+    config = ScenarioConfig(
+        kind="gaussian",
+        sources=(GaussianPulseSpec(1.0, 0.1, 0.0125), GaussianPulseSpec(0.1, 0.026, 0.00625)),
+        sample_rate_hz=250.0,
+        duration_s=0.2,
+        mixing=((1.0, 2.0), (2.0, 4.0)),
+        noise_sd=0.0,
+        seed=1,
+    )
+    sources, clean = config.generate()
+    _, ok = run_chunk(clean, normalize_unit_norm(sources), MethodParams("global", 0.4), 0.0, [1, 2])
+    assert not ok.any()
+    with pytest.raises(AllRunsFailedError):
+        monte_carlo(config, MethodParams("mhc", 0.7), 2, 3)
+
+
+def test_noise_free_runs_give_identical_rows():
+    sources, clean = load_preset("example1").generate()
+    actual = normalize_unit_norm(sources)
+    for method, v_th in (("global", 0.4), ("mhc", 0.8)):
+        errors, ok = run_chunk(clean, actual, MethodParams(method, v_th), 0.0, list(range(5)))
+        assert ok.all()
+        assert all(np.array_equal(errors[q], errors[0]) for q in range(5))
+        np.testing.assert_array_equal(errors[0], per_run(clean, actual, MethodParams(method, v_th), 0.0, 0))
+
+
+def test_run_with_a_constant_row_counts_as_failed():
+    sources, clean = noisy_example1(0.005).generate()
+    actual = normalize_unit_norm(sources)
+    actual[1] = 1.0 / np.sqrt(actual.shape[1])  # constant, unit norm
+    params = MethodParams("global", 0.4)
+    _, ok = run_chunk(clean, actual, params, 0.005, [3, 4, 5])
+    assert not ok.any()
+    assert per_run(clean, actual, params, 0.005, 3) is None
+
+
+def test_constant_estimate_flags_only_its_run():
+    rng = np.random.default_rng(8)
+    actual = rng.normal(size=(2, 30))
+    estimates = rng.normal(size=(3, 2, 30))
+    estimates[1, 0] = 0.25
+    permutation, signs, correlations, constant = associate_stack(actual, estimates)
+    assert list(constant) == [False, True, False]
+    with pytest.raises(ZeroChannelError):
+        associate(actual, estimates[1])
+    for q in (0, 2):
+        assoc = associate(actual, estimates[q])
+        np.testing.assert_array_equal(permutation[q], assoc.permutation)
+        np.testing.assert_array_equal(signs[q], assoc.signs)
+        np.testing.assert_array_equal(correlations[q], assoc.correlations)
+
+
+def loop_largest_run(adjacency):
+    """Reference run finder: a scan of each column in turn."""
+    best = None
+    n_rows, n_cols = adjacency.shape
+    for component in range(n_cols):
+        m = 0
+        while m < n_rows:
+            if adjacency[m, component]:
+                lo = m
+                while m < n_rows and adjacency[m, component]:
+                    m += 1
+                if best is None or m - lo > best[0]:
+                    best = (m - lo, component, lo)
+            else:
+                m += 1
+    if best is None:
+        return None
+    length, component, lo = best
+    return component, lo, lo + length - 1
+
+
+@st.composite
+def boolean_tables(draw):
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((rows, cols)) < density
+
+
+@PROPERTY
+@given(boolean_tables())
+def test_find_largest_run_matches_loop_reference(table):
+    expected = loop_largest_run(table)
+    if expected is None:
+        with pytest.raises(NoRunFoundError):
+            find_largest_run(table)
+    else:
+        assert find_largest_run(table) == expected
+    # Stacked with other tables, each table still gets its own run.
+    stack = np.stack([~table, table, np.zeros_like(table)])
+    component, lo, length = longest_runs(stack)
+    assert length[2] == 0
+    if expected is not None:
+        assert (component[1], lo[1], lo[1] + length[1] - 1) == expected
+
+
+def loop_mhc_index(headings, accepted):
+    """Reference minimum-change search: a loop over consecutive pairs."""
+    best_change, best_index = np.inf, None
+    for n in range(1, len(accepted)):
+        if accepted[n] and accepted[n - 1]:
+            pair = np.array([headings[n] - headings[n - 1], headings[n] + headings[n - 1]])
+            change = np.linalg.norm(pair, axis=-1).min()
+            if change < best_change:
+                best_change, best_index = change, n
+    return best_index
+
+
+@st.composite
+def heading_records(draw):
+    """Unit headings on a coarse grid, so exact ties between pairs are common."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-2, 3, size=(m, n)).astype(float)
+    v[np.all(v == 0, axis=1), 0] = 1.0
+    accepted = rng.random(m) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    return v / np.linalg.norm(v, axis=1, keepdims=True), accepted
+
+
+@PROPERTY
+@given(heading_records())
+def test_mhc_find_direction_matches_loop_reference(record):
+    headings, accepted = record
+    heading_set = HeadingSet(
+        velocities=headings, headings=headings, speeds=np.ones(len(headings)),
+        nonzero=np.ones(len(headings), dtype=bool), accepted=accepted, v_max=1.0,
+    )
+    expected = loop_mhc_index(headings, accepted)
+    if expected is None:
+        with pytest.raises(NoConsecutivePairError):
+            mhc_find_direction(heading_set)
+    else:
+        np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
+        best, found = mhc_pick(headings[None], accepted[None])
+        assert found[0] and best[0] == expected
