@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import longest_runs
 from .evaluation import associate_stack, signed_errors
-from .headings import _speeds, _threshold, _unit_headings
+from .headings import _speeds, _threshold
 from .rng import normal_grid
 from .separation import DEGENERATE_TOLERANCE, MethodParams, average_directions, mhc_pick
 from .whitening import whiten_stack
@@ -71,9 +71,9 @@ def run_chunk(
             if params.method == "global":
                 direction, found = _global_directions(v, accepted, params.alpha)
             else:
-                headings = _unit_headings(v, speeds)
-                best, found = mhc_pick(headings, accepted)
-                direction = headings[np.arange(q), best]
+                best, found = mhc_pick(v, speeds, accepted)
+                runs = np.arange(q)
+                direction = v[runs, best] / speeds[runs, best][:, None]
             ok &= found
             source = (direction[:, None, :] @ data)[:, 0]
             data -= direction[:, :, None] * source[:, None, :]

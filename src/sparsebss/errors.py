@@ -48,7 +48,15 @@ class DegenerateClusterError(SparseBssError):
 
 
 class NoConsecutivePairError(SparseBssError):
-    """No two consecutive accepted headings exist (minimum-change search)."""
+    """No two consecutive accepted headings exist (minimum-change search).
+
+    ``iteration`` is the zero-based deflation iteration when ``separate``
+    raised it, else None.
+    """
+
+    def __init__(self, message, iteration=None):
+        self.iteration = iteration
+        super().__init__(message)
 
 
 class ClusterFormationFailedError(SparseBssError):

@@ -3,10 +3,13 @@
 Each iteration estimates one source direction in phase space (from a
 heading cluster, or from the single minimum-change heading), projects the
 current data onto it to obtain the source estimate, and subtracts that
-rank-one contribution before the next iteration.  The whitening transform
-is computed once; velocities, headings, and the acceptance threshold are
-re-evaluated on the deflated data every iteration, against that data's own
-maximum velocity.
+rank-one contribution before the next iteration.  The input is validated
+and whitened once.  Each iteration re-derives the velocities, their speeds
+and the acceptance mask from the deflated data, against that data's own
+maximum velocity; unit headings are formed only where a method reads them
+(the global method clusters the accepted velocities, MHC divides only at
+consecutive accepted pairs), and the deflation updates the whitened
+components in place.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     SparseBssError,
     TooFewHeadingsError,
 )
-from .headings import HeadingSet, compute_headings
+from .headings import HeadingSet, _speeds, _threshold
 from .whitening import gram_schmidt_whiten
 
 #: Averaged cluster directions shorter than this are considered cancelled.
@@ -137,29 +140,31 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
     The change between headings ``n-1`` and ``n`` is measured up to sign,
     ``min(|r[n] - r[n-1]|, |r[n] + r[n-1]|)``, since a source line may be
     traversed in alternating directions.  The most recent heading of the
-    winning pair is returned; ties go to the smallest index.
+    winning pair is returned; ties go to the smallest index.  Headings are
+    formed from the set's velocities and speeds.
 
     Raises
     ------
     NoConsecutivePairError
         If no two consecutive headings are both accepted.
     """
-    best, found = mhc_pick(heading_set.headings[None], heading_set.accepted[None])
-    if not found[0]:
-        raise NoConsecutivePairError("no consecutive pair of accepted headings")
-    return EstimatedDirection(unit_vector=heading_set.headings[best[0]].copy(), support_size=1)
+    return _mhc_direction(heading_set.velocities, heading_set.speeds, heading_set.accepted)
 
 
-def mhc_pick(headings: np.ndarray, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mhc_pick(
+    velocities: np.ndarray, speeds: np.ndarray, accepted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`mhc_find_direction`'s winning index for each of Q records.
 
-    ``headings`` is (Q, M, N) and ``accepted`` (Q, M).  The change is
-    evaluated only at consecutive accepted pairs.  Returns the winning
-    heading index of each record and whether it has any such pair.
+    ``velocities`` is (Q, M, N), ``speeds`` and ``accepted`` (Q, M).  The
+    headings ``v / |v|`` are formed and compared only at consecutive
+    accepted pairs, whose speeds are positive.  Returns the winning heading
+    index of each record and whether it has any such pair.
     """
     run, n = np.nonzero(accepted[:, 1:] & accepted[:, :-1])
     n += 1
-    here, before = headings[run, n], headings[run, n - 1]
+    here = velocities[run, n] / speeds[run, n][:, None]
+    before = velocities[run, n - 1] / speeds[run, n - 1][:, None]
     change = np.minimum(
         np.linalg.norm(here - before, axis=-1), np.linalg.norm(here + before, axis=-1)
     )
@@ -198,10 +203,10 @@ def deflate(data, direction: EstimatedDirection, source_row) -> np.ndarray:
 
 
 def _global_direction(
-    heading_set: HeadingSet, alpha: float, iteration: int
+    velocities: np.ndarray, accepted: np.ndarray, alpha: float, iteration: int
 ) -> tuple[EstimatedDirection, np.ndarray, float]:
-    """Cluster the accepted headings and average them into a direction."""
-    accepted_idx = np.flatnonzero(heading_set.accepted)
+    """Cluster the accepted velocities and average them into a direction."""
+    accepted_idx = np.flatnonzero(accepted)
     if accepted_idx.size < 2:
         raise ClusterFormationFailedError(
             iteration,
@@ -209,20 +214,39 @@ def _global_direction(
         )
     epsilon = gap_threshold(alpha, accepted_idx.size)
     try:
-        cluster, _ = find_cluster(heading_set.velocities[accepted_idx], epsilon)
+        cluster, _ = find_cluster(velocities[accepted_idx], epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
         raise ClusterFormationFailedError(iteration, cause) from cause
     return direction, accepted_idx[cluster.member_indices], epsilon
 
 
+def _mhc_direction(
+    velocities: np.ndarray,
+    speeds: np.ndarray,
+    accepted: np.ndarray,
+    iteration: int | None = None,
+) -> EstimatedDirection:
+    """:func:`mhc_find_direction` on one record's velocities and speeds."""
+    best, found = mhc_pick(velocities[None], speeds[None], accepted[None])
+    if not found[0]:
+        where = "" if iteration is None else f" at iteration {iteration}"
+        raise NoConsecutivePairError(
+            f"no consecutive pair of accepted headings{where}", iteration=iteration
+        )
+    return EstimatedDirection(
+        unit_vector=velocities[best[0]] / speeds[best[0]], support_size=1
+    )
+
+
 def separate(mixtures, params: MethodParams) -> SeparationResult:
     """Extract as many sources as there are mixture channels.
 
-    The mixtures are whitened once; each iteration then re-derives
-    velocities, headings, and the acceptance mask from the current
+    The mixtures are validated and whitened once; each iteration then
+    re-derives velocities, speeds, and the acceptance mask from the current
     (deflated) data, estimates one direction by the configured method,
-    projects out the source, and deflates.
+    projects out the source, and deflates the whitened components in place.
+    The caller's array is never written.
 
     Raises
     ------
@@ -230,32 +254,33 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
         Global method: no cluster could be formed at some iteration.
     NoConsecutivePairError
         MHC: no consecutive accepted heading pair at some iteration.
-    RankDeficientError, ZeroChannelError
+    NonFiniteError, TooShortError, RankDeficientError, ZeroChannelError
         Propagated from whitening.
     """
     whitened = gram_schmidt_whiten(mixtures)
-    data = whitened.components.copy()
-    n_channels = data.shape[0]
+    data = whitened.components
     estimates = []
     directions: list[EstimatedDirection] = []
     iterations: list[IterationDiagnostics] = []
-    for iteration in range(n_channels):
-        heading_set = compute_headings(data, params.v_th)
+    for iteration in range(data.shape[0]):
+        v = np.diff(data, axis=1).T
+        speeds = _speeds(v)
+        accepted, _ = _threshold(v, speeds, params.v_th)
         if params.method == "global":
             direction, member_indices, epsilon = _global_direction(
-                heading_set, params.alpha, iteration
+                v, accepted, params.alpha, iteration
             )
         else:
-            direction = mhc_find_direction(heading_set)
+            direction = _mhc_direction(v, speeds, accepted, iteration)
             member_indices = np.array([], dtype=int)
             epsilon = None
         source = project_source(data, direction)
-        data = deflate(data, direction, source)
+        data -= direction.unit_vector[:, None] * source
         estimates.append(source)
         directions.append(direction)
         iterations.append(
             IterationDiagnostics(
-                accepted_count=int(heading_set.accepted.sum()),
+                accepted_count=int(accepted.sum()),
                 cluster_size=direction.support_size,
                 epsilon=epsilon,
                 member_indices=member_indices,

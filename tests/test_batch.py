@@ -244,5 +244,5 @@ def test_mhc_find_direction_matches_loop_reference(record):
             mhc_find_direction(heading_set)
     else:
         np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
-        best, found = mhc_pick(headings[None], accepted[None])
+        best, found = mhc_pick(headings[None], np.ones((1, len(headings))), accepted[None])
         assert found[0] and best[0] == expected

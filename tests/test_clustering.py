@@ -8,6 +8,8 @@ cross-component check, and the final AND.  All indices here are 0-based.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebss import (
     EmptyClusterError,
@@ -74,6 +76,36 @@ def test_sort_component_identity_on_sorted_input():
     mags = np.array([[0.1], [0.2], [0.5]])
     sc = sort_component(mags, 0)
     assert list(sc.index_map) == [0, 1, 2]
+
+
+@st.composite
+def magnitude_columns(draw):
+    """An (M, N) matrix whose chosen column has forced ties, none, or one value."""
+    m = draw(st.integers(2, 600))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["grid", "distinct", "equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitudes = rng.random((m, n))
+    component = draw(st.integers(0, n - 1))
+    if kind == "grid":
+        k = draw(st.integers(1, 8))
+        magnitudes[:, component] = rng.integers(0, k + 1, m) / k
+    elif kind == "distinct":
+        magnitudes[:, component] = (rng.permutation(m) + rng.random()) / m
+    else:
+        magnitudes[:, component] = rng.random()
+    return magnitudes, component
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(magnitude_columns())
+def test_sort_component_equals_stable_argsort(case):
+    magnitudes, component = case
+    column = magnitudes[:, component]
+    expected = np.argsort(column, kind="stable")
+    sc = sort_component(magnitudes, component)
+    assert sc.index_map.tobytes() == expected.tobytes()
+    assert sc.values.tobytes() == column[expected].tobytes()
 
 
 def test_sort_component_needs_two_headings():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,20 @@ from sparsebss import (
     DegenerateClusterError,
     DimensionMismatchError,
     EstimatedDirection,
+    IterationDiagnostics,
     MethodParams,
     NoConsecutivePairError,
+    NonFiniteError,
+    RankDeficientError,
+    SparseBssError,
+    TooFewHeadingsError,
+    TooShortError,
+    ZeroChannelError,
     associate,
     compute_headings,
     deflate,
+    find_cluster,
+    gap_threshold,
     gram_schmidt_whiten,
     mhc_find_direction,
     normalize_unit_norm,
@@ -227,3 +238,164 @@ def test_method_params_validation():
         MethodParams(v_th=1.0)
     with pytest.raises(ValueError):
         MethodParams(alpha=0.0)
+
+
+def sparse_record(seed, n, length, noise_sd, burst):
+    """Mixtures of n sources active in disjoint bursts, plus optional noise.
+
+    Without noise, every velocity of a burst points along one mixing
+    column, so heading magnitudes tie often.
+    """
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(-1, n, length // burst).repeat(burst)
+    values = rng.uniform(-1.0, 1.0, length)
+    sources = np.where(owner == np.arange(n)[:, None], values, 0.0)
+    mixtures = rng.standard_normal((n, n)) @ sources
+    return mixtures + noise_sd * rng.standard_normal(mixtures.shape)
+
+
+def reference_separate(mixtures, params):
+    """The deflation loop built from the public per-iteration helpers.
+
+    MHC reads the unit headings ``compute_headings`` builds in full (as
+    velocities of speed one), so it also checks that forming headings only
+    at the compared pairs gives the same bits.
+    """
+    whitened = gram_schmidt_whiten(mixtures)
+    data = whitened.components.copy()
+    estimates, directions, iterations = [], [], []
+    for iteration in range(data.shape[0]):
+        heading_set = compute_headings(data, params.v_th)
+        if params.method == "global":
+            accepted_idx = np.flatnonzero(heading_set.accepted)
+            try:
+                if accepted_idx.size < 2:
+                    raise TooFewHeadingsError(f"only {accepted_idx.size} accepted headings")
+                epsilon = gap_threshold(params.alpha, accepted_idx.size)
+                cluster, _ = find_cluster(heading_set.velocities[accepted_idx], epsilon)
+                direction = weighted_average_heading(cluster)
+            except SparseBssError as cause:
+                raise ClusterFormationFailedError(iteration, cause) from cause
+            member_indices = accepted_idx[cluster.member_indices]
+        else:
+            unit_speed = dataclasses.replace(
+                heading_set,
+                velocities=heading_set.headings,
+                speeds=np.ones_like(heading_set.speeds),
+            )
+            try:
+                direction = mhc_find_direction(unit_speed)
+            except NoConsecutivePairError as err:
+                raise NoConsecutivePairError(str(err), iteration=iteration) from err
+            member_indices, epsilon = np.array([], dtype=int), None
+        source = project_source(data, direction)
+        data = deflate(data, direction, source)
+        estimates.append(source)
+        directions.append(direction)
+        iterations.append(
+            IterationDiagnostics(
+                accepted_count=int(heading_set.accepted.sum()),
+                cluster_size=direction.support_size,
+                epsilon=epsilon,
+                member_indices=member_indices,
+                residual_energy=float(np.sum(np.square(data))),
+            )
+        )
+    return np.array(estimates), directions, iterations
+
+
+def outcome(run, mixtures, params):
+    """A separation's result and None, or None and its error's type and iteration."""
+    try:
+        return run(mixtures, params), None
+    except SparseBssError as err:
+        return None, (type(err), getattr(err, "iteration", None))
+
+
+def assert_same_outcome(mixtures, params):
+    """Compare both loops; return the error they both raised, if any."""
+    got, got_error = outcome(separate, mixtures, params)
+    expected, error = outcome(reference_separate, mixtures, params)
+    assert got_error == error
+    if error is not None:
+        return error
+    estimates, directions, iterations = expected
+    assert got.estimates.tobytes() == estimates.tobytes()
+    assert len(got.directions) == len(directions)
+    for a, b in zip(got.directions, directions):
+        assert a.unit_vector.tobytes() == b.unit_vector.tobytes()
+        assert a.support_size == b.support_size
+    assert len(got.iterations) == len(iterations)
+    for a, b in zip(got.iterations, iterations):
+        assert a.accepted_count == b.accepted_count
+        assert a.cluster_size == b.cluster_size
+        assert a.epsilon == b.epsilon
+        assert a.member_indices.tobytes() == b.member_indices.tobytes()
+        assert a.residual_energy == b.residual_energy
+    return None
+
+
+class TestMatchesHelperLoop:
+    """``separate`` equals the loop of public helpers bit for bit."""
+
+    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5), ("mhc", 0.8)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.01])
+    def test_sparse_records(self, method, v_th, n, noise_sd):
+        params = MethodParams(method=method, v_th=v_th)
+        for seed in range(4):
+            assert_same_outcome(sparse_record(seed, n, 300, noise_sd, burst=10), params)
+
+    @pytest.mark.parametrize("method, seed", [("global", 25), ("mhc", 2)])
+    def test_record_failing_at_iteration_1(self, method, seed):
+        params = MethodParams(method=method, v_th=0.4 if method == "global" else 0.5)
+        error = assert_same_outcome(sparse_record(seed, 2, 60, 0.0, burst=5), params)
+        assert error[1] == 1
+
+    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.8)])
+    def test_two_pulse_example(self, example1, method, v_th):
+        _, _, mixtures = example1
+        assert assert_same_outcome(mixtures, MethodParams(method=method, v_th=v_th)) is None
+
+
+class TestBoundary:
+    """``separate`` validates once, through whitening, and writes nothing back."""
+
+    @pytest.mark.parametrize("method", ["global", "mhc"])
+    def test_caller_array_untouched(self, method):
+        mixtures = sparse_record(1, 3, 300, 0.01, burst=10)
+        kept = mixtures.copy()
+        separate(mixtures, MethodParams(method=method, v_th=0.5))
+        assert mixtures.tobytes() == kept.tobytes()
+
+    def test_deflate_and_project_do_not_write(self):
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=(3, 40))
+        kept = data.copy()
+        d = EstimatedDirection(unit_vector=np.array([0.6, 0.0, 0.8]), support_size=1)
+        source = project_source(data, d)
+        deflated = deflate(data, d, source)
+        assert data.tobytes() == kept.tobytes()
+        assert deflated is not data
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda x: x.__setitem__((1, 7), np.nan), NonFiniteError),
+            (lambda x: x.__setitem__((0, 3), np.inf), NonFiniteError),
+            (lambda x: x.__setitem__(2, x[0]), RankDeficientError),
+            (lambda x: x.__setitem__(1, 0.0), ZeroChannelError),
+        ],
+        ids=["nan", "inf", "duplicated", "all_zero"],
+    )
+    @pytest.mark.parametrize("method", ["global", "mhc"])
+    def test_bad_input_raises_typed_error(self, corrupt, error, method):
+        mixtures = sparse_record(1, 3, 300, 0.01, burst=10)
+        corrupt(mixtures)
+        with pytest.raises(error):
+            separate(mixtures, MethodParams(method=method, v_th=0.5))
+
+    @pytest.mark.parametrize("method", ["global", "mhc"])
+    def test_single_sample_raises_typed_error(self, method):
+        with pytest.raises(TooShortError):
+            separate(np.array([[1.0], [2.0]]), MethodParams(method=method))
