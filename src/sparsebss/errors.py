@@ -70,6 +70,11 @@ class ClusterFormationFailedError(SparseBssError):
         self.cause = cause
         super().__init__(f"cluster formation failed at iteration {iteration}: {cause}")
 
+    def __reduce__(self):
+        # ``args`` holds only the message; rebuild from the constructor's
+        # arguments so the error survives pickling (e.g. from a worker process)
+        return type(self), (self.iteration, self.cause), self.__dict__
+
 
 class AllRunsFailedError(SparseBssError):
     """Every Monte Carlo run in every set failed to separate."""

@@ -1,8 +1,12 @@
 """CSV reading and writing for multichannel records.
 
 Layout: one header row naming the channels, then one row per time sample
-with one column per channel.  Values are written with 17 significant
-digits, so a write/read round trip reproduces every double exactly.
+with one column per channel, ``,``-separated, each line ending in a
+newline.  Each value is written as ``%.17g`` formats it (``-0`` for
+negative zero), so a write/read round trip reproduces every double
+exactly.  Rows are formatted a block at a time with one %-template and
+written with one call per block, so the writer's memory is bounded by
+one block of rows, not by the record.
 """
 
 from __future__ import annotations
@@ -13,16 +17,35 @@ import numpy as np
 
 from .signals import as_signal_matrix
 
+_BLOCK_ROWS = 4096  # samples formatted and written per write() call
+
 
 def write_csv(path, data, names: list[str] | None = None) -> None:
-    """Write an (n_channels, n_samples) matrix as columns under ``names``."""
+    """Write an (n_channels, n_samples) matrix as columns under ``names``.
+
+    Raises ``ValueError`` before the file is opened when the names do not
+    match the channels or could not be read back: a name containing a
+    comma or a line break, or a header that is blank.
+    """
     x = as_signal_matrix(data)
     n_channels = x.shape[0]
     if names is None:
         names = [f"channel_{i + 1}" for i in range(n_channels)]
     if len(names) != n_channels:
         raise ValueError(f"{len(names)} names for {n_channels} channels")
-    np.savetxt(path, x.T, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    for name in names:
+        if any(c in name for c in ",\n\r"):
+            raise ValueError(f"channel name {name!r} contains a comma or a line break")
+    header = ",".join(names)
+    if not header.strip():
+        raise ValueError("a blank header cannot be read back")
+    rows = x.T
+    row_format = ",".join(["%.17g"] * n_channels) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparsebss import MethodParams, load_preset, separate
 from sparsebss.cli import main
 from sparsebss.io import read_csv, write_csv
 
@@ -24,6 +25,9 @@ def test_simulate_writes_sources_and_mixtures(simulated):
     assert sources.shape == (2, 50)
     _, mixtures = read_csv(simulated / "mixtures.csv")
     assert mixtures.shape == (2, 50)
+    # bit for bit what the scenario generates
+    generated = load_preset("example1").generate()[0]
+    assert np.array_equal(sources.view(np.int64), generated.view(np.int64))
 
 
 def test_simulate_deterministic(tmp_path):
@@ -52,6 +56,10 @@ def test_separate_produces_estimates_and_report(simulated, tmp_path, method, vth
     names, estimates = read_csv(out)
     assert names == ["estimate_1", "estimate_2"]
     assert estimates.shape == (2, 50)
+    # bit for bit what separate returns in memory for the same input
+    _, mixtures = read_csv(simulated / "mixtures.csv")
+    expected = separate(mixtures, MethodParams(method=method, v_th=float(vth), alpha=1.0)).estimates
+    assert np.array_equal(estimates.view(np.int64), expected.view(np.int64))
     report = json.loads((tmp_path / "estimates_report.json").read_text())
     assert len(report["directions"]) == 2
     assert (tmp_path / "estimates_report.txt").exists()

@@ -1,8 +1,41 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsebss import PRESET_NAMES, ScenarioConfig, load_config, load_preset
-from sparsebss.io import read_csv, write_csv
+from sparsebss.io import _BLOCK_ROWS, read_csv, write_csv
+
+#: Fixed example sequence, so every run of the suite tests the same cases.
+PROPERTY = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max,
+               -np.finfo(float).max, 1.0, -1.0, 0.1 + 0.2, 1e300, -1e-300]
+
+
+def savetxt_reference(path, data, names):
+    """The writer's former implementation: the bytes it must reproduce."""
+    np.savetxt(path, data.T, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def spread_record(n_channels, n_samples, seed):
+    """Values over 1e-300..1e300, with the edge values at and across block edges."""
+    rng = np.random.default_rng(seed)
+    size = n_channels * n_samples
+    flat = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size)  # row-major samples
+    for start in (0, n_channels * (_BLOCK_ROWS - 1), size - len(EDGE_VALUES)):
+        chunk = flat[max(start, 0):][: len(EDGE_VALUES)]
+        chunk[:] = EDGE_VALUES[: len(chunk)]
+    return np.ascontiguousarray(flat.reshape(n_samples, n_channels).T)
 
 
 class TestScenarioConfig:
@@ -90,3 +123,68 @@ class TestCsv:
         path.write_text("a,b\n1,x\n")
         with pytest.raises(ValueError):
             read_csv(path)
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "n_samples", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    def test_bytes_equal_savetxt_across_block_edges(self, tmp_path, n_channels, n_samples):
+        data = spread_record(n_channels, n_samples, seed=1000 * n_channels + n_samples)
+        names = [f"ch{i}" for i in range(n_channels)]
+        write_csv(tmp_path / "new.csv", data, names)
+        savetxt_reference(tmp_path / "ref.csv", data, names)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back_names, back = read_csv(tmp_path / "new.csv")
+        assert back_names == names
+        assert same_bits(back, data)
+
+    @PROPERTY
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                min_size=2, max_size=40,
+            )
+        )
+    )
+    def test_any_finite_record_matches_savetxt_and_reads_back(self, tmp_path, rows):
+        data = np.array(rows, dtype=float).T
+        names = [f"c{i}" for i in range(data.shape[0])]
+        write_csv(tmp_path / "new.csv", data, names)
+        savetxt_reference(tmp_path / "ref.csv", data, names)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert same_bits(read_csv(tmp_path / "new.csv")[1], data)
+
+    def test_peak_memory_is_one_block_not_the_record(self, tmp_path):
+        # a writer that formats the whole record at once needs about 18 MB here
+        data = np.random.default_rng(5).normal(size=(2, 200_000))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "long.csv", data, ["a", "b"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    @pytest.mark.parametrize(
+        "names,bad", [(["a,b", "c"], "a,b"), (["a", "b\nc"], "b\nc"), (["a\r", "c"], "a\r")]
+    )
+    def test_unreadable_name_rejected_before_opening(self, tmp_path, names, bad):
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_csv(path, np.ones((2, 3)), names)
+        assert not path.exists()
+
+    def test_blank_header_rejected_before_opening(self, tmp_path):
+        # one channel named "" or " " gives a header line that read_csv skips
+        path = tmp_path / "data.csv"
+        for name in ["", " "]:
+            with pytest.raises(ValueError, match="blank header"):
+                write_csv(path, np.ones((1, 3)), [name])
+        assert not path.exists()
+
+    def test_wrong_name_count_rejected_before_opening(self, tmp_path):
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="1 names for 2 channels"):
+            write_csv(path, np.ones((2, 3)), ["a"])
+        assert not path.exists()
