@@ -24,8 +24,9 @@ def write_csv(path, data, names: list[str] | None = None) -> None:
     """Write an (n_channels, n_samples) matrix as columns under ``names``.
 
     Raises ``ValueError`` before the file is opened when the names do not
-    match the channels or could not be read back: a name containing a
-    comma or a line break, or a header that is blank.
+    match the channels or could not be read back: a header that is blank,
+    a name containing a comma or a line break, or a name with spaces
+    around it (``read_csv`` strips them).
     """
     x = as_signal_matrix(data)
     n_channels = x.shape[0]
@@ -33,12 +34,14 @@ def write_csv(path, data, names: list[str] | None = None) -> None:
         names = [f"channel_{i + 1}" for i in range(n_channels)]
     if len(names) != n_channels:
         raise ValueError(f"{len(names)} names for {n_channels} channels")
-    for name in names:
-        if any(c in name for c in ",\n\r"):
-            raise ValueError(f"channel name {name!r} contains a comma or a line break")
     header = ",".join(names)
     if not header.strip():
         raise ValueError("a blank header cannot be read back")
+    for name in names:
+        if any(c in name for c in ",\n\r"):
+            raise ValueError(f"channel name {name!r} contains a comma or a line break")
+        if name != name.strip():
+            raise ValueError(f"channel name {name!r} has spaces around it, which read_csv strips")
     rows = x.T
     row_format = ",".join(["%.17g"] * n_channels) + "\n"
     with open(path, "w") as fh:

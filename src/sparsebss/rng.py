@@ -46,16 +46,6 @@ def _uniform_grid(seeds, count: int, start: int = 0) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def normal_values(seed: int, count: int) -> np.ndarray:
-    """``count`` standard-normal variates from stream ``seed``.
-
-    Uniform pairs (u[2i], u[2i+1]) map to the Box-Muller pair
-    (r*cos, r*sin) with r = sqrt(-2*log(1 - u[2i])); outputs are
-    interleaved in that order and truncated to ``count``.
-    """
-    return normal_grid([seed], (count,))[0]
-
-
 def normal_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard-normal array of ``shape``, filled in C (row-major) order."""
     return normal_grid([seed], shape)[0]
@@ -64,8 +54,11 @@ def normal_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
 def normal_grid(seeds, shape: tuple[int, ...]) -> np.ndarray:
     """One :func:`normal_matrix` per seed, stacked: shape ``(len(seeds), *shape)``.
 
-    Each row depends only on its own seed, so a stream comes out the same
-    whichever other seeds share the call.
+    Uniform pairs (u[2i], u[2i+1]) of a stream map to the Box-Muller pair
+    (r*cos, r*sin) with r = sqrt(-2*log(1 - u[2i])); outputs are
+    interleaved in that order and truncated to the shape's size.  Each row
+    depends only on its own seed, so a stream comes out the same whichever
+    other seeds share the call.
     """
     count = int(np.prod(shape))
     if count < 0:

@@ -3,13 +3,14 @@
 Each iteration estimates one source direction in phase space (from a
 heading cluster, or from the single minimum-change heading), projects the
 current data onto it to obtain the source estimate, and subtracts that
-rank-one contribution before the next iteration.  The input is validated
-and whitened once.  Each iteration re-derives the velocities, their speeds
-and the acceptance mask from the deflated data, against that data's own
-maximum velocity; unit headings are formed only where a method reads them
-(the global method clusters the accepted velocities, MHC divides only at
-consecutive accepted pairs), and the deflation updates the whitened
-components in place.
+rank-one contribution.  Velocities, speeds and the acceptance mask are
+re-derived from the deflated data each time, against its own maximum
+velocity; unit headings are formed only where a method reads them.
+
+The loop is written once, in :func:`deflation_steps`, for a stack of
+whitened records deflated in place: :func:`separate` runs it on one record
+and reports diagnostics or a typed error, and the Monte Carlo engine
+(``batch.run_chunk``) runs it on a chunk of noisy records.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import Cluster, find_cluster, gap_threshold
+from .clustering import Cluster, find_cluster, gap_threshold, longest_runs
 from .errors import (
     ClusterFormationFailedError,
     DegenerateClusterError,
@@ -148,7 +149,11 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
     NoConsecutivePairError
         If no two consecutive headings are both accepted.
     """
-    return _mhc_direction(heading_set.velocities, heading_set.speeds, heading_set.accepted)
+    v, speeds = heading_set.velocities, heading_set.speeds
+    best, found = mhc_pick(v[None], speeds[None], heading_set.accepted[None])
+    if not found[0]:
+        raise NoConsecutivePairError("no consecutive pair of accepted headings")
+    return EstimatedDirection(unit_vector=v[best[0]] / speeds[best[0]], support_size=1)
 
 
 def mhc_pick(
@@ -204,39 +209,115 @@ def deflate(data, direction: EstimatedDirection, source_row) -> np.ndarray:
 
 def _global_direction(
     velocities: np.ndarray, accepted: np.ndarray, alpha: float, iteration: int
-) -> tuple[EstimatedDirection, np.ndarray, float]:
-    """Cluster the accepted velocities and average them into a direction."""
-    accepted_idx = np.flatnonzero(accepted)
-    if accepted_idx.size < 2:
-        raise ClusterFormationFailedError(
-            iteration,
-            TooFewHeadingsError(f"only {accepted_idx.size} accepted headings"),
-        )
-    epsilon = gap_threshold(alpha, accepted_idx.size)
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | ClusterFormationFailedError]:
+    """The global direction step for a (1, M, N) velocity stack, via :func:`find_cluster`.
+
+    Returns the (1, N) unit direction (zero on failure), whether it was
+    found, and the cluster's ``(member indices, epsilon)`` or the error.
+    """
+    accepted_idx = np.flatnonzero(accepted[0])
     try:
-        cluster, _ = find_cluster(velocities[accepted_idx], epsilon)
+        if accepted_idx.size < 2:
+            raise TooFewHeadingsError(f"only {accepted_idx.size} accepted headings")
+        epsilon = gap_threshold(alpha, accepted_idx.size)
+        cluster, _ = find_cluster(velocities[0, accepted_idx], epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
-        raise ClusterFormationFailedError(iteration, cause) from cause
-    return direction, accepted_idx[cluster.member_indices], epsilon
+        failed = ClusterFormationFailedError(iteration, cause)
+        return np.zeros((1, velocities.shape[-1])), np.zeros(1, dtype=bool), failed
+    members = accepted_idx[cluster.member_indices]
+    return direction.unit_vector[None], np.ones(1, dtype=bool), (members, epsilon)
 
 
-def _mhc_direction(
-    velocities: np.ndarray,
-    speeds: np.ndarray,
-    accepted: np.ndarray,
-    iteration: int | None = None,
-) -> EstimatedDirection:
-    """:func:`mhc_find_direction` on one record's velocities and speeds."""
-    best, found = mhc_pick(velocities[None], speeds[None], accepted[None])
-    if not found[0]:
-        where = "" if iteration is None else f" at iteration {iteration}"
-        raise NoConsecutivePairError(
-            f"no consecutive pair of accepted headings{where}", iteration=iteration
-        )
-    return EstimatedDirection(
-        unit_vector=velocities[best[0]] / speeds[best[0]], support_size=1
-    )
+def _global_directions(
+    v: np.ndarray, accepted: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The global method's direction step for a (Q, M, N) velocity stack.
+
+    The stacked form of :func:`_global_direction`.  Each record's accepted
+    velocities move to the front, in index order, of a width set by the
+    record with the most; the empty slots sort as +inf and are never
+    adjacent to anything.  Returns the unit directions and which records
+    formed a cluster.
+    """
+    q, _, n = v.shape
+    count = accepted.sum(axis=-1)
+    width = int(count.max())
+    directions = np.zeros((q, n))
+    found = count >= 2
+    if width < 2:
+        return directions, found
+    slots = np.argsort(~accepted, axis=-1, kind="stable")[:, :width]
+    velocities = np.ascontiguousarray(np.take_along_axis(v, slots[..., None], axis=1))
+    speeds = np.linalg.norm(velocities, axis=-1)
+    valid = np.arange(width) < count[:, None]
+    magnitudes = np.where(valid[..., None], np.abs(velocities / speeds[..., None]), np.inf)
+
+    order = np.argsort(magnitudes, axis=1, kind="stable")
+    values = np.take_along_axis(magnitudes, order, axis=1)
+    adjacency = np.zeros(values.shape, dtype=bool)
+    adjacency[:, 1:] = np.diff(values, axis=1) < (alpha / count)[:, None, None]
+
+    component, lo, run_length = longest_runs(adjacency)
+    found &= run_length > 0
+    # The seed spans sorted positions lo - 1 .. hi: lo marks the gap after
+    # lo - 1, so that value belongs to the bunch (``expand_and_remap``).
+    position = np.arange(width)
+    in_seed = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
+    seed = np.zeros((q, width), dtype=bool)
+    seed_order = np.take_along_axis(order, component[:, None, None], axis=2)[..., 0]
+    np.put_along_axis(seed, seed_order, in_seed, axis=1)
+
+    # A heading is in a component's clustering when its sorted position or
+    # the next one is marked (``cross_check_components``).
+    in_run = adjacency.copy()
+    in_run[:, :-1] |= adjacency[:, 1:]
+    member = np.empty_like(in_run)
+    np.put_along_axis(member, order, in_run, axis=1)
+    member |= np.arange(n) == component[:, None, None]
+    survivors = seed & member.all(axis=-1)
+
+    size = survivors.sum(axis=-1)
+    found &= size > 0
+    # One stacked average per cluster size keeps every item in its one-record shape.
+    for k in np.flatnonzero(np.bincount(size[found])):
+        runs = np.flatnonzero(found & (size == k))
+        members = np.nonzero(survivors[runs])[1].reshape(len(runs), k)
+        unit, length, moving = average_directions(velocities[runs[:, None], members])
+        directions[runs] = unit
+        found[runs] = moving & (length >= DEGENERATE_TOLERANCE)
+    return directions, found
+
+
+def deflation_steps(data: np.ndarray, params: MethodParams):
+    """The deflation loop over a (Q, N, L) stack of whitened records, in place.
+
+    Each iteration yields the (Q, L) sources, the (Q, N) directions, which
+    records found one (the others get a zero direction), the (Q, L-1)
+    acceptance masks, and, for the global method on one record,
+    :func:`_global_direction`'s cluster or error (else None).  One long
+    record clusters faster through :func:`find_cluster`, many short ones
+    through the stacked :func:`_global_directions`; both give the same bits.
+    """
+    q, n, _ = data.shape
+    records = np.arange(q)
+    for iteration in range(n):
+        v = np.diff(data, axis=-1).swapaxes(-1, -2)
+        speeds = _speeds(v)
+        accepted, _ = _threshold(v, speeds, params.v_th)
+        cluster = None
+        if params.method == "mhc":
+            best, found = mhc_pick(v, speeds, accepted)
+            directions = v[records, best] / np.where(found, speeds[records, best], np.inf)[:, None]
+        elif q > 1:
+            directions, found = _global_directions(v, accepted, params.alpha)
+        else:
+            directions, found, cluster = _global_direction(v, accepted, params.alpha, iteration)
+        # The deflation below needs a temporary as large as the velocities.
+        del v, speeds
+        sources = (directions[:, None, :] @ data)[:, 0]
+        data -= directions[:, :, None] * sources[:, None, :]
+        yield sources, directions, found, accepted, cluster
 
 
 def separate(mixtures, params: MethodParams) -> SeparationResult:
@@ -258,32 +339,29 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
         Propagated from whitening.
     """
     whitened = gram_schmidt_whiten(mixtures)
-    data = whitened.components
+    data = whitened.components[None]
     estimates = []
     directions: list[EstimatedDirection] = []
     iterations: list[IterationDiagnostics] = []
-    for iteration in range(data.shape[0]):
-        v = np.diff(data, axis=1).T
-        speeds = _speeds(v)
-        accepted, _ = _threshold(v, speeds, params.v_th)
-        if params.method == "global":
-            direction, member_indices, epsilon = _global_direction(
-                v, accepted, params.alpha, iteration
+    steps = deflation_steps(data, params)
+    for iteration, (sources, units, found, accepted, cluster) in enumerate(steps):
+        if isinstance(cluster, ClusterFormationFailedError):
+            raise cluster from cluster.cause
+        if not found[0]:
+            raise NoConsecutivePairError(
+                f"no consecutive pair of accepted headings at iteration {iteration}",
+                iteration=iteration,
             )
-        else:
-            direction = _mhc_direction(v, speeds, accepted, iteration)
-            member_indices = np.array([], dtype=int)
-            epsilon = None
-        source = project_source(data, direction)
-        data -= direction.unit_vector[:, None] * source
-        estimates.append(source)
-        directions.append(direction)
+        members, epsilon = cluster or (np.array([], dtype=int), None)
+        support = len(members) if params.method == "global" else 1
+        estimates.append(sources[0])
+        directions.append(EstimatedDirection(unit_vector=units[0], support_size=support))
         iterations.append(
             IterationDiagnostics(
                 accepted_count=int(accepted.sum()),
-                cluster_size=direction.support_size,
+                cluster_size=support,
                 epsilon=epsilon,
-                member_indices=member_indices,
+                member_indices=members,
                 residual_energy=float(np.sum(np.square(data))),
             )
         )

@@ -84,7 +84,7 @@ def test_result_independent_of_worker_count():
         assert other.failures == reports[0].failures
 
 
-@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7)])
+@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7), ("global", 0.9)])
 def test_run_alone_equals_run_inside_a_full_chunk(method, v_th):
     sources, clean = noisy_example1(0.005).generate()
     actual = normalize_unit_norm(sources)
@@ -92,7 +92,8 @@ def test_run_alone_equals_run_inside_a_full_chunk(method, v_th):
     seeds = [derive_seed(31, q) for q in range(CHUNK_RUNS)]
     errors, ok = run_chunk(clean, actual, params, 0.005, seeds)
     assert 0 < ok.sum()
-    for q in (0, 1, 117, CHUNK_RUNS - 1):
+    first_failed = np.flatnonzero(~ok)[:1]
+    for q in (0, 1, 117, CHUNK_RUNS - 1, *first_failed):
         alone, alone_ok = run_chunk(clean, actual, params, 0.005, seeds[q : q + 1])
         assert alone_ok[0] == ok[q]
         if ok[q]:

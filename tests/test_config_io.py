@@ -167,7 +167,13 @@ class TestCsv:
         assert peak < 2e6
 
     @pytest.mark.parametrize(
-        "names,bad", [(["a,b", "c"], "a,b"), (["a", "b\nc"], "b\nc"), (["a\r", "c"], "a\r")]
+        "names,bad",
+        [
+            (["a,b", "c"], "a,b"),
+            (["a", "b\nc"], "b\nc"),
+            (["a\r", "c"], "a\r"),
+            ([" a", "b "], " a"),
+        ],
     )
     def test_unreadable_name_rejected_before_opening(self, tmp_path, names, bad):
         path = tmp_path / "data.csv"

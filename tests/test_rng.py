@@ -1,6 +1,6 @@
 import numpy as np
 
-from sparsebss.rng import derive_seed, normal_matrix, normal_values, uniform_values
+from sparsebss.rng import derive_seed, normal_matrix, uniform_values
 
 
 def test_same_seed_bit_identical():
@@ -28,7 +28,7 @@ def test_stream_is_counter_based():
 
 
 def test_normal_moments():
-    g = normal_values(7, 400_000)
+    g = normal_matrix(7, (400_000,))
     assert abs(g.mean()) < 0.01
     assert abs(g.std() - 1.0) < 0.01
     # kurtosis of a Gaussian is 3
@@ -38,11 +38,11 @@ def test_normal_moments():
 def test_normal_matrix_shape_and_order():
     m = normal_matrix(3, (4, 5))
     assert m.shape == (4, 5)
-    assert np.array_equal(m.ravel(), normal_values(3, 20))
+    assert np.array_equal(m.ravel(), normal_matrix(3, (20,)))
 
 
 def test_odd_count_truncates_pair():
-    assert np.array_equal(normal_values(11, 5), normal_values(11, 6)[:5])
+    assert np.array_equal(normal_matrix(11, (5,)), normal_matrix(11, (6,))[:5])
 
 
 def test_derive_seed_wraps():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebss import (
     Cluster,
@@ -305,11 +307,12 @@ def reference_separate(mixtures, params):
 
 
 def outcome(run, mixtures, params):
-    """A separation's result and None, or None and its error's type and iteration."""
+    """A separation's result and None, or None and its error's type, iteration and cause type."""
     try:
         return run(mixtures, params), None
     except SparseBssError as err:
-        return None, (type(err), getattr(err, "iteration", None))
+        cause = err.cause if isinstance(err, ClusterFormationFailedError) else None
+        return None, (type(err), getattr(err, "iteration", None), type(cause))
 
 
 def assert_same_outcome(mixtures, params):
@@ -335,16 +338,35 @@ def assert_same_outcome(mixtures, params):
     return None
 
 
+METHOD_GRID = [("global", 0.4), ("global", 0.8), ("mhc", 0.5), ("mhc", 0.8)]
+
+
 class TestMatchesHelperLoop:
     """``separate`` equals the loop of public helpers bit for bit."""
 
-    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5), ("mhc", 0.8)])
+    @pytest.mark.parametrize("method, v_th", METHOD_GRID)
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("noise_sd", [0.0, 0.01])
     def test_sparse_records(self, method, v_th, n, noise_sd):
         params = MethodParams(method=method, v_th=v_th)
         for seed in range(4):
             assert_same_outcome(sparse_record(seed, n, 300, noise_sd, burst=10), params)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        noise_sd=st.sampled_from([0.0, 0.01]),
+        method_v_th=st.sampled_from(METHOD_GRID),
+        length=st.sampled_from([20, 40, 60, 300]),
+        burst=st.sampled_from([1, 2, 4, 5]),
+    )
+    def test_any_sparse_record(self, seed, n, noise_sd, method_v_th, length, burst):
+        # Short records with short bursts, and global v_th 0.8, fail often, at
+        # several iterations and for several causes, so failures are compared too.
+        method, v_th = method_v_th
+        params = MethodParams(method=method, v_th=v_th)
+        assert_same_outcome(sparse_record(seed, n, length, noise_sd, burst), params)
 
     @pytest.mark.parametrize("method, seed", [("global", 25), ("mhc", 2)])
     def test_record_failing_at_iteration_1(self, method, seed):
