@@ -47,7 +47,9 @@ def run_chunk(
     if noise_sd == 0.0:
         noisy = np.repeat(clean[None], q, axis=0)
     else:
-        noisy = clean + noise_sd * normal_grid(seeds, clean.shape)
+        noisy = normal_grid(seeds, clean.shape)
+        noisy *= noise_sd
+        noisy += clean
     ok = np.isfinite(noisy).all(axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         data, _, failed = whiten_stack(noisy)

@@ -20,6 +20,7 @@ config regenerates its dataset bit-identically.  Bundled presets:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -53,8 +54,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in ("gaussian", "shifted_uniform"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.kind == "gaussian" and not self.sources:
             raise ValueError("gaussian scenario needs at least one source spec")
         if self.kind == "shifted_uniform" and self.length < 1:

@@ -16,7 +16,6 @@ time are the two summary figures.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -226,7 +225,14 @@ def monte_carlo(
     chunks = [seeds[i : i + size] for i in range(0, total_runs, size)]
     errors = np.empty((total_runs, *sources.shape))
     ok = np.empty(total_runs, dtype=bool)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if workers > 1:
+        # Imported only here: loading multiprocessing would slow every CLI start.
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers)
+    else:
+        executor = nullcontext()
+    with executor as pool:
         results = pool.map(run, chunks) if pool else map(run, chunks)
         for start, (e, k) in zip(range(0, total_runs, size), results):
             errors[start : start + size] = e

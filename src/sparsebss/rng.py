@@ -6,6 +6,11 @@ all arithmetic modulo 2**64.  Gaussian variates are produced from
 consecutive uniform pairs by the Box-Muller transform.  Both mappings are
 pure functions of (seed, index), so identical seeds give bit-identical
 streams regardless of chunking, platform, or process count.
+
+:func:`normal_grid` allocates its output once and fills it one block of
+:data:`_BLOCK_PAIRS` Box-Muller pairs (over all its seeds) at a time, so
+beyond the output it holds under 2 MB of temporaries at any size (plus one
+copy of the output when several seeds draw an odd number of values).
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
+
+#: Box-Muller pairs per block of :func:`normal_grid`, over all its seeds.  A
+#: 250-run Monte Carlo chunk of 2 x 50 records (50 pairs a run) is one block.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -64,10 +73,14 @@ def normal_grid(seeds, shape: tuple[int, ...]) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
-    u = _uniform_grid(seeds, 2 * pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    theta = (2.0 * np.pi) * u[:, 1::2]
     out = np.empty((len(seeds), 2 * pairs))
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
+    width = max(1, _BLOCK_PAIRS // max(1, len(seeds)))
+    for start in range(0, pairs, width):
+        stop = min(start + width, pairs)
+        u = _uniform_grid(seeds, 2 * (stop - start), 2 * start)
+        r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+        theta = (2.0 * np.pi) * u[:, 1::2]
+        block = out[:, 2 * start : 2 * stop]
+        np.multiply(r, np.cos(theta), out=block[:, 0::2])
+        np.multiply(r, np.sin(theta), out=block[:, 1::2])
     return out[:, :count].reshape((len(seeds), *shape))

@@ -7,6 +7,7 @@ so a scenario regenerates bit-identically anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,18 @@ def min_peak_contribution(sources, mixing_matrix) -> float:
 
 
 def add_noise(mixtures, sd: float, seed: int) -> np.ndarray:
-    """Add iid zero-mean Gaussian noise of standard deviation ``sd``."""
+    """Add iid zero-mean Gaussian noise of standard deviation ``sd``.
+
+    Returns a new array and leaves ``mixtures`` unchanged; its bits are
+    those of ``z + sd * rng.normal_matrix(seed, z.shape)``.  Raises
+    ``ValueError`` unless ``sd`` is finite and nonnegative.
+    """
     z = np.atleast_2d(np.asarray(mixtures, dtype=float))
-    if sd < 0.0:
-        raise ValueError(f"sd must be nonnegative, got {sd}")
+    if not (math.isfinite(sd) and sd >= 0.0):
+        raise ValueError(f"sd must be finite and nonnegative, got {sd}")
     if sd == 0.0:
         return z.copy()
-    return z + sd * rng.normal_matrix(seed, z.shape)
+    noise = rng.normal_matrix(seed, z.shape)
+    noise *= sd
+    noise += z
+    return noise

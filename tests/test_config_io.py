@@ -67,6 +67,12 @@ class TestScenarioConfig:
         config = ScenarioConfig.from_dict(data)
         assert ScenarioConfig.from_json(config.to_json()).noise_sd == data["noise_sd"]
 
+    @pytest.mark.parametrize("noise_sd", [-0.1, float("nan"), float("inf")])
+    def test_invalid_noise_sd_rejected(self, noise_sd):
+        data = dict(load_preset("example1").to_dict(), noise_sd=noise_sd)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ScenarioConfig.from_dict(data)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({"kind": "nope", "mixing": [[1.0]]})

@@ -1,6 +1,30 @@
 import numpy as np
+import pytest
 
-from sparsebss.rng import derive_seed, normal_matrix, uniform_values
+from sparsebss.rng import (
+    _BLOCK_PAIRS,
+    _uniform_grid,
+    derive_seed,
+    normal_grid,
+    normal_matrix,
+    uniform_values,
+)
+
+#: Counts around one block edge, and an odd count over several blocks.
+BLOCK_COUNTS = [1, 2 * _BLOCK_PAIRS - 1, 2 * _BLOCK_PAIRS + 1, 5 * _BLOCK_PAIRS + 3]
+
+
+def unblocked_normal_grid(seeds, shape):
+    """Box-Muller over the whole count at once: the bits blocking must keep."""
+    count = int(np.prod(shape))
+    pairs = (count + 1) // 2
+    u = _uniform_grid(seeds, 2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    theta = (2.0 * np.pi) * u[:, 1::2]
+    out = np.empty((len(seeds), 2 * pairs))
+    out[:, 0::2] = r * np.cos(theta)
+    out[:, 1::2] = r * np.sin(theta)
+    return out[:, :count].reshape((len(seeds), *shape))
 
 
 def test_same_seed_bit_identical():
@@ -36,13 +60,25 @@ def test_normal_moments():
 
 
 def test_normal_matrix_shape_and_order():
-    m = normal_matrix(3, (4, 5))
-    assert m.shape == (4, 5)
-    assert np.array_equal(m.ravel(), normal_matrix(3, (20,)))
+    for shape in [(4, 5), (4, _BLOCK_PAIRS + 1), (3, 3 * _BLOCK_PAIRS + 1)]:
+        m = normal_matrix(3, shape)
+        assert m.shape == shape
+        assert np.array_equal(m.ravel(), normal_matrix(3, (m.size,)))
 
 
 def test_odd_count_truncates_pair():
-    assert np.array_equal(normal_matrix(11, (5,)), normal_matrix(11, (6,))[:5])
+    for count in [5, 2 * _BLOCK_PAIRS + 1]:
+        assert np.array_equal(normal_matrix(11, (count,)), normal_matrix(11, (count + 1,))[:count])
+
+
+@pytest.mark.parametrize("seeds", [[], [5], [1, 2**64 - 1, 77]])
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_normal_grid_equals_unblocked_reference(seeds, count):
+    grid = normal_grid(seeds, (count,))
+    assert grid.shape == (len(seeds), count)
+    assert grid.tobytes() == unblocked_normal_grid(seeds, (count,)).tobytes()
+    for seed, row in zip(seeds, grid):
+        assert row.tobytes() == normal_matrix(seed, (count,)).tobytes()
 
 
 def test_derive_seed_wraps():

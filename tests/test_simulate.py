@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparsebss import (
     min_peak_contribution,
     mix,
 )
+from sparsebss.rng import normal_matrix
 
 EXAMPLE1_MIXING = np.array([[1.3, 2.0], [1.0, 2.85]])
 
@@ -174,6 +176,26 @@ class TestAddNoise:
         assert abs(noise.std() - 0.005) < 0.005 * 0.01
         assert abs(noise.mean()) < 0.005 * 0.01
 
-    def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            add_noise(np.ones((1, 4)), -0.1, seed=0)
+    @pytest.mark.parametrize("sd", [-0.1, math.nan, math.inf])
+    def test_invalid_sd_rejected(self, sd):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            add_noise(np.ones((1, 4)), sd, seed=0)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 7), (2, 40_001)])
+    def test_new_array_with_the_bits_of_the_formula(self, shape):
+        z = np.random.default_rng(8).normal(size=shape)
+        before = z.copy()
+        out = add_noise(z, 0.03, seed=21)
+        assert z.tobytes() == before.tobytes()
+        assert out.tobytes() == (z + 0.03 * normal_matrix(21, shape)).tobytes()
+
+    def test_peak_memory_is_near_one_record(self):
+        # full-size Box-Muller temporaries would need about 5 records here
+        z = np.ones((4, 250_000))
+        tracemalloc.start()
+        try:
+            add_noise(z, 0.01, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * z.nbytes
