@@ -8,11 +8,15 @@ to time order, and AND-ing the per-component membership isolates the
 heading indices belonging to a single source.
 
 All indices here are 0-based positions into the heading list handed to the
-caller-facing :func:`find_cluster`.
+caller-facing :func:`find_cluster`.  The tables are indexed (M, N), heading
+by component, but :func:`find_cluster` stores magnitudes, adjacency and
+membership as (N, M) channel rows and passes their transposed views, so
+each component that is sorted, scanned or scattered is one contiguous row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,7 @@ from .errors import (
     NoRunFoundError,
     TooFewHeadingsError,
 )
+from .headings import _row_speeds
 
 
 @dataclass(frozen=True)
@@ -134,22 +139,31 @@ def longest_runs(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """:func:`find_largest_run` for a (..., M, N) stack of tables at once.
 
     Returns ``(component, lo, length)`` arrays over the leading axes; a
-    table without a true entry gets length 0.  The columns are laid end to
-    end with one false entry after each, so a cumulative count of trues,
-    less its value at the latest false entry, is the length of the run
-    ending at each position.  The first maximum is then the longest run in
-    the lowest component, and among those the lowest start.
+    table without a true entry gets ``(0, 0, 0)``.  Every column of every
+    table is laid end to end with one false entry after it, so no run
+    crosses a column, and the runs are read off as (start, end) edge pairs,
+    in table, component and start order.  The first longest run of each
+    table is then the one in the lowest component, and among those the one
+    with the lowest start.
     """
     *lead, m, n = adjacency.shape
     columns = np.zeros((*lead, n, m + 1), dtype=bool)
     columns[..., :m] = np.swapaxes(adjacency, -1, -2)
-    flat = columns.reshape(*lead, n * (m + 1))
-    count = np.cumsum(flat, axis=-1)
-    ending = count - np.maximum.accumulate(np.where(flat, 0, count), axis=-1)
-    end = np.argmax(ending, axis=-1)
-    length = np.take_along_axis(ending, end[..., None], axis=-1)[..., 0]
-    component, last = np.divmod(end, m + 1)
-    return component, last - length + 1, length
+    edges = np.flatnonzero(np.diff(columns.reshape(-1), prepend=False))
+    start, run_length = edges[::2], edges[1::2] - edges[::2]
+    table, position = np.divmod(start, n * (m + 1))
+
+    # One group of runs per table that has any; each table takes the first
+    # run of its group whose length is the group's maximum.
+    first = np.flatnonzero(np.diff(table, prepend=-1))
+    longest = np.maximum.reduceat(run_length, first)
+    best = np.flatnonzero(run_length == np.repeat(longest, np.diff(first, append=start.size)))
+    best = best[np.diff(table[best], prepend=-1) != 0]
+
+    component, lo, length = np.zeros((3, math.prod(lead)), dtype=np.intp)
+    component[table[best]], lo[table[best]] = np.divmod(position[best], m + 1)
+    length[table[best]] = run_length[best]
+    return component.reshape(lead), lo.reshape(lead), length.reshape(lead)
 
 
 def expand_and_remap(
@@ -177,23 +191,24 @@ def cross_check_components(
     For every other component, a seed heading belongs to that component's
     clustering when its sorted position sits inside an epsilon run: either
     the position itself is marked, or the position immediately after it is
-    (the heading is then the run's left anchor).
+    (the heading is then the run's left anchor).  Each component's marks are
+    scattered from sorted to time order and masked by the seed, one
+    contiguous channel row of the (N, M) table at a time.
     """
     n_rows, n_cols = adjacency.shape
-    membership = np.zeros((n_rows, n_cols), dtype=bool)
-    membership[seed_indices, seed_component] = True
-    for component in range(n_cols):
+    seed = np.zeros(n_rows, dtype=bool)
+    seed[seed_indices] = True
+    rows = np.empty((n_cols, n_rows), dtype=bool)
+    for component, row in enumerate(rows):
         if component == seed_component:
+            row[:] = seed
             continue
-        inverse = np.empty(n_rows, dtype=int)
-        inverse[sorted_components[component].index_map] = np.arange(n_rows)
-        positions = inverse[seed_indices]
-        in_run = adjacency[positions, component]
-        has_next = positions + 1 < n_rows
-        in_run = in_run | (has_next & adjacency[np.minimum(positions + 1, n_rows - 1), component])
-        membership[seed_indices, component] = in_run
-    survivors = membership.all(axis=1)
-    return ClusterTables(adjacency=adjacency, membership=membership, survivors=survivors)
+        in_run = adjacency[:, component].copy()
+        in_run[:-1] |= adjacency[1:, component]
+        row[sorted_components[component].index_map] = in_run
+        row &= seed
+    survivors = np.logical_and.reduce(rows, axis=0)
+    return ClusterTables(adjacency=adjacency, membership=rows.T, survivors=survivors)
 
 
 def extract_cluster(tables: ClusterTables, velocities: np.ndarray) -> Cluster:
@@ -227,14 +242,18 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     if v.shape[0] < 2:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
-    speeds = np.linalg.norm(v, axis=1)
+    rows = np.ascontiguousarray(v.T)
+    if len(rows) < 8:
+        speeds = _row_speeds(rows)
+    else:  # numpy sums eight or more contiguous terms pairwise, not in order
+        speeds = np.linalg.norm(np.ascontiguousarray(v), axis=1)
     if np.any(speeds == 0.0):
         raise ValueError("zero-velocity rows must be filtered out before clustering")
-    magnitudes = np.abs(v / speeds[:, None])
-    sorted_components = [sort_component(magnitudes, i) for i in range(v.shape[1])]
-    adjacency = np.column_stack(
-        [build_adjacency(sc, epsilon) for sc in sorted_components]
-    )
+    magnitudes = np.divide(rows, speeds)
+    np.abs(magnitudes, out=magnitudes)
+    # Transposed views: column i of each (M, N) table is channel row i.
+    sorted_components = [sort_component(magnitudes.T, i) for i in range(len(rows))]
+    adjacency = np.stack([build_adjacency(sc, epsilon) for sc in sorted_components]).T
     run = find_largest_run(adjacency)
     seed = expand_and_remap(run, sorted_components)
     tables = cross_check_components(seed, run[0], adjacency, sorted_components)

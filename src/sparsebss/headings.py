@@ -9,6 +9,11 @@ A velocity is *accepted* when its largest component magnitude reaches
 ``v_th`` times the largest velocity vector length found anywhere in the
 record.  The mixed norms (componentwise max on the left, Euclidean norm
 on the right) are intentional and kept as defined.
+
+The deflation loop keeps velocities channel-major, one contiguous row of
+``L-1`` values per channel, as ``np.diff`` along the sample axis makes
+them; :func:`_accept` reads that layout.  The public helpers here return
+the time-major (L-1, N) view of the same values.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import numpy as np
 
 from .errors import TooShortError
 from .signals import as_signal_matrix
+
+#: Velocities per channel row that :func:`_accept` reads at once: a block of
+#: a 4-channel record is 1 MB, so its rows stay in cache between passes.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
         True at indices whose velocity is exactly zero.
     """
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speeds = _speeds(v)
+    speeds = np.linalg.norm(v, axis=-1)
     return _unit_headings(v, speeds), speeds == 0.0
 
 
@@ -77,13 +86,9 @@ def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
 
     ``v_th`` must lie in (0, 1).  Zero velocities are never accepted.
     """
+    _check_v_th(v_th)
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    return _threshold(v, _speeds(v), v_th)[0]
-
-
-def _speeds(v: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the velocity rows of a (..., M, N) array."""
-    return np.linalg.norm(v, axis=-1)
+    return _accept(v.T, v_th)[1]
 
 
 def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
@@ -92,21 +97,57 @@ def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     return np.divide(v, speeds[..., None], out=np.zeros_like(v), where=live[..., None])
 
 
-def _threshold(v: np.ndarray, speeds: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance mask and largest speed of each (M, N) record in ``v``."""
+def _accept(rows: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Speeds, acceptance mask and largest speed of (..., N, M) velocity rows.
+
+    Row ``i`` holds component ``i`` of M velocities.  The rows are read in
+    blocks of :data:`_BLOCK` velocities, so each block's squares and
+    magnitudes are formed while it is in cache, and no float temporary is
+    larger than one block.  ``v_th`` is not checked here: the public helpers and
+    ``MethodParams`` check it once.
+    """
+    shape = rows.shape[:-2] + rows.shape[-1:]
+    speeds, component_max = np.empty(shape), np.empty(shape)
+    scratch = np.empty(shape[:-1] + (min(shape[-1], _BLOCK),))
+    for lo in range(0, shape[-1], _BLOCK):
+        block = rows[..., lo:lo + _BLOCK]
+        hi = lo + block.shape[-1]
+        row = scratch[..., : hi - lo]
+        _row_speeds(block, row, out=speeds[..., lo:hi])
+        top = np.abs(block[..., 0, :], out=component_max[..., lo:hi])
+        for i in range(1, rows.shape[-2]):
+            np.maximum(top, np.abs(block[..., i, :], out=row), out=top)
+    v_max = speeds.max(axis=-1, initial=0.0)
+    accepted = (speeds > 0.0) & (component_max >= v_th * v_max[..., None])
+    return speeds, accepted, v_max
+
+
+def _row_speeds(
+    rows: np.ndarray, scratch: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Euclidean lengths of the velocities held in (..., N, M) channel rows.
+
+    Squares are summed one channel row at a time, in channel order, which
+    is the order ``np.linalg.norm`` sums the components of a velocity whose
+    components lie one row apart, so the lengths keep its bits.  ``scratch``
+    takes each row's squares; ``out`` receives the lengths.
+    """
+    speeds = np.square(rows[..., 0, :], out=out)
+    for i in range(1, rows.shape[-2]):
+        speeds += np.square(rows[..., i, :], out=scratch)
+    return np.sqrt(speeds, out=speeds)
+
+
+def _check_v_th(v_th: float) -> None:
     if not 0.0 < v_th < 1.0:
         raise ValueError(f"v_th must lie in (0, 1), got {v_th}")
-    v_max = speeds.max(axis=-1, initial=0.0)
-    component_max = np.max(np.abs(v), axis=-1)
-    accepted = (speeds > 0.0) & (component_max >= v_th * v_max[..., None])
-    return accepted, v_max
 
 
 def compute_headings(whitened, v_th: float) -> HeadingSet:
     """Full velocity/heading/threshold pass over one (possibly deflated) record."""
+    _check_v_th(v_th)
     v = compute_velocities(whitened)
-    speeds = _speeds(v)
-    accepted, v_max = _threshold(v, speeds, v_th)
+    speeds, accepted, v_max = _accept(v.T, v_th)
     return HeadingSet(
         velocities=v,
         headings=_unit_headings(v, speeds),

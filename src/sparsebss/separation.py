@@ -10,7 +10,10 @@ velocity; unit headings are formed only where a method reads them.
 The loop is written once, in :func:`deflation_steps`, for a stack of
 whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
-(``batch.run_chunk``) runs it on a chunk of noisy records.
+(``batch.run_chunk``) runs it on a chunk of noisy records.  Inside the loop
+velocities are channel-major, a (Q, N, L-1) stack with one contiguous row
+per channel, as the data are: speeds, the threshold and the deflation run
+over those rows, and the direction steps gather the (N,) columns they read.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import Cluster, find_cluster, gap_threshold, longest_runs
+from .clustering import Cluster, find_cluster, longest_runs
 from .errors import (
     ClusterFormationFailedError,
     DegenerateClusterError,
@@ -28,7 +31,7 @@ from .errors import (
     SparseBssError,
     TooFewHeadingsError,
 )
-from .headings import HeadingSet, _speeds, _threshold
+from .headings import HeadingSet, _accept
 from .whitening import gram_schmidt_whiten
 
 #: Averaged cluster directions shorter than this are considered cancelled.
@@ -150,7 +153,7 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
         If no two consecutive headings are both accepted.
     """
     v, speeds = heading_set.velocities, heading_set.speeds
-    best, found = mhc_pick(v[None], speeds[None], heading_set.accepted[None])
+    best, found = mhc_pick(v.T[None], speeds[None], heading_set.accepted[None])
     if not found[0]:
         raise NoConsecutivePairError("no consecutive pair of accepted headings")
     return EstimatedDirection(unit_vector=v[best[0]] / speeds[best[0]], support_size=1)
@@ -161,15 +164,15 @@ def mhc_pick(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`mhc_find_direction`'s winning index for each of Q records.
 
-    ``velocities`` is (Q, M, N), ``speeds`` and ``accepted`` (Q, M).  The
-    headings ``v / |v|`` are formed and compared only at consecutive
-    accepted pairs, whose speeds are positive.  Returns the winning heading
-    index of each record and whether it has any such pair.
+    ``velocities`` is (Q, N, M), channel-major, ``speeds`` and ``accepted``
+    (Q, M).  The headings ``v / |v|`` are formed and compared only at
+    consecutive accepted pairs, whose speeds are positive.  Returns the
+    winning heading index of each record and whether it has any such pair.
     """
     run, n = np.nonzero(accepted[:, 1:] & accepted[:, :-1])
     n += 1
-    here = velocities[run, n] / speeds[run, n][:, None]
-    before = velocities[run, n - 1] / speeds[run, n - 1][:, None]
+    here = velocities[run, :, n] / speeds[run, n][:, None]
+    before = velocities[run, :, n - 1] / speeds[run, n - 1][:, None]
     change = np.minimum(
         np.linalg.norm(here - before, axis=-1), np.linalg.norm(here + before, axis=-1)
     )
@@ -210,21 +213,23 @@ def deflate(data, direction: EstimatedDirection, source_row) -> np.ndarray:
 def _global_direction(
     velocities: np.ndarray, accepted: np.ndarray, alpha: float, iteration: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | ClusterFormationFailedError]:
-    """The global direction step for a (1, M, N) velocity stack, via :func:`find_cluster`.
+    """The global direction step for a (1, N, M) velocity stack, via :func:`find_cluster`.
 
-    Returns the (1, N) unit direction (zero on failure), whether it was
-    found, and the cluster's ``(member indices, epsilon)`` or the error.
+    The accepted velocities are gathered as contiguous (N, K) channel rows
+    and handed over as their (K, N) view.  Returns the (1, N) unit direction
+    (zero on failure), whether it was found, and the cluster's
+    ``(member indices, epsilon)`` or the error.
     """
     accepted_idx = np.flatnonzero(accepted[0])
     try:
         if accepted_idx.size < 2:
             raise TooFewHeadingsError(f"only {accepted_idx.size} accepted headings")
-        epsilon = gap_threshold(alpha, accepted_idx.size)
-        cluster, _ = find_cluster(velocities[0, accepted_idx], epsilon)
+        epsilon = alpha / accepted_idx.size
+        cluster, _ = find_cluster(np.take(velocities[0], accepted_idx, axis=1).T, epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
         failed = ClusterFormationFailedError(iteration, cause)
-        return np.zeros((1, velocities.shape[-1])), np.zeros(1, dtype=bool), failed
+        return np.zeros((1, velocities.shape[1])), np.zeros(1, dtype=bool), failed
     members = accepted_idx[cluster.member_indices]
     return direction.unit_vector[None], np.ones(1, dtype=bool), (members, epsilon)
 
@@ -298,25 +303,32 @@ def deflation_steps(data: np.ndarray, params: MethodParams):
     :func:`_global_direction`'s cluster or error (else None).  One long
     record clusters faster through :func:`find_cluster`, many short ones
     through the stacked :func:`_global_directions`; both give the same bits.
+
+    Velocities stay channel-major, (Q, N, L-1) like the data, in one buffer
+    reused by every iteration; speeds, the threshold and the deflation work
+    one contiguous channel row at a time.  ``params`` was validated when it
+    was built.
     """
-    q, n, _ = data.shape
+    q, n, length = data.shape
     records = np.arange(q)
+    v = np.empty((q, n, length - 1))
     for iteration in range(n):
-        v = np.diff(data, axis=-1).swapaxes(-1, -2)
-        speeds = _speeds(v)
-        accepted, _ = _threshold(v, speeds, params.v_th)
+        np.subtract(data[..., 1:], data[..., :-1], out=v)
+        speeds, accepted, _ = _accept(v, params.v_th)
         cluster = None
         if params.method == "mhc":
             best, found = mhc_pick(v, speeds, accepted)
-            directions = v[records, best] / np.where(found, speeds[records, best], np.inf)[:, None]
+            speed = np.where(found, speeds[records, best], np.inf)
+            directions = v[records, :, best] / speed[:, None]
         elif q > 1:
-            directions, found = _global_directions(v, accepted, params.alpha)
+            directions, found = _global_directions(v.swapaxes(-1, -2), accepted, params.alpha)
         else:
             directions, found, cluster = _global_direction(v, accepted, params.alpha, iteration)
-        # The deflation below needs a temporary as large as the velocities.
-        del v, speeds
+        # Speeds are done with; free them before the caller squares the data.
+        del speeds
         sources = (directions[:, None, :] @ data)[:, 0]
-        data -= directions[:, :, None] * sources[:, None, :]
+        for i in range(n):
+            data[:, i] -= directions[:, i, None] * sources
         yield sources, directions, found, accepted, cluster
 
 

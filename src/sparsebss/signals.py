@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, TooShortError, ZeroChannelError
+from .errors import NonFiniteError, SparseBssError, TooShortError, ZeroChannelError
 
 
 def as_signal_matrix(data) -> np.ndarray:
@@ -18,12 +18,17 @@ def as_signal_matrix(data) -> np.ndarray:
 
     Raises
     ------
+    SparseBssError
+        If the data are complex: the imaginary part would be dropped.
     TooShortError
         If there are fewer than 2 samples per channel.
     NonFiniteError
         If any entry is NaN or infinite.
     """
-    x = np.atleast_2d(np.asarray(data, dtype=float))
+    x = np.asarray(data)
+    if np.iscomplexobj(x):
+        raise SparseBssError(f"complex input (dtype {x.dtype}) is not supported; signals are real")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.ndim != 2 or x.shape[0] < 1:
         raise TooShortError(f"expected a 2-D channels x samples array, got shape {x.shape}")
     validate(x)
@@ -64,12 +69,13 @@ def normalize_rms(signal) -> np.ndarray:
     ------
     ZeroChannelError
         If any channel is identically zero.
+    SparseBssError
+        If a channel's rms overflows or underflows float64.
     """
     x = as_signal_matrix(signal)
-    scale = rms(x)
-    if np.any(scale == 0.0):
-        bad = int(np.flatnonzero(scale == 0.0)[0])
-        raise ZeroChannelError(f"channel {bad} is identically zero")
+    with np.errstate(over="ignore"):
+        scale = rms(x)
+    _check_scale(x, scale, "rms")
     return x / scale[:, None]
 
 
@@ -77,11 +83,32 @@ def normalize_unit_norm(signal) -> np.ndarray:
     """Rescale each channel to unit Euclidean norm (sum of squares = 1).
 
     This is the normalization used by the evaluation metrics; see
-    :mod:`sparsebss.evaluation`.
+    :mod:`sparsebss.evaluation`.  Raises as :func:`normalize_rms` does.
     """
     x = as_signal_matrix(signal)
-    scale = np.linalg.norm(x, axis=1)
-    if np.any(scale == 0.0):
-        bad = int(np.flatnonzero(scale == 0.0)[0])
-        raise ZeroChannelError(f"channel {bad} is identically zero")
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(x, axis=1)
+    _check_scale(x, scale, "norm")
     return x / scale[:, None]
+
+
+def _check_scale(x: np.ndarray, scale: np.ndarray, name: str) -> None:
+    """Raise for the first channel whose ``scale`` is zero or infinite."""
+    bad = np.flatnonzero((scale == 0.0) | np.isinf(scale))
+    if bad.size:
+        raise _scale_error(x[bad[0]], int(bad[0]), name)
+
+
+def _scale_error(channel: np.ndarray, index: int, name: str) -> SparseBssError:
+    """The error for a finite channel whose ``name`` (rms or norm) is 0 or inf.
+
+    Only a channel of zeros is a :class:`ZeroChannelError`.  Otherwise its
+    squares overflowed or underflowed float64: the error names the scale.
+    """
+    if not channel.any():
+        return ZeroChannelError(f"channel {index} is identically zero")
+    peak = float(np.max(np.abs(channel)))
+    way = "underflows" if peak < 1.0 else "overflows"
+    return SparseBssError(
+        f"channel {index} peaks at {peak:.3g}, so its {name} {way} float64; rescale the record"
+    )

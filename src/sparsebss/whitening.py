@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientError, ZeroChannelError
-from .signals import as_signal_matrix, rms
+from .errors import RankDeficientError
+from .signals import _scale_error, as_signal_matrix, rms
 
 #: Residuals below this fraction of the channel rms are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -46,6 +46,8 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
     ------
     ZeroChannelError
         If a channel is identically zero.
+    SparseBssError
+        If a channel's rms overflows or underflows float64.
     RankDeficientError
         If a channel's residual after projection has rms below
         ``RANK_TOLERANCE`` times the channel rms.
@@ -54,8 +56,10 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
     components, transform, failed = whiten_stack(z[None])
     i = int(failed[0])
     if i >= 0:
-        if rms(z[i])[0] == 0.0:
-            raise ZeroChannelError(f"channel {i} is identically zero")
+        with np.errstate(over="ignore"):
+            channel_rms = rms(z[i])[0]
+        if channel_rms in (0.0, np.inf):
+            raise _scale_error(z[i], i, "rms")
         raise RankDeficientError(
             f"channel {i} is linearly dependent on channels 0..{i - 1}"
         )
@@ -67,14 +71,15 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Every reduction runs along the sample axis, so each record whitens
     exactly as it would alone.  Returns ``(components, transform, failed)``:
-    ``failed[q]`` is the first channel at which record ``q`` is zero or
-    rank deficient (its other outputs are then meaningless), or -1.
+    ``failed[q]`` is the first channel at which record ``q`` is zero, has
+    an rms that overflows float64, or is rank deficient (its other outputs
+    are then meaningless), or -1.
     """
     q, n, _ = z.shape
     components = np.empty_like(z)
     transform = np.zeros((q, n, n))
     failed = np.full(q, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n):
             channel_rms = rms(z[:, i])
             residual = z[:, i].copy()
@@ -85,7 +90,8 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 residual -= coeff * components[:, k]
                 row -= coeff * transform[:, k]
             residual_rms = rms(residual)[:, None]
-            bad = (channel_rms == 0.0) | (residual_rms[:, 0] < RANK_TOLERANCE * channel_rms)
+            bad = (channel_rms == 0.0) | (channel_rms == np.inf)
+            bad |= residual_rms[:, 0] < RANK_TOLERANCE * channel_rms
             failed[bad & (failed < 0)] = i
             components[:, i] = residual / residual_rms
             transform[:, i] = row / residual_rms

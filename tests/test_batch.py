@@ -206,6 +206,43 @@ def test_find_largest_run_matches_loop_reference(table):
         assert (component[1], lo[1], lo[1] + length[1] - 1) == expected
 
 
+@st.composite
+def boolean_stacks(draw):
+    """A (Q, M, N) stack mixing empty, random and tied tables.
+
+    A tied table leaves one row in each period unmarked, at a random phase
+    per column, so many runs share the longest length.
+    """
+    q = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((q, rows, cols), dtype=bool)
+    for table in stack:
+        kind = draw(st.sampled_from(["empty", "random", "tied"]))
+        if kind == "random":
+            table[:] = rng.random((rows, cols)) < draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+        elif kind == "tied":
+            period = draw(st.integers(2, 6))
+            table[:] = (np.arange(rows)[:, None] + rng.integers(0, period, cols)) % period != 0
+    return stack
+
+
+@PROPERTY
+@given(boolean_stacks())
+def test_longest_runs_matches_loop_reference_per_table(stack):
+    component, lo, length = longest_runs(stack)
+    for q, table in enumerate(stack):
+        expected = loop_largest_run(table)
+        if expected is None:
+            assert length[q] == 0
+            with pytest.raises(NoRunFoundError):
+                find_largest_run(table)
+        else:
+            assert (component[q], lo[q], lo[q] + length[q] - 1) == expected
+            assert find_largest_run(table) == expected
+
+
 def loop_mhc_index(headings, accepted):
     """Reference minimum-change search: a loop over consecutive pairs."""
     best_change, best_index = np.inf, None
@@ -245,5 +282,5 @@ def test_mhc_find_direction_matches_loop_reference(record):
             mhc_find_direction(heading_set)
     else:
         np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
-        best, found = mhc_pick(headings[None], np.ones((1, len(headings))), accepted[None])
+        best, found = mhc_pick(headings.T[None], np.ones((1, len(headings))), accepted[None])
         assert found[0] and best[0] == expected

@@ -266,3 +266,40 @@ def test_perfect_sparsity_clusters_single_window():
     in_first = members <= 23
     in_second = members >= 25
     assert in_first.all() or in_second.all()
+
+
+def loop_cross_check(seed_indices, seed_component, adjacency, sorted_components):
+    """Reference cross-check: look up each seed heading's sorted position in turn."""
+    n_rows, n_cols = adjacency.shape
+    membership = np.zeros((n_rows, n_cols), dtype=bool)
+    for heading in seed_indices:
+        for component in range(n_cols):
+            if component == seed_component:
+                membership[heading, component] = True
+                continue
+            position = list(sorted_components[component].index_map).index(heading)
+            after = position + 1 < n_rows and adjacency[position + 1, component]
+            membership[heading, component] = adjacency[position, component] or after
+    return membership
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    m=st.integers(2, 60),
+    n=st.integers(1, 4),
+    levels=st.integers(1, 12),
+    epsilon=st.sampled_from([0.01, 0.1, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_check_matches_loop_reference(m, n, levels, epsilon, seed):
+    # Magnitudes on a coarse grid tie often, so runs and anchors are common.
+    rng = np.random.default_rng(seed)
+    magnitudes = rng.integers(0, levels + 1, (m, n)) / levels
+    sorted_components = [sort_component(magnitudes, i) for i in range(n)]
+    adjacency = np.column_stack([build_adjacency(sc, epsilon) for sc in sorted_components])
+    seed_component = int(rng.integers(0, n))
+    seed_indices = np.flatnonzero(rng.random(m) < 0.5)
+    tables = cross_check_components(seed_indices, seed_component, adjacency, sorted_components)
+    expected = loop_cross_check(seed_indices, seed_component, adjacency, sorted_components)
+    np.testing.assert_array_equal(tables.membership, expected)
+    np.testing.assert_array_equal(tables.survivors, expected.all(axis=1))

@@ -1,4 +1,4 @@
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from sparsebss import (
     TooShortError,
     ZeroChannelError,
     associate,
-    compute_headings,
     deflate,
     find_cluster,
     gap_threshold,
@@ -33,6 +32,7 @@ from sparsebss import (
     weighted_average_heading,
 )
 from sparsebss.headings import HeadingSet
+from sparsebss.separation import deflation_steps
 
 
 def make_cluster(velocities):
@@ -259,31 +259,39 @@ def sparse_record(seed, n, length, noise_sd, burst):
 def reference_separate(mixtures, params):
     """The deflation loop built from the public per-iteration helpers.
 
-    MHC reads the unit headings ``compute_headings`` builds in full (as
-    velocities of speed one), so it also checks that forming headings only
-    at the compared pairs gives the same bits.
+    Velocities, speeds and the acceptance threshold are written out row
+    by row, one velocity per row: ``np.diff(e).T``, ``np.linalg.norm`` and
+    ``np.max(np.abs(v))`` along each row, apart from the loop's
+    channel-major kernel, so the bitwise check holds the kernel to them.  MHC
+    reads full unit headings (as velocities of speed one), so it also
+    checks that forming headings only at the compared pairs gives the same
+    bits.
     """
     whitened = gram_schmidt_whiten(mixtures)
     data = whitened.components.copy()
     estimates, directions, iterations = [], [], []
     for iteration in range(data.shape[0]):
-        heading_set = compute_headings(data, params.v_th)
+        v = np.diff(data, axis=1).T
+        speeds = np.linalg.norm(v, axis=1)
+        v_max = speeds.max(initial=0.0)
+        accepted = (speeds > 0.0) & (np.max(np.abs(v), axis=1) >= params.v_th * v_max)
         if params.method == "global":
-            accepted_idx = np.flatnonzero(heading_set.accepted)
+            accepted_idx = np.flatnonzero(accepted)
             try:
                 if accepted_idx.size < 2:
                     raise TooFewHeadingsError(f"only {accepted_idx.size} accepted headings")
                 epsilon = gap_threshold(params.alpha, accepted_idx.size)
-                cluster, _ = find_cluster(heading_set.velocities[accepted_idx], epsilon)
+                cluster, _ = find_cluster(v[accepted_idx], epsilon)
                 direction = weighted_average_heading(cluster)
             except SparseBssError as cause:
                 raise ClusterFormationFailedError(iteration, cause) from cause
             member_indices = accepted_idx[cluster.member_indices]
         else:
-            unit_speed = dataclasses.replace(
-                heading_set,
-                velocities=heading_set.headings,
-                speeds=np.ones_like(heading_set.speeds),
+            live = speeds > 0.0
+            headings = np.divide(v, speeds[:, None], out=np.zeros_like(v), where=live[:, None])
+            unit_speed = HeadingSet(
+                velocities=headings, headings=headings, speeds=np.ones_like(speeds),
+                nonzero=live, accepted=accepted, v_max=float(v_max),
             )
             try:
                 direction = mhc_find_direction(unit_speed)
@@ -296,7 +304,7 @@ def reference_separate(mixtures, params):
         directions.append(direction)
         iterations.append(
             IterationDiagnostics(
-                accepted_count=int(heading_set.accepted.sum()),
+                accepted_count=int(accepted.sum()),
                 cluster_size=direction.support_size,
                 epsilon=epsilon,
                 member_indices=member_indices,
@@ -379,6 +387,12 @@ class TestMatchesHelperLoop:
         _, _, mixtures = example1
         assert assert_same_outcome(mixtures, MethodParams(method=method, v_th=v_th)) is None
 
+    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
+    def test_long_record(self, method, v_th):
+        # Seven blocks of the acceptance kernel, and 34,224 accepted headings at iteration 0.
+        mixtures = sparse_record(5, 4, 200_000, 1e-3, burst=50)
+        assert assert_same_outcome(mixtures, MethodParams(method=method, v_th=v_th)) is None
+
 
 class TestBoundary:
     """``separate`` validates once, through whitening, and writes nothing back."""
@@ -421,3 +435,56 @@ class TestBoundary:
     def test_single_sample_raises_typed_error(self, method):
         with pytest.raises(TooShortError):
             separate(np.array([[1.0], [2.0]]), MethodParams(method=method))
+
+    @pytest.mark.parametrize("scale, way", [(1e300, "overflows"), (1e-300, "underflows")])
+    @pytest.mark.parametrize("method", ["global", "mhc"])
+    def test_out_of_range_scale_is_named(self, scale, way, method):
+        # Finite and nonzero, but the rms of every channel leaves float64:
+        # not a zero channel, and not a cluster failure on whitened zeros.
+        mixtures = scale * sparse_record(1, 3, 300, 0.01, burst=10)
+        with pytest.raises(SparseBssError, match=f"rms {way} float64") as excinfo:
+            separate(mixtures, MethodParams(method=method, v_th=0.5))
+        assert type(excinfo.value) is SparseBssError
+
+    @pytest.mark.parametrize("method", ["global", "mhc"])
+    def test_complex_input_is_refused(self, method):
+        mixtures = sparse_record(1, 3, 300, 0.01, burst=10) * (1 + 1j)
+        with pytest.raises(SparseBssError, match="complex128"):
+            separate(mixtures, MethodParams(method=method, v_th=0.5))
+
+
+class TestMemory:
+    """``separate`` holds one velocity buffer and deflates without a full-size product."""
+
+    @staticmethod
+    def peak_per_record_byte(run, record):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / record.nbytes
+
+    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
+    def test_separate_peak(self, method, v_th):
+        # The whitened data, the velocity buffer, the residual-energy square
+        # and the estimates are one record each; a velocity array per
+        # iteration or a |v| temporary beside the buffer goes above 4.3.
+        mixtures = sparse_record(0, 4, 250_000, 1e-3, burst=50)
+        params = MethodParams(method=method, v_th=v_th)
+        assert self.peak_per_record_byte(lambda: separate(mixtures, params), mixtures) <= 4.3
+
+    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
+    def test_loop_peak(self, method, v_th):
+        # Beyond the data it deflates, the loop holds the velocity buffer
+        # (one record) and row-sized or heading-sized arrays: 2.2 records
+        # here.  A (Q, N, L) deflation product takes it to 2.6.
+        data = gram_schmidt_whiten(sparse_record(0, 4, 250_000, 1e-3, burst=50)).components[None]
+        steps = deflation_steps(data, MethodParams(method=method, v_th=v_th))
+
+        def run():
+            for _ in steps:  # holds the latest iteration's outputs, as separate does
+                pass
+
+        assert self.peak_per_record_byte(run, data) <= 2.4

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sparsebss import (
     NonFiniteError,
+    SparseBssError,
     TooShortError,
     ZeroChannelError,
     normalize_rms,
@@ -10,6 +13,7 @@ from sparsebss import (
     rms,
     validate,
 )
+from sparsebss.io import write_csv
 
 
 def test_normalize_rms_two_sample_channel():
@@ -72,3 +76,31 @@ def test_normalize_unit_norm():
     out = normalize_unit_norm([[3.0, 4.0]])
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-15)
     np.testing.assert_allclose(out[0], [0.6, 0.8])
+
+
+@pytest.mark.parametrize("scale, way", [(1e300, "overflows"), (1e-300, "underflows")])
+@pytest.mark.parametrize("normalize, name", [(normalize_rms, "rms"), (normalize_unit_norm, "norm")])
+def test_out_of_range_scale_is_named(normalize, name, scale, way):
+    x = scale * np.random.default_rng(10).normal(size=(2, 64))
+    with pytest.raises(SparseBssError, match=f"{name} {way} float64") as excinfo:
+        normalize(x)
+    assert type(excinfo.value) is SparseBssError
+
+
+@pytest.mark.parametrize(
+    "consume",
+    [
+        lambda x, path: normalize_rms(x),
+        lambda x, path: normalize_unit_norm(x),
+        lambda x, path: write_csv(path / "x.csv", x),
+    ],
+    ids=["normalize_rms", "normalize_unit_norm", "write_csv"],
+)
+def test_complex_input_is_refused(consume, tmp_path):
+    # Refused before numpy's ComplexWarning, which would mean the imaginary part was dropped.
+    x = np.random.default_rng(11).normal(size=(2, 16)) * (1 - 2j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SparseBssError, match="complex128"):
+            consume(x, tmp_path)
+    assert not (tmp_path / "x.csv").exists()

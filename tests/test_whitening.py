@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsebss import RankDeficientError, ZeroChannelError, gram_schmidt_whiten
+from sparsebss import RankDeficientError, SparseBssError, ZeroChannelError, gram_schmidt_whiten
 
 
 def sample_gram(x):
@@ -34,6 +34,14 @@ def test_dependent_rows_raise():
 def test_zero_channel_raises():
     with pytest.raises(ZeroChannelError):
         gram_schmidt_whiten([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("scale, way", [(1e300, "overflows"), (1e-300, "underflows")])
+def test_out_of_range_scale_is_not_a_zero_channel(scale, way):
+    z = scale * np.random.default_rng(25).normal(size=(2, 100))
+    with pytest.raises(SparseBssError, match=f"channel 0 .* rms {way} float64") as excinfo:
+        gram_schmidt_whiten(z)
+    assert type(excinfo.value) is SparseBssError
 
 
 def test_orthogonality_and_unit_rms():
