@@ -27,7 +27,6 @@ from .errors import (
     NoRunFoundError,
     TooFewHeadingsError,
 )
-from .headings import _row_speeds
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,10 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     if v.shape[0] < 2:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
+    # numpy sums the components of a contiguous row pairwise from eight on,
+    # so the lengths are taken on contiguous rows whatever the caller's layout.
+    speeds = np.linalg.norm(np.ascontiguousarray(v), axis=1)
     rows = np.ascontiguousarray(v.T)
-    if len(rows) < 8:
-        speeds = _row_speeds(rows)
-    else:  # numpy sums eight or more contiguous terms pairwise, not in order
-        speeds = np.linalg.norm(np.ascontiguousarray(v), axis=1)
     if np.any(speeds == 0.0):
         raise ValueError("zero-velocity rows must be filtered out before clustering")
     magnitudes = np.divide(rows, speeds)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsebss import clustering
 from sparsebss import (
     EmptyClusterError,
     NoRunFoundError,
@@ -303,3 +304,36 @@ def test_cross_check_matches_loop_reference(m, n, levels, epsilon, seed):
     expected = loop_cross_check(seed_indices, seed_component, adjacency, sorted_components)
     np.testing.assert_array_equal(tables.membership, expected)
     np.testing.assert_array_equal(tables.survivors, expected.all(axis=1))
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_find_cluster_keeps_row_major_bits(monkeypatch, n):
+    # numpy sums the components of a contiguous row pairwise from eight on,
+    # and those of a strided row in order.  The magnitudes handed to the
+    # sorts must be those of the row-major formula, on both sides of eight
+    # components, whether the caller passes (M, N) rows or a view of
+    # (N, M) channel rows, and the clusters must not depend on the layout.
+    rng = np.random.default_rng(n)
+    columns = rng.standard_normal((n, n))
+    owner = rng.integers(0, n, 600)
+    v = columns[:, owner].T * rng.uniform(0.5, 1.5, (600, 1))
+    v += 1e-4 * rng.standard_normal(v.shape)
+    expected = np.abs(v / np.linalg.norm(v, axis=1)[:, None])
+
+    seen = []
+
+    def recording_sort(magnitudes, component):
+        seen.append(np.array(magnitudes[:, component]))
+        return sort_component(magnitudes, component)
+
+    monkeypatch.setattr(clustering, "sort_component", recording_sort)
+    results = []
+    for table in (v, np.ascontiguousarray(v.T).T):
+        seen.clear()
+        results.append(find_cluster(table, gap_threshold(1.0, len(v))))
+        assert np.stack(seen, axis=1).tobytes() == expected.tobytes()
+    (a, tables_a), (b, tables_b) = results
+    assert a.member_indices.size > 1
+    assert a.member_indices.tobytes() == b.member_indices.tobytes()
+    assert a.member_velocities.tobytes() == b.member_velocities.tobytes()
+    assert tables_a.membership.tobytes() == tables_b.membership.tobytes()

@@ -8,6 +8,7 @@ from sparsebss import (
     compute_velocities,
     normalize_headings,
 )
+from sparsebss.headings import _BLOCK, _accept
 
 
 def test_velocities_are_consecutive_differences():
@@ -95,3 +96,27 @@ def test_heading_set_consistency(example1):
     norms = np.linalg.norm(hs.headings[hs.accepted], axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     assert hs.v_max == pytest.approx(hs.speeds.max())
+
+
+def test_threshold_on_a_stack_matches_each_record():
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((3, 50, 4))
+    v[1] *= 10.0
+    v[2, 7] = 0.0
+    mask = apply_velocity_threshold(v, 0.5)
+    assert mask.shape == (3, 50)
+    for q in range(3):
+        np.testing.assert_array_equal(mask[q], apply_velocity_threshold(v[q], 0.5))
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_channel_row_kernel_keeps_the_helpers_bits(n):
+    # The deflation loop's kernel reads (N, L-1) channel rows in blocks; the
+    # public helpers apply np.linalg.norm to the (L-1, N) view.  Speeds and
+    # masks agree bit for bit on both sides of eight channels, across blocks.
+    e = np.random.default_rng(n).standard_normal((n, 2 * _BLOCK + 7))
+    expected = compute_headings(e, 0.3)
+    speeds, accepted, v_max = _accept(np.diff(e, axis=1)[None], 0.3)
+    assert speeds[0].tobytes() == expected.speeds.tobytes()
+    np.testing.assert_array_equal(accepted[0], expected.accepted)
+    assert v_max[0] == expected.v_max

@@ -388,6 +388,12 @@ class TestMatchesHelperLoop:
         assert assert_same_outcome(mixtures, MethodParams(method=method, v_th=v_th)) is None
 
     @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
+    def test_nine_channels(self, method, v_th):
+        # From eight channels on, numpy sums a contiguous row's squares pairwise.
+        mixtures = sparse_record(3, 9, 3000, 1e-3, burst=50)
+        assert_same_outcome(mixtures, MethodParams(method=method, v_th=v_th))
+
+    @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
     def test_long_record(self, method, v_th):
         # Seven blocks of the acceptance kernel, and 34,224 accepted headings at iteration 0.
         mixtures = sparse_record(5, 4, 200_000, 1e-3, burst=50)
