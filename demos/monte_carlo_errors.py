@@ -6,9 +6,10 @@ recovered source (x 1000, on unit-energy-normalized signals), with the
 across-set standard deviation in brackets and the separation failure
 rate alongside.
 
-Every row runs the paper's 10 x 1000 protocol; the batched Monte Carlo
-engine takes a few seconds for all six.  To spread the chunks of runs
-over processes, pass ``workers=N`` to ``monte_carlo``.
+Every row runs the paper's 10 x 1000 protocol.  ``monte_carlo`` carries
+each chunk of up to ``sparsebss.evaluation.CHUNK_RUNS`` runs through
+``run_chunk`` as one array pass, so all six rows take a few seconds.  To
+spread the chunks over processes, pass ``workers=N`` to ``monte_carlo``.
 """
 
 from sparsebss import MethodParams, ScenarioConfig, load_preset, monte_carlo

@@ -64,7 +64,7 @@ from .separation import (
     separate,
     weighted_average_heading,
 )
-from .signals import normalize_rms, normalize_unit_norm, rms, validate
+from .signals import normalize_rms, normalize_unit_norm, rms
 from .simulate import (
     GaussianPulseSpec,
     add_noise,

@@ -12,6 +12,10 @@ relative to a unit-energy signal, which keeps them comparable across
 record lengths.)  The per-sample RMS error aggregates squared errors
 across Monte Carlo runs; its quadratic mean over time and its maximum over
 time are the two summary figures.
+
+The Monte Carlo harness runs its seeds in chunks of at most
+:data:`CHUNK_RUNS` runs, each carried through noise, whitening, the
+deflation loop and association as one array pass by :func:`run_chunk`.
 """
 
 from __future__ import annotations
@@ -24,9 +28,18 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import AllRunsFailedError, DimensionMismatchError, ZeroChannelError
-from .rng import derive_seed
-from .separation import MethodParams
-from .signals import normalize_unit_norm
+from .rng import derive_seed, normal_grid
+from .separation import MethodParams, deflation_steps
+from .signals import _SCALE_FLOOR, _real_finite, normalize_unit_norm
+from .whitening import whiten_stack
+
+#: Most runs in one chunk.  250 runs of a 2 x 50 record keep every array of
+#: the pass near 200 kB; larger chunks gain little and raise peak memory.
+CHUNK_RUNS = 250
+
+#: Most channel x sample values per run array in one chunk, so long records
+#: get fewer runs per chunk instead of gigabyte arrays.
+CHUNK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,11 +90,16 @@ def associate(actual, estimates) -> Association:
     """Greedily pair sources with estimates by largest |Pearson correlation|.
 
     Exact ties go to the lowest (source, estimate) pair in row-major
-    order.  Inputs must have equal channel counts, and no row may be
-    constant (its correlation would be undefined).
+    order.  Inputs must be real and finite with equal channel counts, and
+    no row may be constant (its correlation would be undefined).
     """
-    s = np.atleast_2d(np.asarray(actual, dtype=float))
-    e = np.atleast_2d(np.asarray(estimates, dtype=float))
+    return _associate(actual, estimates)[0]
+
+
+def _associate(actual, estimates) -> tuple[Association, np.ndarray, np.ndarray]:
+    """:func:`associate`, with the checked (S, L) source and estimate arrays."""
+    s = np.atleast_2d(_real_finite(actual))
+    e = np.atleast_2d(_real_finite(estimates))
     if s.shape[0] != e.shape[0]:
         raise DimensionMismatchError(
             f"{s.shape[0]} sources vs {e.shape[0]} estimates"
@@ -93,9 +111,8 @@ def associate(actual, estimates) -> Association:
     permutation, signs, correlations, constant = associate_stack(s, e[None])
     if constant[0]:
         raise ZeroChannelError("a source or estimate is constant; correlation undefined")
-    return Association(
-        permutation=permutation[0], signs=signs[0], correlations=correlations[0]
-    )
+    assoc = Association(permutation=permutation[0], signs=signs[0], correlations=correlations[0])
+    return assoc, s, e
 
 
 def associate_stack(actual: np.ndarray, estimates: np.ndarray):
@@ -138,8 +155,8 @@ def pointwise_error(actual_row, estimate_row, sign: float) -> np.ndarray:
     for a negative one (the estimate came out inverted).  ``source_errors``
     computes this for every source at once.
     """
-    s = np.asarray(actual_row, dtype=float)
-    e = np.asarray(estimate_row, dtype=float)
+    s = _real_finite(actual_row)
+    e = _real_finite(estimate_row)
     return s - e if sign >= 0.0 else s + e
 
 
@@ -149,9 +166,7 @@ def source_errors(actual, estimates) -> tuple[Association, np.ndarray]:
     Row ``r`` of the (S, L) error array is
     ``pointwise_error(actual[r], estimates[permutation[r]], signs[r])``.
     """
-    assoc = associate(actual, estimates)
-    s = np.atleast_2d(np.asarray(actual, dtype=float))
-    e = np.atleast_2d(np.asarray(estimates, dtype=float))
+    assoc, s, e = _associate(actual, estimates)
     return assoc, signed_errors(s, e, assoc.permutation, assoc.signs)
 
 
@@ -169,11 +184,56 @@ def rms_metrics(errors):
     ``(rms_per_sample, rms_tot, rms_max)``: shapes (L,), (), () for one
     source and (S, L), (S,), (S,) for a stack.
     """
-    err = np.atleast_2d(np.asarray(errors, dtype=float))
+    err = np.atleast_2d(_real_finite(errors))
     rms_per_sample = np.sqrt(np.mean(np.square(err), axis=0))
     rms_tot = np.sqrt(np.mean(np.square(rms_per_sample), axis=-1))
     rms_max = np.max(rms_per_sample, axis=-1)
     return rms_per_sample, rms_tot, rms_max
+
+
+def chunk_runs(n_channels: int, n_samples: int) -> int:
+    """Runs per chunk for records of this shape."""
+    return max(1, min(CHUNK_RUNS, CHUNK_VALUES // (n_channels * n_samples)))
+
+
+def run_chunk(
+    clean: np.ndarray, actual: np.ndarray, params: MethodParams, noise_sd: float, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Errors of one chunk of Monte Carlo runs.
+
+    Run ``q`` separates ``clean`` plus noise of standard deviation
+    ``noise_sd`` drawn from stream ``seeds[q]``, scales its estimates to
+    unit norm, and pairs them with the unit-norm ``actual`` sources.
+    Returns the (runs, sources, samples) signed errors and the (runs,)
+    success mask; the errors of failed runs are meaningless.
+
+    Every step reduces along the sample axis and multiplies in the one-run
+    shapes, so each run gives the bits that ``separate``,
+    ``normalize_unit_norm`` and ``source_errors`` give it alone, and fails
+    exactly where that path raises a ``SparseBssError``.
+    """
+    q = len(seeds)
+    if noise_sd == 0.0:
+        noisy = np.repeat(clean[None], q, axis=0)
+    else:
+        noisy = normal_grid(seeds, clean.shape)
+        noisy *= noise_sd
+        noisy += clean
+    ok = np.isfinite(noisy).all(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data, _, failed = whiten_stack(noisy)
+        del noisy
+        ok &= failed < 0
+        estimates = np.empty_like(data)
+        for iteration, (sources, _, found, _, _) in enumerate(deflation_steps(data, params)):
+            ok &= found
+            estimates[:, iteration] = sources
+        scale = np.linalg.norm(estimates, axis=-1)
+        ok &= ((_SCALE_FLOOR <= scale) & (scale < np.inf)).all(axis=-1)
+        estimates = estimates / scale[..., None]
+        permutation, signs, _, constant = associate_stack(actual, estimates)
+    ok &= ~constant
+    return signed_errors(actual, estimates, permutation, signs), ok
 
 
 def monte_carlo(
@@ -193,11 +253,9 @@ def monte_carlo(
     sets.  Runs whose separation fails are counted and excluded from the
     RMS figures.
 
-    The seeds are cut, in order, into chunks of at most
-    ``batch.CHUNK_RUNS`` runs (fewer for long records), and each chunk
-    runs as one array pass of :func:`sparsebss.batch.run_chunk`.  Each
-    run gives the errors that ``separate``, ``normalize_unit_norm`` and
-    ``source_errors`` give it alone.  ``workers`` > 1 hands the chunks to
+    The seeds are cut, in order, into chunks of at most :data:`CHUNK_RUNS`
+    runs (fewer for long records), and each chunk runs as one array pass
+    of :func:`run_chunk`.  ``workers`` > 1 hands the chunks to
     that many processes, one chunk per task; the chunks do not depend on
     ``workers`` and are stacked in seed order, so the report is identical
     for any worker count.
@@ -207,9 +265,6 @@ def monte_carlo(
     AllRunsFailedError
         If not a single run separated successfully.
     """
-    # The engine builds on this module's association, so it is imported here.
-    from .batch import chunk_runs, run_chunk
-
     if sets < 1 or runs_per_set < 1:
         raise ValueError("sets and runs_per_set must be at least 1")
     if master_seed is None:
@@ -223,8 +278,6 @@ def monte_carlo(
     seeds = [derive_seed(master_seed, q) for q in range(total_runs)]
     size = chunk_runs(*clean.shape)
     chunks = [seeds[i : i + size] for i in range(0, total_runs, size)]
-    errors = np.empty((total_runs, *sources.shape))
-    ok = np.empty(total_runs, dtype=bool)
     if workers > 1:
         # Imported only here: loading multiprocessing would slow every CLI start.
         from concurrent.futures import ProcessPoolExecutor
@@ -233,12 +286,9 @@ def monte_carlo(
     else:
         executor = nullcontext()
     with executor as pool:
-        results = pool.map(run, chunks) if pool else map(run, chunks)
-        for start, (e, k) in zip(range(0, total_runs, size), results):
-            errors[start : start + size] = e
-            ok[start : start + size] = k
-    errors = errors.reshape(sets, runs_per_set, *sources.shape)
-    ok = ok.reshape(sets, runs_per_set)
+        results = list(pool.map(run, chunks) if pool else map(run, chunks))
+    errors = np.concatenate([e for e, _ in results]).reshape(sets, runs_per_set, *sources.shape)
+    ok = np.concatenate([k for _, k in results]).reshape(sets, runs_per_set)
 
     failures = total_runs - int(ok.sum())
     if failures == total_runs:

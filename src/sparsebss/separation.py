@@ -10,10 +10,11 @@ velocity; unit headings are formed only where a method reads them.
 The loop is written once, in :func:`deflation_steps`, for a stack of
 whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
-(``batch.run_chunk``) runs it on a chunk of noisy records.  Inside the loop
-velocities are channel-major, a (Q, N, L-1) stack with one contiguous row
-per channel, as the data are: speeds, the threshold and the deflation run
-over those rows, and the direction steps gather the (N,) columns they read.
+(:func:`sparsebss.evaluation.run_chunk`) runs it on a chunk of noisy
+records.  Inside the loop velocities are channel-major, a (Q, N, L-1) stack
+with one contiguous row per channel, as the data are: speeds, the threshold
+and the deflation run over those rows, and the direction steps gather the
+(N,) columns they read.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .errors import (
 )
 from .headings import HeadingSet, _accept
 from .whitening import gram_schmidt_whiten
-
-#: Averaged cluster directions shorter than this are considered cancelled.
-DEGENERATE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,19 +99,18 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
     (the sorting step discards sign, so one source traversed in both
     directions contributes antiparallel velocities).  The average weights
     each member by its Euclidean length, putting more trust in velocities
-    that stand further above the noise.
+    that stand further above the noise.  After that reconciliation the
+    members cannot cancel: see :func:`average_directions`.
 
     Raises
     ------
     DegenerateClusterError
-        If the weighted members cancel to (near) zero length.
+        If every member has zero velocity.
     """
     members = np.atleast_2d(np.asarray(cluster.member_velocities, dtype=float))
-    unit, length, moving = average_directions(members[None])
+    unit, _, moving = average_directions(members[None])
     if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
-    if length[0] < DEGENERATE_TOLERANCE:
-        raise DegenerateClusterError("cluster members cancel; no average direction")
     return EstimatedDirection(unit_vector=unit[0], support_size=len(members))
 
 
@@ -122,6 +119,9 @@ def average_directions(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     Returns ``(unit, length, moving)``: the unit directions (B, N), the
     lengths of the averages before scaling, and whether any member moves.
+    Every aligned member has a nonnegative projection on the strongest one,
+    which itself contributes m_max**2 / sum(m**2) >= 1/k to the average's
+    projection on its direction, so a moving cluster's length is at least 1/k.
     Each product is a batched ``matmul`` whose items have the one-cluster
     shapes, so every cluster averages exactly as it would alone.
     """
@@ -288,9 +288,7 @@ def _global_directions(
     for k in np.flatnonzero(np.bincount(size[found])):
         runs = np.flatnonzero(found & (size == k))
         members = np.nonzero(survivors[runs])[1].reshape(len(runs), k)
-        unit, length, moving = average_directions(velocities[runs[:, None], members])
-        directions[runs] = unit
-        found[runs] = moving & (length >= DEGENERATE_TOLERANCE)
+        directions[runs], _, found[runs] = average_directions(velocities[runs[:, None], members])
     return directions, found
 
 

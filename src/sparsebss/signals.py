@@ -13,6 +13,12 @@ import numpy as np
 from .errors import NonFiniteError, SparseBssError, TooShortError, ZeroChannelError
 
 
+#: The smallest rms or norm whose square, the mean square or sum of squares
+#: that whitening and normalization divide by, is a normal float64:
+#: ``sqrt(np.finfo(float).tiny)``, exactly.  Below it the squares lose bits.
+_SCALE_FLOOR = 2.0**-511
+
+
 def as_signal_matrix(data) -> np.ndarray:
     """Coerce ``data`` to a validated (n_channels, n_samples) float array.
 
@@ -20,31 +26,28 @@ def as_signal_matrix(data) -> np.ndarray:
     ------
     SparseBssError
         If the data are complex: the imaginary part would be dropped.
-    TooShortError
-        If there are fewer than 2 samples per channel.
     NonFiniteError
         If any entry is NaN or infinite.
+    TooShortError
+        If there are fewer than 2 samples per channel.
     """
-    x = np.asarray(data)
-    if np.iscomplexobj(x):
-        raise SparseBssError(f"complex input (dtype {x.dtype}) is not supported; signals are real")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(_real_finite(data))
     if x.ndim != 2 or x.shape[0] < 1:
         raise TooShortError(f"expected a 2-D channels x samples array, got shape {x.shape}")
-    validate(x)
+    if x.shape[1] < 2:
+        raise TooShortError(f"need at least 2 samples per channel, got {x.shape[1]}")
     return x
 
 
-def validate(signal: np.ndarray) -> None:
-    """Check the signal-matrix invariants, raising on the first violation."""
-    if signal.ndim != 2:
-        raise TooShortError(f"expected 2-D array, got {signal.ndim}-D")
-    if signal.shape[1] < 2:
-        raise TooShortError(
-            f"need at least 2 samples per channel, got {signal.shape[1]}"
-        )
-    if not np.isfinite(signal).all():
+def _real_finite(data) -> np.ndarray:
+    """``data`` as a float array of any shape; complex or non-finite data raise."""
+    x = np.asarray(data)
+    if np.iscomplexobj(x):
+        raise SparseBssError(f"complex input (dtype {x.dtype}) is not supported; signals are real")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
         raise NonFiniteError("signal contains NaN or infinite entries")
+    return x
 
 
 def rms(signal: np.ndarray) -> np.ndarray:
@@ -93,17 +96,18 @@ def normalize_unit_norm(signal) -> np.ndarray:
 
 
 def _check_scale(x: np.ndarray, scale: np.ndarray, name: str) -> None:
-    """Raise for the first channel whose ``scale`` is zero or infinite."""
-    bad = np.flatnonzero((scale == 0.0) | np.isinf(scale))
+    """Raise for the first channel whose ``scale`` is below the floor or infinite."""
+    bad = np.flatnonzero((scale < _SCALE_FLOOR) | np.isinf(scale))
     if bad.size:
         raise _scale_error(x[bad[0]], int(bad[0]), name)
 
 
 def _scale_error(channel: np.ndarray, index: int, name: str) -> SparseBssError:
-    """The error for a finite channel whose ``name`` (rms or norm) is 0 or inf.
+    """The error for a finite channel whose ``name`` (an rms or norm) is out of range.
 
     Only a channel of zeros is a :class:`ZeroChannelError`.  Otherwise its
-    squares overflowed or underflowed float64: the error names the scale.
+    squares overflowed float64 or fell below its normal range (:data:`_SCALE_FLOOR`):
+    the error names the scale.
     """
     if not channel.any():
         return ZeroChannelError(f"channel {index} is identically zero")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError
-from .signals import _scale_error, as_signal_matrix, rms
+from .signals import _SCALE_FLOOR, _scale_error, as_signal_matrix, rms
 
 #: Residuals below this fraction of the channel rms are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -47,7 +47,8 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
     ZeroChannelError
         If a channel is identically zero.
     SparseBssError
-        If a channel's rms overflows or underflows float64.
+        If the mean square of a channel, or of its residual after projection,
+        overflows float64 or is below its normal range.
     RankDeficientError
         If a channel's residual after projection has rms below
         ``RANK_TOLERANCE`` times the channel rms.
@@ -58,8 +59,11 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
     if i >= 0:
         with np.errstate(over="ignore"):
             channel_rms = rms(z[i])[0]
-        if channel_rms in (0.0, np.inf):
+        if not _SCALE_FLOOR <= channel_rms < np.inf:
             raise _scale_error(z[i], i, "rms")
+        # The diagonal of the transform is one over each residual's rms.
+        if 1.0 / transform[0, i, i] >= RANK_TOLERANCE * channel_rms:
+            raise _scale_error(z[i], i, "residual rms")
         raise RankDeficientError(
             f"channel {i} is linearly dependent on channels 0..{i - 1}"
         )
@@ -71,9 +75,9 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Every reduction runs along the sample axis, so each record whitens
     exactly as it would alone.  Returns ``(components, transform, failed)``:
-    ``failed[q]`` is the first channel at which record ``q`` is zero, has
-    an rms that overflows float64, or is rank deficient (its other outputs
-    are then meaningless), or -1.
+    ``failed[q]`` is the first channel at which record ``q`` is zero, has an
+    rms or residual rms out of range (:data:`~sparsebss.signals._SCALE_FLOOR`),
+    or is rank deficient (its other outputs are then meaningless), or -1.
     """
     q, n, _ = z.shape
     components = np.empty_like(z)
@@ -90,8 +94,8 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 residual -= coeff * components[:, k]
                 row -= coeff * transform[:, k]
             residual_rms = rms(residual)[:, None]
-            bad = (channel_rms == 0.0) | (channel_rms == np.inf)
-            bad |= residual_rms[:, 0] < RANK_TOLERANCE * channel_rms
+            bad = (channel_rms < _SCALE_FLOOR) | (channel_rms == np.inf)
+            bad |= residual_rms[:, 0] < np.maximum(RANK_TOLERANCE * channel_rms, _SCALE_FLOOR)
             failed[bad & (failed < 0)] = i
             components[:, i] = residual / residual_rms
             transform[:, i] = row / residual_rms

@@ -25,9 +25,8 @@ from sparsebss import (
     separate,
     source_errors,
 )
-from sparsebss.batch import CHUNK_RUNS, chunk_runs, run_chunk
 from sparsebss.clustering import longest_runs
-from sparsebss.evaluation import associate_stack
+from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, run_chunk
 from sparsebss.rng import derive_seed
 from sparsebss.separation import mhc_pick
 

@@ -71,6 +71,16 @@ def test_separate_rejects_single_channel(tmp_path, capsys):
     assert run_cli("separate", single, tmp_path / "out.csv") != 0
 
 
+def test_separate_cluster_failure_exits_3(tmp_path, capsys):
+    # Two accepted headings far apart in every component: no adjacency run.
+    mixtures = tmp_path / "mix.csv"
+    write_csv(mixtures, np.array([[0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0]]))
+    out = tmp_path / "est.csv"
+    assert run_cli("separate", mixtures, out, "--vth", "0.1", "--alpha", "0.01") == 3
+    assert "cluster formation failed at iteration 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_self_comparison(simulated, tmp_path):
     report_path = tmp_path / "eval.txt"
     code = run_cli(
@@ -135,6 +145,20 @@ def test_montecarlo_table(tmp_path):
         assert len(row["mean_x1e3"]) == 2
     text = report_path.read_text()
     assert "global" in text and "failures" in text
+
+
+def test_montecarlo_row_whose_runs_all_fail(tmp_path):
+    # Singular mixing: whitening fails on every run, and the row says so.
+    data = dict(load_preset("example1").to_dict(), mixing=[[1.0, 2.0], [2.0, 4.0]])
+    config = tmp_path / "singular.json"
+    config.write_text(json.dumps(data))
+    report_path = tmp_path / "mc.txt"
+    args = ("montecarlo", config, report_path, "--vth", "0.4", "--sets", "1", "--runs", "3")
+    assert run_cli(*args) == 0
+    row = json.loads((tmp_path / "mc.json").read_text())["rows"][0]
+    assert row == {"method": "global", "v_th": 0.4, "failure_rate": 1.0, "values": None}
+    last_line = report_path.read_text().splitlines()[-1]
+    assert last_line.split() == ["global", "0.40", "---", "---", "100.0%"]
 
 
 def test_montecarlo_deterministic(tmp_path):
@@ -210,6 +234,15 @@ def test_plotdata_sorted_headings_flat_segments_for_sparse_mixture(tmp_path):
     assert run_lengths.max() >= 80  # solo segments span >= 89 headings each
     # and the rest of the curve still rises
     assert data[0, -1] > data[0, 0]
+
+
+def test_plotdata_sorted_headings_needs_two_nonzero_headings(tmp_path, capsys):
+    src = tmp_path / "still.csv"
+    write_csv(src, np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]]), ["a", "b"])
+    out = tmp_path / "sorted.csv"
+    assert run_cli("plotdata", src, out, "--kind", "sorted-headings") == 2
+    assert "fewer than 2 nonzero headings" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_kind_rejected(simulated, tmp_path):

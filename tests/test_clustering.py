@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sparsebss import clustering
 from sparsebss import (
+    DimensionMismatchError,
     EmptyClusterError,
     NoRunFoundError,
     TooFewHeadingsError,
@@ -224,6 +225,31 @@ def test_extract_cluster_empty():
     )
     with pytest.raises(EmptyClusterError):
         extract_cluster(tables, np.ones((3, 2)))
+
+
+def test_extract_cluster_dimension_mismatch(worked_velocities):
+    _, tables = find_cluster(worked_velocities, EPSILON)
+    with pytest.raises(DimensionMismatchError):
+        extract_cluster(tables, worked_velocities[:-1])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.01])
+def test_build_adjacency_needs_positive_epsilon(worked_velocities, epsilon):
+    sorted_component = sort_component(magnitudes_of(worked_velocities), 0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        build_adjacency(sorted_component, epsilon)
+
+
+def test_find_cluster_needs_two_headings():
+    with pytest.raises(TooFewHeadingsError):
+        find_cluster(np.array([[0.6, 0.8]]), EPSILON)
+
+
+def test_find_cluster_rejects_zero_velocity(worked_velocities):
+    velocities = worked_velocities.copy()
+    velocities[3] = 0.0
+    with pytest.raises(ValueError, match="zero-velocity rows"):
+        find_cluster(velocities, EPSILON)
 
 
 def test_epsilon_monotonicity(worked_velocities):

@@ -77,6 +77,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({"kind": "nope", "mixing": [[1.0]]})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="nope"), "unknown scenario kind"),
+            (dict(kind="gaussian"), "at least one source spec"),
+            (dict(kind="shifted_uniform", length=0), "length >= 1"),
+        ],
+    )
+    def test_invalid_fields_rejected_on_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(mixing=((1.0,),), **fields)
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ValueError, match="unknown preset 'nope'"):
+            load_preset("nope")
+
     def test_missing_key_message(self):
         with pytest.raises(ValueError, match="missing key"):
             ScenarioConfig.from_dict({"kind": "gaussian", "sources": []})
@@ -122,6 +138,21 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError):
+            read_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty file"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("text", ["a,b,c\n1,2\n3,4\n", "a,b\n"])
+    def test_table_unlike_its_header_rejected(self, tmp_path, text):
+        # Rows of one width other than the header's, or no rows at all.
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="ragged or empty table"):
             read_csv(path)
 
     def test_non_numeric_rejected(self, tmp_path):

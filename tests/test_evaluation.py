@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from sparsebss import (
     DimensionMismatchError,
     GaussianPulseSpec,
     MethodParams,
+    NonFiniteError,
     ScenarioConfig,
+    SparseBssError,
     ZeroChannelError,
     associate,
     load_preset,
@@ -181,6 +184,40 @@ class TestRmsMetrics:
         assert rms_max >= rms_tot >= 0.0
 
 
+#: Each metric called on its first argument, with a well-formed partner.
+METRICS = {
+    "associate": lambda x: associate(x, np.arange(5.0)),
+    "source_errors": lambda x: source_errors(np.arange(5.0), x),
+    "pointwise_error": lambda x: pointwise_error(x, np.arange(5.0), 1.0),
+    "rms_metrics": lambda x: rms_metrics(x),
+}
+
+
+class TestRealFiniteInput:
+    """The metrics refuse complex and non-finite input as ``as_signal_matrix`` does."""
+
+    @pytest.mark.parametrize("metric", METRICS.values(), ids=METRICS.keys())
+    def test_complex_input_is_refused(self, metric):
+        # Refused before numpy's ComplexWarning, which would mean the imaginary part was dropped.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SparseBssError, match="complex128") as excinfo:
+                metric(np.arange(5) * (1 + 1j))
+        assert type(excinfo.value) is SparseBssError
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", METRICS.values(), ids=METRICS.keys())
+    def test_non_finite_input_is_refused(self, metric, bad):
+        x = np.arange(5.0)
+        x[2] = bad
+        with pytest.raises(NonFiniteError):
+            metric(x)
+
+    def test_sample_count_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            associate(np.ones((2, 10)), np.ones((2, 11)))
+
+
 def noisy_example1(noise_sd):
     base = load_preset("example1")
     data = base.to_dict()
@@ -240,6 +277,11 @@ class TestMonteCarlo:
         )
         with pytest.raises(AllRunsFailedError):
             monte_carlo(config, MethodParams("global", 0.4), 1, 3)
+
+    @pytest.mark.parametrize("sets, runs", [(0, 5), (2, 0)])
+    def test_needs_a_run(self, sets, runs):
+        with pytest.raises(ValueError, match="at least 1"):
+            monte_carlo(noisy_example1(0.005), MethodParams("global", 0.4), sets, runs)
 
     def test_mixture_count_must_match_sources(self):
         # each run would give 2 estimates for 3 sources

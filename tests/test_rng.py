@@ -84,3 +84,10 @@ def test_normal_grid_equals_unblocked_reference(seeds, count):
 def test_derive_seed_wraps():
     assert derive_seed(5, 7) == 12
     assert derive_seed(2**64 - 1, 1) == 0
+
+
+def test_negative_counts_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        uniform_values(1, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        normal_matrix(1, (-1, 2))

@@ -11,9 +11,9 @@ from sparsebss import (
     normalize_rms,
     normalize_unit_norm,
     rms,
-    validate,
 )
 from sparsebss.io import write_csv
+from sparsebss.signals import as_signal_matrix
 
 
 def test_normalize_rms_two_sample_channel():
@@ -56,20 +56,20 @@ def test_normalize_rms_scale_invariance(scale):
     )
 
 
-def test_validate_accepts_finite_matrix():
-    validate(np.zeros((2, 1000)))  # no exception
+def test_as_signal_matrix_accepts_finite_matrix():
+    as_signal_matrix(np.zeros((2, 1000)))  # no exception
 
 
-def test_validate_rejects_nan():
+def test_as_signal_matrix_rejects_nan():
     x = np.ones((2, 10))
     x[1, 3] = np.nan
     with pytest.raises(NonFiniteError):
-        validate(x)
+        as_signal_matrix(x)
 
 
-def test_validate_rejects_single_sample():
+def test_as_signal_matrix_rejects_single_sample():
     with pytest.raises(TooShortError):
-        validate(np.ones((2, 1)))
+        as_signal_matrix(np.ones((2, 1)))
 
 
 def test_normalize_unit_norm():
@@ -104,3 +104,19 @@ def test_complex_input_is_refused(consume, tmp_path):
         with pytest.raises(SparseBssError, match="complex128"):
             consume(x, tmp_path)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("normalize, name", [(normalize_rms, "rms"), (normalize_unit_norm, "norm")])
+def test_subnormal_squares_are_named(normalize, name):
+    # At 1e-160 the squares are subnormal: the scale would lose bits.
+    x = np.random.default_rng(12).normal(size=(2, 64))
+    with pytest.raises(SparseBssError, match=f"{name} underflows float64") as excinfo:
+        normalize(1e-160 * x)
+    assert type(excinfo.value) is SparseBssError
+    np.testing.assert_allclose(normalize(1e-150 * x), normalize(x), rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (0, 5)])
+def test_as_signal_matrix_rejects_other_shapes(shape):
+    with pytest.raises(TooShortError, match="2-D channels x samples"):
+        as_signal_matrix(np.ones(shape))

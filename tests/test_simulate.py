@@ -46,6 +46,11 @@ class TestGaussianSources:
         assert s[0, 3] == pytest.approx(2.0 * math.exp(-0.5), rel=1e-15)
         assert s[0, 5] == pytest.approx(2.0 * math.exp(-0.5), rel=1e-15)
 
+    @pytest.mark.parametrize("rate", [0.0, -250.0])
+    def test_validates_sample_rate(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive"):
+            generate_gaussian_sources([GaussianPulseSpec(1.0, 0.1, 0.01)], rate, 0.2)
+
     def test_validates_width(self):
         with pytest.raises(ValueError):
             GaussianPulseSpec(amplitude=1.0, center_s=0.0, width_s=0.0)
@@ -119,6 +124,10 @@ class TestMix:
 
 
 class TestMinPeakContribution:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            min_peak_contribution(np.ones((3, 10)), EXAMPLE1_MIXING)
+
     def test_two_pulse_scenario_value(self):
         # the smaller pulse's center (0.026 s) falls between 250 Hz grid
         # points; its largest sample sits 0.002 s off-center:

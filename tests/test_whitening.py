@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsebss import RankDeficientError, SparseBssError, ZeroChannelError, gram_schmidt_whiten
+from sparsebss.whitening import whiten_stack
 
 
 def sample_gram(x):
@@ -84,3 +85,24 @@ def test_order_dependence_keeps_contract():
     for data in (z, permuted):
         out = gram_schmidt_whiten(data)
         np.testing.assert_allclose(out.transform @ data, out.components, atol=1e-10)
+
+
+def test_subnormal_mean_square_is_named():
+    # Finite, nonzero squares below float64's normal range would lose bits.
+    z = 1e-160 * np.random.default_rng(26).normal(size=(2, 100))
+    with pytest.raises(SparseBssError, match="channel 0 .* rms underflows float64") as excinfo:
+        gram_schmidt_whiten(z)
+    assert type(excinfo.value) is SparseBssError
+    assert whiten_stack(z[None])[2][0] == 0
+
+
+def test_subnormal_residual_is_named_not_rank_loss():
+    # The channels are far from dependent (residual 1e-6 of the channel),
+    # but at 1e-150 the residual's mean square is subnormal.
+    a, b = np.random.default_rng(27).normal(size=(2, 100))
+    z = 1e-150 * np.array([a, a + 1e-6 * b])
+    with pytest.raises(SparseBssError, match="channel 1 .* residual rms underflows") as excinfo:
+        gram_schmidt_whiten(z)
+    assert type(excinfo.value) is SparseBssError
+    assert whiten_stack(z[None])[2][0] == 1
+    gram_schmidt_whiten(1e100 * z)  # the same record at a normal scale whitens
