@@ -31,7 +31,7 @@ from .evaluation import monte_carlo, rms_metrics, source_errors
 from .headings import compute_velocities, normalize_headings
 from .io import read_csv, write_csv
 from .rng import derive_seed
-from .separation import MethodParams, separate
+from .separation import METHODS, MethodParams, separate
 from .signals import normalize_unit_norm
 from .simulate import add_noise
 from .whitening import gram_schmidt_whiten
@@ -139,29 +139,21 @@ def cmd_montecarlo(args) -> int:
     }
     for vth in args.vth:
         params = MethodParams(method=args.method, v_th=vth, alpha=args.alpha)
+        # Every row has the same keys; the means are null when no run succeeded.
+        row = {"method": args.method, "v_th": vth, "mean_x1e3": None, "sd_x1e3": None}
         try:
             report = monte_carlo(
                 config, params, args.sets, args.runs,
                 master_seed=args.seed, workers=args.workers,
             )
         except AllRunsFailedError:
-            record["rows"].append(
-                {"method": args.method, "v_th": vth, "failure_rate": 1.0, "values": None}
-            )
-            continue
-        mean = getattr(report, f"mean_rms_{args.metric}")
-        sd = getattr(report, f"sd_rms_{args.metric}")
-        record["rows"].append(
-            {
-                "method": args.method,
-                "v_th": vth,
-                "mean_x1e3": [1e3 * m for m in mean],
-                "sd_x1e3": [1e3 * s for s in sd],
-                "failures": report.failures,
-                "total_runs": report.total_runs,
-                "failure_rate": report.failure_rate,
-            }
-        )
+            failures = total_runs = args.sets * args.runs
+        else:
+            row["mean_x1e3"] = [1e3 * m for m in getattr(report, f"mean_rms_{args.metric}")]
+            row["sd_x1e3"] = [1e3 * s for s in getattr(report, f"sd_rms_{args.metric}")]
+            failures, total_runs = report.failures, report.total_runs
+        row.update(failures=failures, total_runs=total_runs, failure_rate=failures / total_runs)
+        record["rows"].append(row)
 
     lines = [
         f"monte carlo: {record['sets']} sets x {record['runs_per_set']} runs, "
@@ -171,7 +163,7 @@ def cmd_montecarlo(args) -> int:
         + "  failures",
     ]
     for row in record["rows"]:
-        if "mean_x1e3" in row:
+        if row["mean_x1e3"] is not None:
             cells = [f"{m:.3g} ({s:.3g})".ljust(16) for m, s in zip(row["mean_x1e3"], row["sd_x1e3"])]
         else:
             cells = ["---".center(16)] * n_sources
@@ -222,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="extract sources from a mixtures CSV")
     p.add_argument("input", help="mixtures CSV (channels as columns)")
     p.add_argument("output", help="estimates CSV path")
-    p.add_argument("--method", choices=["global", "mhc"], default="global")
-    p.add_argument("--vth", type=float, default=0.4, help="velocity threshold in (0,1)")
-    p.add_argument("--alpha", type=float, default=1.0, help="gap-threshold scale in (0,1]")
+    p.add_argument("--method", choices=METHODS, default=MethodParams.method)
+    p.add_argument("--vth", type=float, default=MethodParams.v_th, help="velocity threshold in (0,1)")
+    p.add_argument("--alpha", type=float, default=MethodParams.alpha, help="gap-threshold scale in (0,1]")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("evaluate", help="compare estimates against known sources")
@@ -236,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="RMS-error table over repeated noisy runs")
     p.add_argument("config", help=f"config JSON path or preset name {PRESET_NAMES}")
     p.add_argument("report", help="report path (text; .json written alongside)")
-    p.add_argument("--method", choices=["global", "mhc"], default="global")
+    p.add_argument("--method", choices=METHODS, default=MethodParams.method)
     p.add_argument("--vth", type=float, nargs="+", required=True,
                    help="one table row per threshold value")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=MethodParams.alpha)
     p.add_argument("--sets", type=int, default=10)
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None,

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyClusterError,
     NoRunFoundError,
+    SparseBssError,
     TooFewHeadingsError,
 )
 
@@ -73,11 +74,13 @@ class Cluster:
 
 
 def gap_threshold(alpha: float, n_headings: int) -> float:
-    """Sorted-gap threshold ``alpha / n_headings``.
+    """Sorted-gap threshold epsilon = ``alpha / n_headings``, from two headings on.
 
     For uncorrelated headings the sorted component magnitudes rise roughly
     linearly, so adjacent gaps are about ``1/n_headings``; values bunch far
-    tighter than that only where one source dominates.
+    tighter than that only where one source dominates.  The global direction
+    step of :mod:`sparsebss.separation` takes its epsilon, and its minimum of
+    two accepted headings, from here.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -229,7 +232,8 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     ----------
     velocities : array_like, shape (M, N)
         Velocity vectors of the headings entering the sort; all rows must
-        have positive length.
+        have positive length, and a length that overflows float64 raises
+        ``SparseBssError``.
     epsilon : float
         Sorted-gap threshold, usually :func:`gap_threshold`.
 
@@ -243,10 +247,14 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
     # numpy sums the components of a contiguous row pairwise from eight on,
     # so the lengths are taken on contiguous rows whatever the caller's layout.
-    speeds = np.linalg.norm(np.ascontiguousarray(v), axis=1)
+    with np.errstate(over="ignore"):
+        speeds = np.linalg.norm(np.ascontiguousarray(v), axis=1)
     rows = np.ascontiguousarray(v.T)
     if np.any(speeds == 0.0):
         raise ValueError("zero-velocity rows must be filtered out before clustering")
+    if np.any(speeds == np.inf):
+        i = int(np.argmax(speeds))
+        raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")
     magnitudes = np.divide(rows, speeds)
     np.abs(magnitudes, out=magnitudes)
     # Transposed views: column i of each (M, N) table is channel row i.

@@ -1,15 +1,10 @@
 """Scenario descriptions: a serializable recipe for one synthetic dataset.
 
-A scenario is stored as a flat JSON object with typed keys.  Two kinds are
-supported:
-
-``gaussian``
-    keys: ``kind``, ``sources`` (list of ``{amplitude, center_s, width_s}``
-    objects), ``sample_rate_hz``, ``duration_s``, ``mixing`` (list of rows),
-    ``noise_sd``, ``seed``.
-``shifted_uniform``
-    keys: ``kind``, ``length``, ``shift``, ``sample_rate_hz``, ``mixing``,
-    ``noise_sd``, ``seed``.
+A scenario is stored as a flat JSON object with typed keys, one set per
+kind, listed in file order by :data:`SCENARIO_KEYS`: ``gaussian`` (truncated
+pulses, ``sources`` a list of ``{amplitude, center_s, width_s}`` objects)
+and ``shifted_uniform``.  ``mixing`` is a list of rows.  A key outside its
+kind's set is an error.
 
 Floats survive the JSON round trip exactly (shortest-repr encoding), so a
 config regenerates its dataset bit-identically.  Bundled presets:
@@ -21,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -35,6 +30,14 @@ from .simulate import (
 )
 
 PRESET_NAMES = ("example1", "section2iii")
+
+#: Each scenario kind's keys, in the order its JSON files list them.
+SCENARIO_KEYS = {
+    "gaussian": ("kind", "sources", "sample_rate_hz", "duration_s", "mixing", "noise_sd", "seed"),
+    "shifted_uniform": ("kind", "length", "shift", "sample_rate_hz", "mixing", "noise_sd", "seed"),
+}
+
+_PULSE_KEYS = tuple(f.name for f in fields(GaussianPulseSpec))
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class ScenarioConfig:
     shift: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "shifted_uniform"):
+        if self.kind not in SCENARIO_KEYS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
@@ -79,27 +82,16 @@ class ScenarioConfig:
         return sources, mix(sources, self.mixing_matrix)
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "gaussian":
-            out["sources"] = [
-                {"amplitude": s.amplitude, "center_s": s.center_s, "width_s": s.width_s}
-                for s in self.sources
-            ]
-            out["sample_rate_hz"] = self.sample_rate_hz
-            out["duration_s"] = self.duration_s
-        else:
-            out["length"] = self.length
-            out["shift"] = self.shift
-            out["sample_rate_hz"] = self.sample_rate_hz
-        out["mixing"] = [list(row) for row in self.mixing]
-        out["noise_sd"] = self.noise_sd
-        out["seed"] = self.seed
-        return out
+        plain = dict(vars(self), sources=[asdict(s) for s in self.sources],
+                     mixing=[list(row) for row in self.mixing])
+        return {key: plain[key] for key in SCENARIO_KEYS[self.kind]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         try:
-            kind = data["kind"]
+            kind = str(data["kind"])
+            if kind in SCENARIO_KEYS:
+                _reject_unknown(data, SCENARIO_KEYS[kind], f"{kind} scenario")
             mixing = tuple(tuple(float(x) for x in row) for row in data["mixing"])
             common = dict(
                 kind=kind,
@@ -109,14 +101,7 @@ class ScenarioConfig:
                 sample_rate_hz=float(data.get("sample_rate_hz", 1.0)),
             )
             if kind == "gaussian":
-                sources = tuple(
-                    GaussianPulseSpec(
-                        amplitude=float(s["amplitude"]),
-                        center_s=float(s["center_s"]),
-                        width_s=float(s["width_s"]),
-                    )
-                    for s in data["sources"]
-                )
+                sources = tuple(_pulse(spec) for spec in data["sources"])
                 return cls(sources=sources, duration_s=float(data["duration_s"]), **common)
             return cls(length=int(data["length"]), shift=int(data["shift"]), **common)
         except KeyError as missing:
@@ -128,6 +113,19 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _pulse(spec: dict) -> GaussianPulseSpec:
+    """One ``sources`` entry of a gaussian scenario as a pulse spec."""
+    _reject_unknown(spec, _PULSE_KEYS, "pulse spec")
+    return GaussianPulseSpec(**{key: float(spec[key]) for key in _PULSE_KEYS})
+
+
+def _reject_unknown(data: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise ``ValueError`` naming every key of ``data`` that is not ``known``."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; known keys: {', '.join(known)}")
 
 
 def load_preset(name: str) -> ScenarioConfig:

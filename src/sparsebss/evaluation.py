@@ -28,9 +28,10 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import AllRunsFailedError, DimensionMismatchError, ZeroChannelError
-from .rng import derive_seed, normal_grid
+from .rng import derive_seed
 from .separation import MethodParams, deflation_steps
-from .signals import _SCALE_FLOOR, _real_finite, normalize_unit_norm
+from .signals import _real_finite, in_scale_range, normalize_unit_norm
+from .simulate import noisy_stack
 from .whitening import whiten_stack
 
 #: Most runs in one chunk.  250 runs of a 2 x 50 record keep every array of
@@ -201,9 +202,9 @@ def run_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Errors of one chunk of Monte Carlo runs.
 
-    Run ``q`` separates ``clean`` plus noise of standard deviation
-    ``noise_sd`` drawn from stream ``seeds[q]``, scales its estimates to
-    unit norm, and pairs them with the unit-norm ``actual`` sources.
+    Run ``q`` separates record ``q`` of ``noisy_stack(clean, noise_sd,
+    seeds)``, the noise draw of ``add_noise``, scales its estimates to unit
+    norm, and pairs them with the unit-norm ``actual`` sources.
     Returns the (runs, sources, samples) signed errors and the (runs,)
     success mask; the errors of failed runs are meaningless.
 
@@ -212,13 +213,7 @@ def run_chunk(
     ``normalize_unit_norm`` and ``source_errors`` give it alone, and fails
     exactly where that path raises a ``SparseBssError``.
     """
-    q = len(seeds)
-    if noise_sd == 0.0:
-        noisy = np.repeat(clean[None], q, axis=0)
-    else:
-        noisy = normal_grid(seeds, clean.shape)
-        noisy *= noise_sd
-        noisy += clean
+    noisy = noisy_stack(clean, noise_sd, seeds)
     ok = np.isfinite(noisy).all(axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         data, _, failed = whiten_stack(noisy)
@@ -229,7 +224,7 @@ def run_chunk(
             ok &= found
             estimates[:, iteration] = sources
         scale = np.linalg.norm(estimates, axis=-1)
-        ok &= ((_SCALE_FLOOR <= scale) & (scale < np.inf)).all(axis=-1)
+        ok &= in_scale_range(scale).all(axis=-1)
         estimates = estimates / scale[..., None]
         permutation, signs, _, constant = associate_stack(actual, estimates)
     ok &= ~constant

@@ -23,17 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import Cluster, find_cluster, longest_runs
+from .clustering import Cluster, find_cluster, gap_threshold, longest_runs
 from .errors import (
     ClusterFormationFailedError,
     DegenerateClusterError,
     DimensionMismatchError,
     NoConsecutivePairError,
     SparseBssError,
-    TooFewHeadingsError,
 )
 from .headings import HeadingSet, _accept
 from .whitening import gram_schmidt_whiten
+
+
+#: The extraction methods, each a direction step of :func:`deflation_steps`.
+METHODS = ("global", "mhc")
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,8 @@ class MethodParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.method not in ("global", "mhc"):
-            raise ValueError(f"method must be 'global' or 'mhc', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.v_th < 1.0:
             raise ValueError(f"v_th must lie in (0, 1), got {self.v_th}")
         if not 0.0 < self.alpha <= 1.0:
@@ -106,11 +109,15 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
     ------
     DegenerateClusterError
         If every member has zero velocity.
+    SparseBssError
+        If the members' squared lengths overflow float64.
     """
     members = np.atleast_2d(np.asarray(cluster.member_velocities, dtype=float))
-    unit, _, moving = average_directions(members[None])
+    unit, length, moving = average_directions(members[None])
     if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
+    if not 0.0 < length[0] < np.inf:
+        raise SparseBssError("cluster velocities' squares overflow float64; rescale the record")
     return EstimatedDirection(unit_vector=unit[0], support_size=len(members))
 
 
@@ -123,9 +130,10 @@ def average_directions(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     which itself contributes m_max**2 / sum(m**2) >= 1/k to the average's
     projection on its direction, so a moving cluster's length is at least 1/k.
     Each product is a batched ``matmul`` whose items have the one-cluster
-    shapes, so every cluster averages exactly as it would alone.
+    shapes, so every cluster averages exactly as it would alone.  Members
+    whose squares overflow leave a length that is NaN or zero, without a warning.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         magnitudes = np.linalg.norm(members, axis=-1)
         moving = np.any(magnitudes > 0.0, axis=-1)
         strongest = np.argmax(magnitudes, axis=-1)[:, None, None]
@@ -222,9 +230,7 @@ def _global_direction(
     """
     accepted_idx = np.flatnonzero(accepted[0])
     try:
-        if accepted_idx.size < 2:
-            raise TooFewHeadingsError(f"only {accepted_idx.size} accepted headings")
-        epsilon = alpha / accepted_idx.size
+        epsilon = gap_threshold(alpha, accepted_idx.size)
         cluster, _ = find_cluster(np.take(velocities[0], accepted_idx, axis=1).T, epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
@@ -256,12 +262,14 @@ def _global_directions(
     velocities = np.ascontiguousarray(np.take_along_axis(v, slots[..., None], axis=1))
     speeds = np.linalg.norm(velocities, axis=-1)
     valid = np.arange(width) < count[:, None]
-    magnitudes = np.where(valid[..., None], np.abs(velocities / speeds[..., None]), np.inf)
-
-    order = np.argsort(magnitudes, axis=1, kind="stable")
-    values = np.take_along_axis(magnitudes, order, axis=1)
-    adjacency = np.zeros(values.shape, dtype=bool)
-    adjacency[:, 1:] = np.diff(values, axis=1) < (alpha / count)[:, None, None]
+    # Only empty slots may divide by a zero speed or count, and the NaN of
+    # inf - inf between two of them marks no gap: none of it reaches a result.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        magnitudes = np.where(valid[..., None], np.abs(velocities / speeds[..., None]), np.inf)
+        order = np.argsort(magnitudes, axis=1, kind="stable")
+        values = np.take_along_axis(magnitudes, order, axis=1)
+        adjacency = np.zeros(values.shape, dtype=bool)
+        adjacency[:, 1:] = np.diff(values, axis=1) < (alpha / count)[:, None, None]
 
     component, lo, run_length = longest_runs(adjacency)
     found &= run_length > 0

@@ -75,11 +75,7 @@ def normalize_rms(signal) -> np.ndarray:
     SparseBssError
         If a channel's rms overflows or underflows float64.
     """
-    x = as_signal_matrix(signal)
-    with np.errstate(over="ignore"):
-        scale = rms(x)
-    _check_scale(x, scale, "rms")
-    return x / scale[:, None]
+    return _rescale(signal, rms, "rms")
 
 
 def normalize_unit_norm(signal) -> np.ndarray:
@@ -88,18 +84,23 @@ def normalize_unit_norm(signal) -> np.ndarray:
     This is the normalization used by the evaluation metrics; see
     :mod:`sparsebss.evaluation`.  Raises as :func:`normalize_rms` does.
     """
+    return _rescale(signal, lambda x: np.linalg.norm(x, axis=1), "norm")
+
+
+def in_scale_range(scale) -> np.ndarray:
+    """Whether each rms or norm in ``scale`` may divide: ``_SCALE_FLOOR <= s < inf``, not NaN."""
+    return (_SCALE_FLOOR <= scale) & (scale < np.inf)
+
+
+def _rescale(signal, measure, name: str) -> np.ndarray:
+    """Each channel of ``signal`` divided by its ``measure``, which must be in range."""
     x = as_signal_matrix(signal)
     with np.errstate(over="ignore"):
-        scale = np.linalg.norm(x, axis=1)
-    _check_scale(x, scale, "norm")
-    return x / scale[:, None]
-
-
-def _check_scale(x: np.ndarray, scale: np.ndarray, name: str) -> None:
-    """Raise for the first channel whose ``scale`` is below the floor or infinite."""
-    bad = np.flatnonzero((scale < _SCALE_FLOOR) | np.isinf(scale))
+        scale = measure(x)
+    bad = np.flatnonzero(~in_scale_range(scale))
     if bad.size:
         raise _scale_error(x[bad[0]], int(bad[0]), name)
+    return x / scale[:, None]
 
 
 def _scale_error(channel: np.ndarray, index: int, name: str) -> SparseBssError:

@@ -110,16 +110,25 @@ def min_peak_contribution(sources, mixing_matrix) -> float:
 def add_noise(mixtures, sd: float, seed: int) -> np.ndarray:
     """Add iid zero-mean Gaussian noise of standard deviation ``sd``.
 
-    Returns a new array and leaves ``mixtures`` unchanged; its bits are
-    those of ``z + sd * rng.normal_matrix(seed, z.shape)``.  Raises
-    ``ValueError`` unless ``sd`` is finite and nonnegative.
+    Returns a new array and leaves ``mixtures`` unchanged: the one record of
+    ``noisy_stack(z, sd, [seed])``.  Raises ``ValueError`` unless ``sd`` is
+    finite and nonnegative.
     """
     z = np.atleast_2d(np.asarray(mixtures, dtype=float))
     if not (math.isfinite(sd) and sd >= 0.0):
         raise ValueError(f"sd must be finite and nonnegative, got {sd}")
+    return noisy_stack(z, sd, [seed])[0]
+
+
+def noisy_stack(clean: np.ndarray, sd: float, seeds) -> np.ndarray:
+    """``clean + sd * rng.normal_matrix(seeds[q], clean.shape)`` for each seed, stacked.
+
+    Each record draws only its own stream (:func:`~sparsebss.rng.normal_grid`);
+    at ``sd == 0`` it is a copy of ``clean``.  ``sd`` is checked by the callers.
+    """
     if sd == 0.0:
-        return z.copy()
-    noise = rng.normal_matrix(seed, z.shape)
-    noise *= sd
-    noise += z
-    return noise
+        return np.repeat(clean[None], len(seeds), axis=0)
+    noisy = rng.normal_grid(seeds, clean.shape)
+    noisy *= sd
+    noisy += clean
+    return noisy

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError
-from .signals import _SCALE_FLOOR, _scale_error, as_signal_matrix, rms
+from .signals import _scale_error, as_signal_matrix, in_scale_range, rms
 
 #: Residuals below this fraction of the channel rms are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -59,7 +59,7 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
     if i >= 0:
         with np.errstate(over="ignore"):
             channel_rms = rms(z[i])[0]
-        if not _SCALE_FLOOR <= channel_rms < np.inf:
+        if not in_scale_range(channel_rms):
             raise _scale_error(z[i], i, "rms")
         # The diagonal of the transform is one over each residual's rms.
         if 1.0 / transform[0, i, i] >= RANK_TOLERANCE * channel_rms:
@@ -76,7 +76,7 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every reduction runs along the sample axis, so each record whitens
     exactly as it would alone.  Returns ``(components, transform, failed)``:
     ``failed[q]`` is the first channel at which record ``q`` is zero, has an
-    rms or residual rms out of range (:data:`~sparsebss.signals._SCALE_FLOOR`),
+    rms or residual rms out of range (:func:`~sparsebss.signals.in_scale_range`),
     or is rank deficient (its other outputs are then meaningless), or -1.
     """
     q, n, _ = z.shape
@@ -94,8 +94,8 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 residual -= coeff * components[:, k]
                 row -= coeff * transform[:, k]
             residual_rms = rms(residual)[:, None]
-            bad = (channel_rms < _SCALE_FLOOR) | (channel_rms == np.inf)
-            bad |= residual_rms[:, 0] < np.maximum(RANK_TOLERANCE * channel_rms, _SCALE_FLOOR)
+            bad = ~(in_scale_range(channel_rms) & in_scale_range(residual_rms[:, 0]))
+            bad |= residual_rms[:, 0] < RANK_TOLERANCE * channel_rms
             failed[bad & (failed < 0)] = i
             components[:, i] = residual / residual_rms
             transform[:, i] = row / residual_rms

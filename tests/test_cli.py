@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sparsebss import MethodParams, load_preset, separate
-from sparsebss.cli import main
+from sparsebss.cli import build_parser, main
+from sparsebss.separation import METHODS
 from sparsebss.io import read_csv, write_csv
 
 
@@ -156,9 +157,22 @@ def test_montecarlo_row_whose_runs_all_fail(tmp_path):
     args = ("montecarlo", config, report_path, "--vth", "0.4", "--sets", "1", "--runs", "3")
     assert run_cli(*args) == 0
     row = json.loads((tmp_path / "mc.json").read_text())["rows"][0]
-    assert row == {"method": "global", "v_th": 0.4, "failure_rate": 1.0, "values": None}
+    assert row == {
+        "method": "global", "v_th": 0.4, "mean_x1e3": None, "sd_x1e3": None,
+        "failures": 3, "total_runs": 3, "failure_rate": 1.0,
+    }
     last_line = report_path.read_text().splitlines()[-1]
     assert last_line.split() == ["global", "0.40", "---", "---", "100.0%"]
+
+
+def test_parser_defaults_are_the_method_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["separate", "in.csv", "out.csv"])
+    assert MethodParams(args.method, args.vth, args.alpha) == MethodParams()
+    args = parser.parse_args(["montecarlo", "example1", "mc.txt", "--vth", "0.5"])
+    assert (args.method, args.alpha) == (MethodParams.method, MethodParams.alpha)
+    for method in METHODS:
+        assert parser.parse_args(["separate", "a", "b", "--method", method]).method == method
 
 
 def test_montecarlo_deterministic(tmp_path):

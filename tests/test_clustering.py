@@ -16,6 +16,7 @@ from sparsebss import (
     DimensionMismatchError,
     EmptyClusterError,
     NoRunFoundError,
+    SparseBssError,
     TooFewHeadingsError,
     build_adjacency,
     cross_check_components,
@@ -250,6 +251,18 @@ def test_find_cluster_rejects_zero_velocity(worked_velocities):
     velocities[3] = 0.0
     with pytest.raises(ValueError, match="zero-velocity rows"):
         find_cluster(velocities, EPSILON)
+
+
+def test_find_cluster_names_overflowing_lengths():
+    # Four unit directions with no two component magnitudes within epsilon:
+    # no run.  Scaled so far that their lengths overflow, they would all read
+    # magnitude 0 and form one cluster; the overflow is named instead.
+    directions = np.random.default_rng(0).normal(size=(4, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    with pytest.raises(NoRunFoundError):
+        find_cluster(directions, 0.01)
+    with pytest.raises(SparseBssError, match="velocity 0 overflows float64; rescale"):
+        find_cluster(directions * 1e160, 0.01)
 
 
 def test_epsilon_monotonicity(worked_velocities):

@@ -1,12 +1,16 @@
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparsebss
 from sparsebss import PRESET_NAMES, ScenarioConfig, load_config, load_preset
+from sparsebss.config import SCENARIO_KEYS
 from sparsebss.io import _BLOCK_ROWS, read_csv, write_csv
 
 #: Fixed example sequence, so every run of the suite tests the same cases.
@@ -96,6 +100,42 @@ class TestScenarioConfig:
     def test_missing_key_message(self):
         with pytest.raises(ValueError, match="missing key"):
             ScenarioConfig.from_dict({"kind": "gaussian", "sources": []})
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_files_and_to_dict_list_the_kind_keys_in_order(self, name):
+        config = load_preset(name)
+        text = (Path(sparsebss.__file__).parent / "presets" / f"{name}.json").read_text()
+        assert list(json.loads(text)) == list(SCENARIO_KEYS[config.kind])
+        assert list(config.to_dict()) == list(SCENARIO_KEYS[config.kind])
+
+    def test_unknown_key_is_rejected_by_name(self):
+        # A misspelt key must not load as a noise-free scenario.
+        data = dict(load_preset("example1").to_dict(), noise_Sd=0.01)
+        with pytest.raises(ValueError, match=r"unknown keys \['noise_Sd'\]"):
+            ScenarioConfig.from_dict(data)
+
+    def test_key_of_the_other_kind_is_rejected(self):
+        data = dict(load_preset("section2iii").to_dict(), duration_s=1.0, width=2)
+        with pytest.raises(ValueError, match=r"unknown keys \['duration_s', 'width'\]"):
+            ScenarioConfig.from_dict(data)
+
+    def test_unknown_pulse_key_is_rejected_by_name(self):
+        data = load_preset("example1").to_dict()
+        data["sources"][1]["amplitud"] = 0.5
+        with pytest.raises(ValueError, match=r"pulse spec has unknown keys \['amplitud'\]"):
+            ScenarioConfig.from_dict(data)
+
+    def test_missing_pulse_key_message(self):
+        data = load_preset("example1").to_dict()
+        del data["sources"][0]["width_s"]
+        with pytest.raises(ValueError, match="missing key 'width_s'"):
+            ScenarioConfig.from_dict(data)
+
+    def test_unknown_key_in_a_file_names_the_file(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(load_preset("section2iii").to_dict(), seeed=3)))
+        with pytest.raises(ValueError, match=r"scenario.json: .*unknown keys \['seeed'\]"):
+            load_config(str(path))
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from sparsebss import (
 )
 from sparsebss.headings import HeadingSet
 from sparsebss.separation import _global_directions, average_directions, deflation_steps
+from sparsebss.whitening import whiten_stack
 
 
 def make_cluster(velocities):
@@ -85,6 +87,18 @@ class TestWeightedAverageHeading:
     def test_degenerate_cluster_of_zero_velocities(self):
         with pytest.raises(DegenerateClusterError):
             weighted_average_heading(make_cluster([[0.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_squares_are_named(self, scale):
+        # The members' squared lengths overflow: an error, not a NaN direction.
+        with pytest.raises(SparseBssError, match="squares overflow float64; rescale"):
+            weighted_average_heading(make_cluster(np.array([[3.0, 4.0], [6.0, 8.0]]) * scale))
+
+    def test_large_members_keep_the_unscaled_direction(self):
+        cluster = make_cluster(np.array([[3.0, 4.0], [6.0, 8.0]]) * 1e150)
+        np.testing.assert_allclose(
+            weighted_average_heading(cluster).unit_vector, [0.6, 0.8], rtol=0, atol=1e-15
+        )
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(
@@ -215,6 +229,20 @@ def test_stacked_global_step_without_two_accepted_headings():
     directions, found = _global_directions(velocities, accepted, 1.0)
     assert not found.any()
     assert not directions.any()
+
+
+def test_stacked_global_step_is_quiet_under_any_errstate():
+    # Records accept different numbers of headings, so the shorter ones are
+    # padded with empty slots, some of zero speed.  Their arithmetic must not
+    # warn wherever the loop runs, not only inside ``run_chunk``.
+    z = np.random.default_rng(1).normal(size=(3, 2, 40))
+    z[..., 1::2] = z[..., ::2]
+    data, _, failed = whiten_stack(z)
+    assert (failed < 0).all()
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        found = [step[2] for step in deflation_steps(data, MethodParams("global", 0.4))]
+    assert np.all(found)
 
 
 def test_mhc_no_pair_propagates():

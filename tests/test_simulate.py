@@ -14,6 +14,7 @@ from sparsebss import (
     mix,
 )
 from sparsebss.rng import normal_matrix
+from sparsebss.simulate import noisy_stack
 
 EXAMPLE1_MIXING = np.array([[1.3, 2.0], [1.0, 2.85]])
 
@@ -197,6 +198,16 @@ class TestAddNoise:
         out = add_noise(z, 0.03, seed=21)
         assert z.tobytes() == before.tobytes()
         assert out.tobytes() == (z + 0.03 * normal_matrix(21, shape)).tobytes()
+
+    @pytest.mark.parametrize("sd", [0.0, 0.03])
+    def test_each_record_of_the_stack_is_add_noise_of_its_seed(self, sd):
+        z = np.random.default_rng(5).normal(size=(3, 11))
+        seeds = [4, 2**64 - 1, 4, 17]
+        stack = noisy_stack(z, sd, seeds)
+        assert stack.shape == (4, 3, 11)
+        for record, seed in zip(stack, seeds):
+            assert record.tobytes() == add_noise(z, sd, seed).tobytes()
+        assert not np.shares_memory(stack, z)
 
     def test_peak_memory_is_near_one_record(self):
         # full-size Box-Muller temporaries would need about 5 records here
