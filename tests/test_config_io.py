@@ -108,15 +108,17 @@ class TestScenarioConfig:
         assert list(json.loads(text)) == list(SCENARIO_KEYS[config.kind])
         assert list(config.to_dict()) == list(SCENARIO_KEYS[config.kind])
 
-    def test_unknown_key_is_rejected_by_name(self):
-        # A misspelt key must not load as a noise-free scenario.
-        data = dict(load_preset("example1").to_dict(), noise_Sd=0.01)
-        with pytest.raises(ValueError, match=r"unknown keys \['noise_Sd'\]"):
-            ScenarioConfig.from_dict(data)
-
-    def test_key_of_the_other_kind_is_rejected(self):
-        data = dict(load_preset("section2iii").to_dict(), duration_s=1.0, width=2)
-        with pytest.raises(ValueError, match=r"unknown keys \['duration_s', 'width'\]"):
+    @pytest.mark.parametrize(
+        "name, extra, listed",
+        [
+            # A misspelt key must not load as a noise-free scenario.
+            ("example1", dict(noise_Sd=0.01), "['noise_Sd']"),
+            ("section2iii", dict(duration_s=1.0, width=2), "['duration_s', 'width']"),
+        ],
+    )
+    def test_unknown_keys_are_rejected_by_name(self, name, extra, listed):
+        data = dict(load_preset(name).to_dict(), **extra)
+        with pytest.raises(ValueError, match=re.escape(f"unknown keys {listed}")):
             ScenarioConfig.from_dict(data)
 
     def test_unknown_pulse_key_is_rejected_by_name(self):
