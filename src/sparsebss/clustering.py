@@ -16,7 +16,6 @@ each component that is sorted, scanned or scattered is one contiguous row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     SparseBssError,
     TooFewHeadingsError,
 )
+from .signals import as_real_finite
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def gap_threshold(alpha: float, n_headings: int) -> float:
     linearly, so adjacent gaps are about ``1/n_headings``; values bunch far
     tighter than that only where one source dominates.  The global direction
     step of :mod:`sparsebss.separation` takes its epsilon, and its minimum of
-    two accepted headings, from here.
+    two accepted headings, from here for one record; its stacked form applies
+    the same ``alpha / n_headings`` and minimum to each record inline.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -143,28 +144,21 @@ def longest_runs(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     Returns ``(component, lo, length)`` arrays over the leading axes; a
     table without a true entry gets ``(0, 0, 0)``.  Every column of every
     table is laid end to end with one false entry after it, so no run
-    crosses a column, and the runs are read off as (start, end) edge pairs,
-    in table, component and start order.  The first longest run of each
-    table is then the one in the lowest component, and among those the one
-    with the lowest start.
+    crosses a column, and each run's length is written at its start in a
+    dense (tables, N * (M + 1)) table.  ``argmax`` takes the first maximum
+    of each row: the longest run in the lowest component, and among those
+    the one with the lowest start.
     """
     *lead, m, n = adjacency.shape
     columns = np.zeros((*lead, n, m + 1), dtype=bool)
     columns[..., :m] = np.swapaxes(adjacency, -1, -2)
     edges = np.flatnonzero(np.diff(columns.reshape(-1), prepend=False))
-    start, run_length = edges[::2], edges[1::2] - edges[::2]
-    table, position = np.divmod(start, n * (m + 1))
-
-    # One group of runs per table that has any; each table takes the first
-    # run of its group whose length is the group's maximum.
-    first = np.flatnonzero(np.diff(table, prepend=-1))
-    longest = np.maximum.reduceat(run_length, first)
-    best = np.flatnonzero(run_length == np.repeat(longest, np.diff(first, append=start.size)))
-    best = best[np.diff(table[best], prepend=-1) != 0]
-
-    component, lo, length = np.zeros((3, math.prod(lead)), dtype=np.intp)
-    component[table[best]], lo[table[best]] = np.divmod(position[best], m + 1)
-    length[table[best]] = run_length[best]
+    lengths = np.zeros(columns.size, dtype=np.intp)
+    lengths[edges[::2]] = edges[1::2] - edges[::2]
+    lengths = lengths.reshape(-1, n * (m + 1))
+    best = np.argmax(lengths, axis=1)
+    length = lengths[np.arange(len(lengths)), best]
+    component, lo = np.divmod(best, m + 1)
     return component.reshape(lead), lo.reshape(lead), length.reshape(lead)
 
 
@@ -232,7 +226,8 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     ----------
     velocities : array_like, shape (M, N)
         Velocity vectors of the headings entering the sort; all rows must
-        have positive length, and a length that overflows float64 raises
+        have positive length.  A NaN or infinite entry raises
+        ``NonFiniteError``, and a length that overflows float64
         ``SparseBssError``.
     epsilon : float
         Sorted-gap threshold, usually :func:`gap_threshold`.
@@ -242,7 +237,7 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     (Cluster, ClusterTables)
         Member indices are positions into ``velocities``.
     """
-    v = np.atleast_2d(np.asarray(velocities, dtype=float))
+    v = np.atleast_2d(as_real_finite(velocities))
     if v.shape[0] < 2:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
     # numpy sums the components of a contiguous row pairwise from eight on,

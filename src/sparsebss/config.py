@@ -90,8 +90,9 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         try:
             kind = str(data["kind"])
-            if kind in SCENARIO_KEYS:
-                _reject_unknown(data, SCENARIO_KEYS[kind], f"{kind} scenario")
+            if kind not in SCENARIO_KEYS:
+                raise ValueError(f"unknown scenario kind {kind!r}")
+            _reject_unknown(data, SCENARIO_KEYS[kind], f"{kind} scenario")
             mixing = tuple(tuple(float(x) for x in row) for row in data["mixing"])
             common = dict(
                 kind=kind,

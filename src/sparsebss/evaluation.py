@@ -30,7 +30,7 @@ from .config import ScenarioConfig
 from .errors import AllRunsFailedError, DimensionMismatchError, ZeroChannelError
 from .rng import derive_seed
 from .separation import MethodParams, deflation_steps
-from .signals import _real_finite, in_scale_range, normalize_unit_norm
+from .signals import as_real_finite, in_scale_range, normalize_unit_norm
 from .simulate import noisy_stack
 from .whitening import whiten_stack
 
@@ -99,8 +99,8 @@ def associate(actual, estimates) -> Association:
 
 def _associate(actual, estimates) -> tuple[Association, np.ndarray, np.ndarray]:
     """:func:`associate`, with the checked (S, L) source and estimate arrays."""
-    s = np.atleast_2d(_real_finite(actual))
-    e = np.atleast_2d(_real_finite(estimates))
+    s = np.atleast_2d(as_real_finite(actual))
+    e = np.atleast_2d(as_real_finite(estimates))
     if s.shape[0] != e.shape[0]:
         raise DimensionMismatchError(
             f"{s.shape[0]} sources vs {e.shape[0]} estimates"
@@ -156,8 +156,8 @@ def pointwise_error(actual_row, estimate_row, sign: float) -> np.ndarray:
     for a negative one (the estimate came out inverted).  ``source_errors``
     computes this for every source at once.
     """
-    s = _real_finite(actual_row)
-    e = _real_finite(estimate_row)
+    s = as_real_finite(actual_row)
+    e = as_real_finite(estimate_row)
     return s - e if sign >= 0.0 else s + e
 
 
@@ -185,7 +185,7 @@ def rms_metrics(errors):
     ``(rms_per_sample, rms_tot, rms_max)``: shapes (L,), (), () for one
     source and (S, L), (S,), (S,) for a stack.
     """
-    err = np.atleast_2d(_real_finite(errors))
+    err = np.atleast_2d(as_real_finite(errors))
     rms_per_sample = np.sqrt(np.mean(np.square(err), axis=0))
     rms_tot = np.sqrt(np.mean(np.square(rms_per_sample), axis=-1))
     rms_max = np.max(rms_per_sample, axis=-1)

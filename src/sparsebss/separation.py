@@ -14,7 +14,7 @@ and reports diagnostics or a typed error, and the Monte Carlo engine
 records.  Inside the loop velocities are channel-major, a (Q, N, L-1) stack
 with one contiguous row per channel, as the data are: speeds, the threshold
 and the deflation run over those rows, and the direction steps gather the
-(N,) columns they read.
+velocities they read from them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     SparseBssError,
 )
 from .headings import HeadingSet, _accept
+from .signals import as_real_finite
 from .whitening import gram_schmidt_whiten
 
 
@@ -107,12 +108,14 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
 
     Raises
     ------
+    NonFiniteError
+        If a member velocity has a NaN or infinite entry.
     DegenerateClusterError
         If every member has zero velocity.
     SparseBssError
         If the members' squared lengths overflow float64.
     """
-    members = np.atleast_2d(np.asarray(cluster.member_velocities, dtype=float))
+    members = np.atleast_2d(as_real_finite(cluster.member_velocities))
     unit, length, moving = average_directions(members[None])
     if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
@@ -174,25 +177,21 @@ def mhc_pick(
 
     ``velocities`` is (Q, N, M), channel-major, ``speeds`` and ``accepted``
     (Q, M).  The headings ``v / |v|`` are formed and compared only at
-    consecutive accepted pairs, whose speeds are positive.  Returns the
-    winning heading index of each record and whether it has any such pair.
+    consecutive accepted pairs, whose speeds are positive, and each change
+    is written at the pair's later index in a (Q, M) table of +inf.  Returns
+    the first ``argmin`` of each record, its smallest change at the lowest
+    index, and whether that change is finite (index 0 if it is not).
     """
     run, n = np.nonzero(accepted[:, 1:] & accepted[:, :-1])
     n += 1
     here = velocities[run, :, n] / speeds[run, n][:, None]
     before = velocities[run, :, n - 1] / speeds[run, n - 1][:, None]
-    change = np.minimum(
+    change = np.full(accepted.shape, np.inf)
+    change[run, n] = np.minimum(
         np.linalg.norm(here - before, axis=-1), np.linalg.norm(here + before, axis=-1)
     )
-    # Within a record the pairs come in index order, and lexsort is stable,
-    # so the first entry per record is its smallest change at the lowest index.
-    order = np.lexsort((change, run))
-    first = order[np.diff(run[order], prepend=-1) != 0]
-    best = np.zeros(len(accepted), dtype=int)
-    best[run[first]] = n[first]
-    found = np.zeros(len(accepted), dtype=bool)
-    found[run[first]] = True
-    return best, found
+    best = np.argmin(change, axis=1)
+    return best, change[np.arange(len(best)), best] < np.inf
 
 
 def project_source(data, direction: EstimatedDirection) -> np.ndarray:
@@ -243,15 +242,18 @@ def _global_direction(
 def _global_directions(
     v: np.ndarray, accepted: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The global method's direction step for a (Q, M, N) velocity stack.
+    """The global method's direction step for a (Q, N, M) velocity stack.
 
-    The stacked form of :func:`_global_direction`.  Each record's accepted
-    velocities move to the front, in index order, of a width set by the
-    record with the most; the empty slots sort as +inf and are never
-    adjacent to anything.  Returns the unit directions and which records
+    The stacked form of :func:`_global_direction`, on the loop's channel-major
+    velocities, with :func:`gap_threshold`'s epsilon and minimum applied per
+    record.  Each record's accepted velocities move to the front, in index
+    order, of a width set by the record with the most; empty slot ``j`` reads
+    magnitude ``2 + j``, a whole unit from any other, so no gap reaches it.
+    Magnitudes are sorted and scanned as contiguous channel rows, as in
+    :func:`find_cluster`.  Returns the unit directions and which records
     formed a cluster.
     """
-    q, _, n = v.shape
+    q, n, _ = v.shape
     count = accepted.sum(axis=-1)
     width = int(count.max())
     directions = np.zeros((q, n))
@@ -259,36 +261,32 @@ def _global_directions(
     if width < 2:
         return directions, found
     slots = np.argsort(~accepted, axis=-1, kind="stable")[:, :width]
-    velocities = np.ascontiguousarray(np.take_along_axis(v, slots[..., None], axis=1))
-    speeds = np.linalg.norm(velocities, axis=-1)
-    valid = np.arange(width) < count[:, None]
-    # Only empty slots may divide by a zero speed or count, and the NaN of
-    # inf - inf between two of them marks no gap: none of it reaches a result.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        magnitudes = np.where(valid[..., None], np.abs(velocities / speeds[..., None]), np.inf)
-        order = np.argsort(magnitudes, axis=1, kind="stable")
-        values = np.take_along_axis(magnitudes, order, axis=1)
-        adjacency = np.zeros(values.shape, dtype=bool)
-        adjacency[:, 1:] = np.diff(values, axis=1) < (alpha / count)[:, None, None]
-
-    component, lo, run_length = longest_runs(adjacency)
-    found &= run_length > 0
-    # The seed spans sorted positions lo - 1 .. hi: lo marks the gap after
-    # lo - 1, so that value belongs to the bunch (``expand_and_remap``).
+    rows = np.take_along_axis(v, slots[:, None], axis=2)
+    # numpy sums a contiguous row pairwise from eight components on: lengths and
+    # averages read contiguous (W, N) velocities to keep find_cluster's bits.
+    velocities = np.ascontiguousarray(rows.swapaxes(1, 2))
     position = np.arange(width)
-    in_seed = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
-    seed = np.zeros((q, width), dtype=bool)
-    seed_order = np.take_along_axis(order, component[:, None, None], axis=2)[..., 0]
-    np.put_along_axis(seed, seed_order, in_seed, axis=1)
+    valid = position < count[:, None]
+    speeds = np.where(valid, np.linalg.norm(velocities, axis=-1), 1.0)
+    magnitudes = np.where(valid[:, None], np.abs(rows / speeds[:, None]), 2.0 + position)
+    order = np.argsort(magnitudes, axis=-1, kind="stable")
+    values = np.take_along_axis(magnitudes, order, axis=-1)
+    adjacency = np.zeros(values.shape, dtype=bool)
+    # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
+    adjacency[..., 1:] = np.diff(values, axis=-1) < (alpha / np.maximum(count, 2))[:, None, None]
 
     # A heading is in a component's clustering when its sorted position or
-    # the next one is marked (``cross_check_components``).
+    # the next one is marked (``cross_check_components``).  In the seed's
+    # component it is in the seed: sorted positions lo - 1 .. hi, since lo
+    # marks the gap after lo - 1 (``expand_and_remap``).  No run, no seed.
+    component, lo, run_length = longest_runs(adjacency.swapaxes(1, 2))
+    seed = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
     in_run = adjacency.copy()
-    in_run[:, :-1] |= adjacency[:, 1:]
+    in_run[..., :-1] |= adjacency[..., 1:]
+    in_run[np.arange(q), component] = seed
     member = np.empty_like(in_run)
-    np.put_along_axis(member, order, in_run, axis=1)
-    member |= np.arange(n) == component[:, None, None]
-    survivors = seed & member.all(axis=-1)
+    np.put_along_axis(member, order, in_run, axis=-1)
+    survivors = member.all(axis=1)
 
     size = survivors.sum(axis=-1)
     found &= size > 0
@@ -312,8 +310,8 @@ def deflation_steps(data: np.ndarray, params: MethodParams):
 
     Velocities stay channel-major, (Q, N, L-1) like the data, in one buffer
     reused by every iteration; speeds, the threshold and the deflation work
-    one contiguous channel row at a time.  ``params`` was validated when it
-    was built.
+    one contiguous channel row at a time, and every direction step takes
+    that stack as it is.  ``params`` was validated when it was built.
     """
     q, n, length = data.shape
     records = np.arange(q)
@@ -327,7 +325,7 @@ def deflation_steps(data: np.ndarray, params: MethodParams):
             speed = np.where(found, speeds[records, best], np.inf)
             directions = v[records, :, best] / speed[:, None]
         elif q > 1:
-            directions, found = _global_directions(v.swapaxes(-1, -2), accepted, params.alpha)
+            directions, found = _global_directions(v, accepted, params.alpha)
         else:
             directions, found, cluster = _global_direction(v, accepted, params.alpha, iteration)
         # Speeds are done with; free them before the caller squares the data.

@@ -31,7 +31,7 @@ def as_signal_matrix(data) -> np.ndarray:
     TooShortError
         If there are fewer than 2 samples per channel.
     """
-    x = np.atleast_2d(_real_finite(data))
+    x = np.atleast_2d(as_real_finite(data))
     if x.ndim != 2 or x.shape[0] < 1:
         raise TooShortError(f"expected a 2-D channels x samples array, got shape {x.shape}")
     if x.shape[1] < 2:
@@ -39,7 +39,7 @@ def as_signal_matrix(data) -> np.ndarray:
     return x
 
 
-def _real_finite(data) -> np.ndarray:
+def as_real_finite(data) -> np.ndarray:
     """``data`` as a float array of any shape; complex or non-finite data raise."""
     x = np.asarray(data)
     if np.iscomplexobj(x):

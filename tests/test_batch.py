@@ -283,3 +283,36 @@ def test_mhc_find_direction_matches_loop_reference(record):
         np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
         best, found = mhc_pick(headings.T[None], np.ones((1, len(headings))), accepted[None])
         assert found[0] and best[0] == expected
+
+
+@st.composite
+def velocity_stacks(draw):
+    """A (Q, N, M) stack on a coarse grid; some records have no consecutive accepted pair."""
+    q = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.integers(-2, 3, size=(q, n, m)).astype(float)
+    v[:, 0][np.all(v == 0, axis=1)] = 1.0
+    accepted = np.zeros((q, m), dtype=bool)
+    for record in accepted:
+        kind = draw(st.sampled_from(["none", "alternate", "random"]))
+        if kind == "alternate":
+            record[rng.integers(0, 2)::2] = True
+        elif kind == "random":
+            record[:] = rng.random(m) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    return v, accepted
+
+
+@PROPERTY
+@given(velocity_stacks())
+def test_mhc_pick_matches_loop_reference_per_record(stack):
+    v, accepted = stack
+    speeds = np.linalg.norm(v, axis=1)
+    best, found = mhc_pick(v, speeds, accepted)
+    for q in range(len(v)):
+        expected = loop_mhc_index((v[q] / speeds[q]).T, accepted[q])
+        if expected is None:
+            assert best[q] == 0 and not found[q]
+        else:
+            assert found[q] and best[q] == expected

@@ -16,6 +16,7 @@ from sparsebss import (
     DimensionMismatchError,
     EmptyClusterError,
     NoRunFoundError,
+    NonFiniteError,
     SparseBssError,
     TooFewHeadingsError,
     build_adjacency,
@@ -263,6 +264,13 @@ def test_find_cluster_names_overflowing_lengths():
         find_cluster(directions, 0.01)
     with pytest.raises(SparseBssError, match="velocity 0 overflows float64; rescale"):
         find_cluster(directions * 1e160, 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_find_cluster_rejects_non_finite_velocities(bad):
+    # A NaN used to read as no run, an infinity as an overflowing length.
+    with pytest.raises(NonFiniteError):
+        find_cluster([[bad, 1.0], [1.0, 1.0], [0.5, 0.2]], 0.1)
 
 
 def test_epsilon_monotonicity(worked_velocities):

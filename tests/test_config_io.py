@@ -78,7 +78,7 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(data)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scenario kind 'nope'"):
             ScenarioConfig.from_dict({"kind": "nope", "mixing": [[1.0]]})
 
     @pytest.mark.parametrize(

@@ -94,6 +94,14 @@ class TestWeightedAverageHeading:
         with pytest.raises(SparseBssError, match="squares overflow float64; rescale"):
             weighted_average_heading(make_cluster(np.array([[3.0, 4.0], [6.0, 8.0]]) * scale))
 
+    @pytest.mark.parametrize(
+        "members", [[[np.nan, 0.0], [np.nan, 0.0]], [[np.nan, 1.0], [1.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]]]
+    )
+    def test_non_finite_members_are_named(self, members):
+        # These used to read as zero velocities or as overflowing squares.
+        with pytest.raises(NonFiniteError):
+            weighted_average_heading(make_cluster(members))
+
     def test_large_members_keep_the_unscaled_direction(self):
         cluster = make_cluster(np.array([[3.0, 4.0], [6.0, 8.0]]) * 1e150)
         np.testing.assert_allclose(
@@ -223,10 +231,11 @@ def test_cluster_formation_failure_carries_iteration():
 
 def test_stacked_global_step_without_two_accepted_headings():
     # No record has two accepted headings: nothing to sort, no record finds a direction.
-    velocities = np.random.default_rng(3).normal(size=(3, 6, 2))
+    velocities = np.random.default_rng(3).normal(size=(3, 2, 6))
     accepted = np.zeros((3, 6), dtype=bool)
     accepted[0, 2] = accepted[2, 5] = True
     directions, found = _global_directions(velocities, accepted, 1.0)
+    assert directions.shape == (3, 2)
     assert not found.any()
     assert not directions.any()
 
