@@ -237,7 +237,7 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     (Cluster, ClusterTables)
         Member indices are positions into ``velocities``.
     """
-    v = np.atleast_2d(as_real_finite(velocities))
+    v = np.atleast_2d(as_real_finite(velocities, "velocities"))
     if v.shape[0] < 2:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
     # numpy sums the components of a contiguous row pairwise from eight on,

@@ -12,9 +12,11 @@ on the right) are intentional and kept as defined.
 
 The deflation loop keeps velocities channel-major, one contiguous row of
 ``L-1`` values per channel, as ``np.diff`` along the sample axis makes
-them; :func:`_accept` reads that layout.  The public helpers here take and
-return the time-major (L-1, N) view of the same values and compute with
-``np.linalg.norm`` on it; both apply one rule, :func:`_threshold`.
+them.  :func:`_accept` forms them from the data in one pass, a block of
+:data:`~sparsebss.signals.BLOCK` samples at a time, and takes each block's
+speeds and component magnitudes while it is in cache.  The public helpers
+here take and return the time-major (L-1, N) view of the same values and
+compute with ``np.linalg.norm`` on it; both apply one rule, :func:`_threshold`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import as_signal_matrix
-
-#: Velocities per channel row that :func:`_accept` reads at once.  On the
-#: 4 x 10**6 benchmark record (2-vCPU Xeon) widths of 2**14 and 2**15 read
-#: 13.7 ms per call, 2**13 14.8 ms, 2**17 17.3 ms and one block of whole
-#: rows 18.5 ms (medians of 30 interleaved calls).
-_BLOCK = 1 << 15
+from .signals import BLOCK, as_signal_matrix
 
 
 @dataclass(frozen=True)
@@ -96,25 +92,29 @@ def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     return np.divide(v, speeds[..., None], out=np.zeros_like(v), where=live[..., None])
 
 
-def _accept(rows: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Speeds, acceptance mask and largest speed of (..., N, M) velocity rows.
+def _accept(
+    data: np.ndarray, v_th: float, velocities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Velocities of (..., N, L) records, with their speeds, acceptance mask and largest speed.
 
-    Row ``i`` holds component ``i`` of M velocities.  The rows are read in
-    blocks of :data:`_BLOCK` velocities, so each block's squares and
-    magnitudes are formed while it is in cache, and no float temporary is
-    larger than one block.  ``v_th`` is not checked here: the public helpers and
+    The velocities go to ``velocities``, (..., N, L-1) channel rows, one
+    block of :data:`BLOCK` at a time; each block's squares and magnitudes
+    are formed while it is in cache, and no float temporary is larger than
+    one block.  ``v_th`` is not checked here: the public helpers and
     ``MethodParams`` check it once.
     """
-    shape = rows.shape[:-2] + rows.shape[-1:]
+    shape = velocities.shape[:-2] + velocities.shape[-1:]
     speeds, component_max = np.empty(shape), np.empty(shape)
-    scratch = np.empty(shape[:-1] + (min(shape[-1], _BLOCK),))
-    for lo in range(0, shape[-1], _BLOCK):
-        block = rows[..., lo:lo + _BLOCK]
-        hi = lo + block.shape[-1]
+    scratch = np.empty(shape[:-1] + (min(shape[-1], BLOCK),))
+    for lo in range(0, shape[-1], BLOCK):
+        hi = min(lo + BLOCK, shape[-1])
+        block = np.subtract(
+            data[..., lo + 1:hi + 1], data[..., lo:hi], out=velocities[..., lo:hi]
+        )
         row = scratch[..., : hi - lo]
         _row_speeds(block, row, out=speeds[..., lo:hi])
         top = np.abs(block[..., 0, :], out=component_max[..., lo:hi])
-        for i in range(1, rows.shape[-2]):
+        for i in range(1, block.shape[-2]):
             np.maximum(top, np.abs(block[..., i, :], out=row), out=top)
     return (speeds, *_threshold(speeds, component_max, v_th))
 

@@ -12,9 +12,12 @@ whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
 (:func:`sparsebss.evaluation.run_chunk`) runs it on a chunk of noisy
 records.  Inside the loop velocities are channel-major, a (Q, N, L-1) stack
-with one contiguous row per channel, as the data are: speeds, the threshold
-and the deflation run over those rows, and the direction steps gather the
-velocities they read from them.
+with one contiguous row per channel, as the data are, and the direction
+steps gather the velocities they read from those rows.  Each full pass over
+the record runs one block of :data:`~sparsebss.signals.BLOCK` samples at a
+time, with no temporary larger than a block per record: velocities, speeds
+and the threshold in one pass, the deflation in place, and the residual
+energy through :func:`~sparsebss.signals.sum_of_products`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     SparseBssError,
 )
 from .headings import HeadingSet, _accept
-from .signals import as_real_finite
+from .signals import BLOCK, as_real_finite, sum_of_products
 from .whitening import gram_schmidt_whiten
 
 
@@ -115,7 +118,7 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
     SparseBssError
         If the members' squared lengths overflow float64.
     """
-    members = np.atleast_2d(as_real_finite(cluster.member_velocities))
+    members = np.atleast_2d(as_real_finite(cluster.member_velocities, "velocities"))
     unit, length, moving = average_directions(members[None])
     if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
@@ -309,16 +312,16 @@ def deflation_steps(data: np.ndarray, params: MethodParams):
     through the stacked :func:`_global_directions`; both give the same bits.
 
     Velocities stay channel-major, (Q, N, L-1) like the data, in one buffer
-    reused by every iteration; speeds, the threshold and the deflation work
-    one contiguous channel row at a time, and every direction step takes
-    that stack as it is.  ``params`` was validated when it was built.
+    reused by every iteration, and every direction step takes that stack as
+    it is.  The velocity pass and the deflation read the data one block of
+    :data:`~sparsebss.signals.BLOCK` samples at a time.  ``params`` was
+    validated when it was built.
     """
     q, n, length = data.shape
     records = np.arange(q)
     v = np.empty((q, n, length - 1))
     for iteration in range(n):
-        np.subtract(data[..., 1:], data[..., :-1], out=v)
-        speeds, accepted, _ = _accept(v, params.v_th)
+        speeds, accepted, _ = _accept(data, params.v_th, v)
         cluster = None
         if params.method == "mhc":
             best, found = mhc_pick(v, speeds, accepted)
@@ -328,11 +331,13 @@ def deflation_steps(data: np.ndarray, params: MethodParams):
             directions, found = _global_directions(v, accepted, params.alpha)
         else:
             directions, found, cluster = _global_direction(v, accepted, params.alpha, iteration)
-        # Speeds are done with; free them before the caller squares the data.
+        # Free the speeds before the next iteration's pass makes new ones.
         del speeds
         sources = (directions[:, None, :] @ data)[:, 0]
-        for i in range(n):
-            data[:, i] -= directions[:, i, None] * sources
+        for lo in range(0, length, BLOCK):
+            part = sources[:, lo:lo + BLOCK]
+            for i in range(n):
+                data[:, i, lo:lo + BLOCK] -= directions[:, i, None] * part
         yield sources, directions, found, accepted, cluster
 
 
@@ -378,7 +383,7 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
                 cluster_size=support,
                 epsilon=epsilon,
                 member_indices=members,
-                residual_energy=float(np.sum(np.square(data))),
+                residual_energy=float(sum_of_products(data.reshape(-1))),
             )
         )
     return SeparationResult(

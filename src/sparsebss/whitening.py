@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError
-from .signals import _scale_error, as_signal_matrix, in_scale_range, rms
+from .signals import BLOCK, _scale_error, as_signal_matrix, in_scale_range, rms, sum_of_products
 
 #: Residuals below this fraction of the channel rms are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -78,25 +78,37 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``failed[q]`` is the first channel at which record ``q`` is zero, has an
     rms or residual rms out of range (:func:`~sparsebss.signals.in_scale_range`),
     or is rank deficient (its other outputs are then meaningless), or -1.
+
+    A record longer than :data:`BLOCK` samples is whitened in place: each
+    channel is copied into ``components``, each projection subtracted a
+    block at a time and the residual divided where it lies, so no other
+    array is larger than a block.  A record of at most a block is whitened
+    in a contiguous copy of the channel: over a stack of short records,
+    in-place passes would run one short strided row per record.
     """
-    q, n, _ = z.shape
+    q, n, length = z.shape
     components = np.empty_like(z)
     transform = np.zeros((q, n, n))
     failed = np.full(q, -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n):
             channel_rms = rms(z[:, i])
-            residual = z[:, i].copy()
+            if length > BLOCK:
+                residual = components[:, i]
+                residual[...] = z[:, i]
+            else:
+                residual = z[:, i].copy()
             row = np.zeros((q, n))
             row[:, i] = 1.0
             for k in range(i):
-                coeff = np.mean(residual * components[:, k], axis=-1)[:, None]
-                residual -= coeff * components[:, k]
+                coeff = (sum_of_products(residual, components[:, k]) / length)[:, None]
+                for lo in range(0, length, BLOCK):
+                    residual[:, lo:lo + BLOCK] -= coeff * components[:, k, lo:lo + BLOCK]
                 row -= coeff * transform[:, k]
             residual_rms = rms(residual)[:, None]
             bad = ~(in_scale_range(channel_rms) & in_scale_range(residual_rms[:, 0]))
             bad |= residual_rms[:, 0] < RANK_TOLERANCE * channel_rms
             failed[bad & (failed < 0)] = i
-            components[:, i] = residual / residual_rms
+            np.divide(residual, residual_rms, out=components[:, i])
             transform[:, i] = row / residual_rms
     return components, transform, failed

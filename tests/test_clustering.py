@@ -269,7 +269,7 @@ def test_find_cluster_names_overflowing_lengths():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_find_cluster_rejects_non_finite_velocities(bad):
     # A NaN used to read as no run, an infinity as an overflowing length.
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="NaN or infinite entries in the velocities"):
         find_cluster([[bad, 1.0], [1.0, 1.0], [0.5, 0.2]], 0.1)
 
 

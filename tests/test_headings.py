@@ -8,7 +8,8 @@ from sparsebss import (
     compute_velocities,
     normalize_headings,
 )
-from sparsebss.headings import _BLOCK, _accept
+from sparsebss.headings import _accept
+from sparsebss.signals import BLOCK
 
 
 def test_velocities_are_consecutive_differences():
@@ -114,9 +115,11 @@ def test_channel_row_kernel_keeps_the_helpers_bits(n):
     # The deflation loop's kernel reads (N, L-1) channel rows in blocks; the
     # public helpers apply np.linalg.norm to the (L-1, N) view.  Speeds and
     # masks agree bit for bit on both sides of eight channels, across blocks.
-    e = np.random.default_rng(n).standard_normal((n, 2 * _BLOCK + 7))
+    e = np.random.default_rng(n).standard_normal((n, 2 * BLOCK + 7))
     expected = compute_headings(e, 0.3)
-    speeds, accepted, v_max = _accept(np.diff(e, axis=1)[None], 0.3)
+    velocities = np.empty((1, n, e.shape[1] - 1))
+    speeds, accepted, v_max = _accept(e[None], 0.3, velocities)
+    assert velocities[0].T.tobytes() == expected.velocities.tobytes()
     assert speeds[0].tobytes() == expected.speeds.tobytes()
     np.testing.assert_array_equal(accepted[0], expected.accepted)
     assert v_max[0] == expected.v_max

@@ -13,7 +13,7 @@ from sparsebss import (
     rms,
 )
 from sparsebss.io import write_csv
-from sparsebss.signals import as_signal_matrix
+from sparsebss.signals import BLOCK, as_signal_matrix, sum_of_products
 
 
 def test_normalize_rms_two_sample_channel():
@@ -120,3 +120,23 @@ def test_subnormal_squares_are_named(normalize, name):
 def test_as_signal_matrix_rejects_other_shapes(shape):
     with pytest.raises(TooShortError, match="2-D channels x samples"):
         as_signal_matrix(np.ones(shape))
+
+
+#: Lengths around numpy's pairwise cut-offs (8 and 128 values) and around one
+#: to four blocks, odd and even.
+SUM_LENGTHS = [2, 3, 7, 8, 9, 17, 127, 128, 129, 1001, BLOCK - 1, BLOCK, BLOCK + 1,
+               BLOCK + 9, 2 * BLOCK - 1, 2 * BLOCK + 1, 3 * BLOCK + 7, 4 * BLOCK + 13]
+
+
+@pytest.mark.parametrize("length", SUM_LENGTHS)
+def test_blocked_sum_keeps_numpys_bits(length):
+    # The blocked sum repeats numpy's pairwise split of a contiguous row.  A
+    # numpy whose summation splits rows another way fails here by name.
+    pool = np.random.default_rng(length).standard_normal((2, 3 * 9 * length))
+    for scale in (1e-150, 1e150):
+        for n in range(1, 10):
+            for q in (1, 3):
+                a, b = scale * pool[:, : q * n * length].reshape(2, q, n, length)
+                assert sum_of_products(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
+                mean_square = sum_of_products(a) / length
+                assert mean_square.tobytes() == np.mean(np.square(a), axis=-1).tobytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsebss import RankDeficientError, SparseBssError, ZeroChannelError, gram_schmidt_whiten
+from sparsebss.signals import BLOCK
 from sparsebss.whitening import whiten_stack
 
 
@@ -106,3 +107,37 @@ def test_subnormal_residual_is_named_not_rank_loss():
     assert type(excinfo.value) is SparseBssError
     assert whiten_stack(z[None])[2][0] == 1
     gram_schmidt_whiten(1e100 * z)  # the same record at a normal scale whitens
+
+
+def reference_whiten(z):
+    """Modified Gram-Schmidt of one record in plain numpy, with ``np.mean`` for every inner product."""
+    components = np.empty_like(z)
+    transform = np.zeros((len(z), len(z)))
+    for i in range(len(z)):
+        residual = z[i].copy()
+        row = np.zeros(len(z))
+        row[i] = 1.0
+        for k in range(i):
+            coeff = np.mean(residual * components[k])
+            residual -= coeff * components[k]
+            row -= coeff * transform[k]
+        residual_rms = np.sqrt(np.mean(np.square(residual)))
+        components[i] = residual / residual_rms
+        transform[i] = row / residual_rms
+    return components, transform
+
+
+@pytest.mark.parametrize("length", [100, 2 * BLOCK + 5])
+def test_stack_matches_each_record_and_the_plain_reference(length):
+    # Short records whiten in a copy of the channel, long ones in place one
+    # block at a time; both keep the bits of the plain loop.
+    z = np.random.default_rng(28).normal(size=(3, 4, length)) * np.array([[3.0], [0.2], [11.0], [1.0]])
+    components, transform, failed = whiten_stack(z)
+    assert (failed == -1).all()
+    for q in range(3):
+        alone = gram_schmidt_whiten(z[q])
+        expected = reference_whiten(z[q])
+        for got in (alone.components, components[q]):
+            assert got.tobytes() == expected[0].tobytes()
+        for got in (alone.transform, transform[q]):
+            assert got.tobytes() == expected[1].tobytes()
