@@ -12,6 +12,9 @@ caller-facing :func:`find_cluster`.  The tables are indexed (M, N), heading
 by component, but :func:`find_cluster` stores magnitudes, adjacency and
 membership as (N, M) channel rows and passes their transposed views, so
 each component that is sorted, scanned or scattered is one contiguous row.
+It takes the heading lengths on the same rows, with
+:func:`~sparsebss.signals.row_norms`, so the velocities are never copied
+into (M, N) rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     SparseBssError,
     TooFewHeadingsError,
 )
-from .signals import as_real_finite
+from .signals import as_real_finite, row_norms
 
 
 @dataclass(frozen=True)
@@ -240,11 +243,9 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     v = np.atleast_2d(as_real_finite(velocities, "velocities"))
     if v.shape[0] < 2:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
-    # numpy sums the components of a contiguous row pairwise from eight on,
-    # so the lengths are taken on contiguous rows whatever the caller's layout.
-    with np.errstate(over="ignore"):
-        speeds = np.linalg.norm(np.ascontiguousarray(v), axis=1)
     rows = np.ascontiguousarray(v.T)
+    with np.errstate(over="ignore"):
+        speeds = row_norms(rows)
     if np.any(speeds == 0.0):
         raise ValueError("zero-velocity rows must be filtered out before clustering")
     if np.any(speeds == np.inf):

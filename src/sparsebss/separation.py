@@ -12,12 +12,15 @@ whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
 (:func:`sparsebss.evaluation.run_chunk`) runs it on a chunk of noisy
 records.  Inside the loop velocities are channel-major, a (Q, N, L-1) stack
-with one contiguous row per channel, as the data are, and the direction
-steps gather the velocities they read from those rows.  Each full pass over
-the record runs one block of :data:`~sparsebss.signals.BLOCK` samples at a
-time, with no temporary larger than a block per record: velocities, speeds
-and the threshold in one pass, the deflation in place, and the residual
-energy through :func:`~sparsebss.signals.sum_of_products`.
+with one contiguous row per channel, as the data are.  The direction steps
+gather the velocities they read from those rows as channel rows too, and
+take every heading length on them with :func:`~sparsebss.signals.row_norms`,
+which keeps the bits of ``np.linalg.norm`` on (..., M, N) velocity rows
+without making them.  Each full pass over the record runs one block of
+:data:`~sparsebss.signals.BLOCK` samples at a time, with no temporary
+larger than a block per record: velocities, speeds and the threshold in one
+pass, the deflation in place, and the residual energy through
+:func:`~sparsebss.signals.sum_of_products`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     SparseBssError,
 )
 from .headings import HeadingSet, _accept
-from .signals import BLOCK, as_real_finite, sum_of_products
+from .signals import BLOCK, as_real_finite, row_norms, sum_of_products
 from .whitening import gram_schmidt_whiten
 
 
@@ -140,7 +143,7 @@ def average_directions(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     whose squares overflow leave a length that is NaN or zero, without a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        magnitudes = np.linalg.norm(members, axis=-1)
+        magnitudes = row_norms(members.swapaxes(-1, -2))
         moving = np.any(magnitudes > 0.0, axis=-1)
         strongest = np.argmax(magnitudes, axis=-1)[:, None, None]
         reference = np.take_along_axis(members, strongest, axis=-2)
@@ -180,19 +183,24 @@ def mhc_pick(
 
     ``velocities`` is (Q, N, M), channel-major, ``speeds`` and ``accepted``
     (Q, M).  The headings ``v / |v|`` are formed and compared only at
-    consecutive accepted pairs, whose speeds are positive, and each change
-    is written at the pair's later index in a (Q, M) table of +inf.  Returns
+    consecutive accepted pairs, whose speeds are positive.  They are taken
+    from the flat stack as (N, pairs) channel rows, and the lengths of their
+    differences and sums by :func:`~sparsebss.signals.row_norms`, with the
+    bits ``np.linalg.norm`` gives (pairs, N) rows.  Each change is written
+    at the pair's later index in a (Q, M) table of +inf.  Returns
     the first ``argmin`` of each record, its smallest change at the lowest
     index, and whether that change is finite (index 0 if it is not).
     """
-    run, n = np.nonzero(accepted[:, 1:] & accepted[:, :-1])
-    n += 1
-    here = velocities[run, :, n] / speeds[run, n][:, None]
-    before = velocities[run, :, n - 1] / speeds[run, n - 1][:, None]
-    change = np.full(accepted.shape, np.inf)
-    change[run, n] = np.minimum(
-        np.linalg.norm(here - before, axis=-1), np.linalg.norm(here + before, axis=-1)
-    )
+    q, n, m = velocities.shape
+    pair = np.zeros((q, m), dtype=bool)
+    np.logical_and(accepted[:, 1:], accepted[:, :-1], out=pair[:, 1:])
+    later = np.flatnonzero(pair)
+    # Row i: the flat positions of channel i of each later heading in the (Q, N, M) stack.
+    flat = (later + later // m * ((n - 1) * m)) + (m * np.arange(n))[:, None]
+    here = np.take(velocities, flat) / np.take(speeds, later)
+    before = np.take(velocities, flat - 1) / np.take(speeds, later - 1)
+    change = np.full((q, m), np.inf)
+    np.put(change, later, np.minimum(row_norms(here - before), row_norms(here + before)))
     best = np.argmin(change, axis=1)
     return best, change[np.arange(len(best)), best] < np.inf
 
@@ -265,12 +273,9 @@ def _global_directions(
         return directions, found
     slots = np.argsort(~accepted, axis=-1, kind="stable")[:, :width]
     rows = np.take_along_axis(v, slots[:, None], axis=2)
-    # numpy sums a contiguous row pairwise from eight components on: lengths and
-    # averages read contiguous (W, N) velocities to keep find_cluster's bits.
-    velocities = np.ascontiguousarray(rows.swapaxes(1, 2))
     position = np.arange(width)
     valid = position < count[:, None]
-    speeds = np.where(valid, np.linalg.norm(velocities, axis=-1), 1.0)
+    speeds = np.where(valid, row_norms(rows), 1.0)
     magnitudes = np.where(valid[:, None], np.abs(rows / speeds[:, None]), 2.0 + position)
     order = np.argsort(magnitudes, axis=-1, kind="stable")
     values = np.take_along_axis(magnitudes, order, axis=-1)
@@ -293,11 +298,13 @@ def _global_directions(
 
     size = survivors.sum(axis=-1)
     found &= size > 0
-    # One stacked average per cluster size keeps every item in its one-record shape.
+    # One stacked average per cluster size keeps every item in its one-record
+    # shape.  The gather makes contiguous (k, N) members, as find_cluster's
+    # are, so the averages' matmul products keep their bits.
     for k in np.flatnonzero(np.bincount(size[found])):
         runs = np.flatnonzero(found & (size == k))
         members = np.nonzero(survivors[runs])[1].reshape(len(runs), k)
-        directions[runs], _, found[runs] = average_directions(velocities[runs[:, None], members])
+        directions[runs], _, found[runs] = average_directions(rows[runs[:, None], :, members])
     return directions, found
 
 

@@ -90,10 +90,57 @@ def _pairwise(product, operands, scratch: np.ndarray):
     n = operands[0].shape[-1]
     if n <= BLOCK:
         return np.add.reduce(product(*operands, out=scratch[..., :n]), axis=-1)
-    half = n // 2
-    half -= half % 8
+    half = _pairwise_half(n)
     head = _pairwise(product, [x[..., :half] for x in operands], scratch)
     return head + _pairwise(product, [x[..., half:] for x in operands], scratch)
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits a contiguous row of ``n`` values: ``n // 2``, down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the vectors held in (..., N, M) channel rows.
+
+    Component i of vector m is ``rows[..., i, m]``.  The lengths have the
+    bits of ``np.linalg.norm(v, axis=-1)`` on the contiguous (..., M, N)
+    layout ``v`` of the same vectors, without making it: numpy sums each
+    vector's N squares pairwise, and here every step of that rule adds
+    whole channel rows of squares (:func:`_add_rows`).
+    """
+    return np.sqrt(_add_rows(np.square(rows)))
+
+
+def _add_rows(squares: np.ndarray) -> np.ndarray:
+    """The sum over the N channel rows of (..., N, M) ``squares``, on numpy's pairwise rule.
+
+    numpy sums a contiguous row of fewer than 8 values in order.  From 8
+    to 128 values it keeps eight running sums, of values 0, 8, 16, ...,
+    of values 1, 9, 17, ... and so on, combines them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    last ``n % 8`` values in order.  A longer row is split at
+    :func:`_pairwise_half` and its halves summed alone.  numpy starts each
+    sum from 0, which adds nothing to a square.
+    """
+    n = squares.shape[-2]
+    if n > 128:
+        half = _pairwise_half(n)
+        return _add_rows(squares[..., :half, :]) + _add_rows(squares[..., half:, :])
+    if n < 8:
+        total, rest = squares[..., 0, :].copy(), 1
+    else:
+        rest = n - n % 8
+        sums = squares[..., :8, :].copy()
+        for lo in range(8, rest, 8):
+            sums += squares[..., lo:lo + 8, :]
+        pairs = sums[..., 0::2, :] + sums[..., 1::2, :]
+        total = pairs[..., 0, :] + pairs[..., 1, :]
+        total += pairs[..., 2, :] + pairs[..., 3, :]
+    for i in range(rest, n):
+        total += squares[..., i, :]
+    return total
 
 
 def normalize_rms(signal) -> np.ndarray:

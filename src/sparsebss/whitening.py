@@ -105,7 +105,8 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 for lo in range(0, length, BLOCK):
                     residual[:, lo:lo + BLOCK] -= coeff * components[:, k, lo:lo + BLOCK]
                 row -= coeff * transform[:, k]
-            residual_rms = rms(residual)[:, None]
+            # Channel 0 has nothing to project out: its residual is the channel.
+            residual_rms = (rms(residual) if i else channel_rms)[:, None]
             bad = ~(in_scale_range(channel_rms) & in_scale_range(residual_rms[:, 0]))
             bad |= residual_rms[:, 0] < RANK_TOLERANCE * channel_rms
             failed[bad & (failed < 0)] = i

@@ -287,10 +287,13 @@ def test_mhc_find_direction_matches_loop_reference(record):
 
 @st.composite
 def velocity_stacks(draw):
-    """A (Q, N, M) stack on a coarse grid; some records have no consecutive accepted pair."""
+    """A (Q, N, M) stack on a coarse grid; some records have no consecutive accepted pair.
+
+    From N = 8 on, numpy sums each change's squares with eight running sums.
+    """
     q = draw(st.integers(1, 6))
     m = draw(st.integers(1, 30))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.integers(-2, 3, size=(q, n, m)).astype(float)
     v[:, 0][np.all(v == 0, axis=1)] = 1.0
@@ -316,3 +319,14 @@ def test_mhc_pick_matches_loop_reference_per_record(stack):
             assert best[q] == 0 and not found[q]
         else:
             assert found[q] and best[q] == expected
+
+
+def test_mhc_pick_on_one_velocity_finds_nothing():
+    # Two samples make one velocity and no consecutive pair.  Nothing may
+    # divide by a record's M - 1 = 0 pairs: a warning would raise here.
+    v = np.arange(1.0, 7.0).reshape(3, 2, 1)
+    best, found = mhc_pick(v, np.linalg.norm(v, axis=1), np.ones((3, 1), dtype=bool))
+    np.testing.assert_array_equal(best, [0, 0, 0])
+    assert not found.any()
+    with pytest.raises(NoConsecutivePairError, match="iteration 0"):
+        separate([[1.0, 2.0], [3.0, -1.0]], MethodParams(method="mhc", v_th=0.5))

@@ -353,7 +353,7 @@ def test_cross_check_matches_loop_reference(m, n, levels, epsilon, seed):
     np.testing.assert_array_equal(tables.survivors, expected.all(axis=1))
 
 
-@pytest.mark.parametrize("n", [4, 9])
+@pytest.mark.parametrize("n", [4, 8, 9, 17])
 def test_find_cluster_keeps_row_major_bits(monkeypatch, n):
     # numpy sums the components of a contiguous row pairwise from eight on,
     # and those of a strided row in order.  The magnitudes handed to the

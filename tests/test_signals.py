@@ -13,7 +13,7 @@ from sparsebss import (
     rms,
 )
 from sparsebss.io import write_csv
-from sparsebss.signals import BLOCK, as_signal_matrix, sum_of_products
+from sparsebss.signals import BLOCK, as_signal_matrix, row_norms, sum_of_products
 
 
 def test_normalize_rms_two_sample_channel():
@@ -140,3 +140,18 @@ def test_blocked_sum_keeps_numpys_bits(length):
                 assert sum_of_products(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
                 mean_square = sum_of_products(a) / length
                 assert mean_square.tobytes() == np.mean(np.square(a), axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 64, 127, 128, 129, 200, 257])
+def test_row_norms_keep_numpys_bits(n):
+    # row_norms repeats, on channel rows, numpy's pairwise sum of a
+    # contiguous row: in order below 8, eight running sums up to 128, split
+    # in halves above.  A numpy whose norm sums another way fails here by name.
+    pool = np.random.default_rng(n).standard_normal(3 * n * 41)
+    for scale in (1e-150, 1.0, 1e150):
+        for q in (1, 3):
+            rows = scale * pool[: q * n * 41].reshape(q, n, 41)
+            rows[:, :, 7] = 0.0
+            expected = np.linalg.norm(np.ascontiguousarray(rows.swapaxes(-1, -2)), axis=-1)
+            assert row_norms(rows).tobytes() == expected.tobytes()
+            assert row_norms(rows[0]).tobytes() == expected[0].tobytes()
