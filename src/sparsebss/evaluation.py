@@ -208,10 +208,11 @@ def run_chunk(
     Returns the (runs, sources, samples) signed errors and the (runs,)
     success mask; the errors of failed runs are meaningless.
 
-    Every step reduces along the sample axis and multiplies in the one-run
-    shapes, so each run gives the bits that ``separate``,
-    ``normalize_unit_norm`` and ``source_errors`` give it alone, and fails
-    exactly where that path raises a ``SparseBssError``.
+    The deflation loop projects each source straight into the chunk's
+    (runs, sources, samples) estimates.  Every step reduces along the sample
+    axis and multiplies in the one-run shapes, so each run gives the bits
+    that ``separate``, ``normalize_unit_norm`` and ``source_errors`` give it
+    alone, and fails exactly where that path raises a ``SparseBssError``.
     """
     noisy = noisy_stack(clean, noise_sd, seeds)
     ok = np.isfinite(noisy).all(axis=(1, 2))
@@ -220,9 +221,8 @@ def run_chunk(
         del noisy
         ok &= failed < 0
         estimates = np.empty_like(data)
-        for iteration, (sources, _, found, _, _) in enumerate(deflation_steps(data, params)):
+        for _, found, _, _ in deflation_steps(data, params, estimates):
             ok &= found
-            estimates[:, iteration] = sources
         scale = np.linalg.norm(estimates, axis=-1)
         ok &= in_scale_range(scale).all(axis=-1)
         estimates = estimates / scale[..., None]

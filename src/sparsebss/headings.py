@@ -10,13 +10,14 @@ A velocity is *accepted* when its largest component magnitude reaches
 record.  The mixed norms (componentwise max on the left, Euclidean norm
 on the right) are intentional and kept as defined.
 
-The deflation loop keeps velocities channel-major, one contiguous row of
-``L-1`` values per channel, as ``np.diff`` along the sample axis makes
-them.  :func:`_accept` forms them from the data in one pass, a block of
-:data:`~sparsebss.signals.BLOCK` samples at a time, and takes each block's
-speeds and component magnitudes while it is in cache.  The public helpers
-here take and return the time-major (L-1, N) view of the same values and
-compute with ``np.linalg.norm`` on it; both apply one rule, :func:`_threshold`.
+The deflation loop forms velocities channel-major, one row per channel, as
+``np.diff`` along the sample axis makes them.  :func:`_accept` forms them
+from the data in one pass, a block of :data:`~sparsebss.signals.BLOCK`
+samples at a time in a block-sized scratch, and keeps only each block's
+speeds and component magnitudes, taken while it is in cache; the direction
+steps form again the few velocities they read.  The public helpers here take
+and return the time-major (L-1, N) view of the same values and compute with
+``np.linalg.norm`` on it; both apply one rule, :func:`_threshold`.
 """
 
 from __future__ import annotations
@@ -92,24 +93,23 @@ def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     return np.divide(v, speeds[..., None], out=np.zeros_like(v), where=live[..., None])
 
 
-def _accept(
-    data: np.ndarray, v_th: float, velocities: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Velocities of (..., N, L) records, with their speeds, acceptance mask and largest speed.
+def _accept(data: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Speeds, acceptance mask and largest speed of the velocities of (..., N, L) records.
 
-    The velocities go to ``velocities``, (..., N, L-1) channel rows, one
-    block of :data:`BLOCK` at a time; each block's squares and magnitudes
-    are formed while it is in cache, and no float temporary is larger than
-    one block.  ``v_th`` is not checked here: the public helpers and
-    ``MethodParams`` check it once.
+    The velocities are formed one block of :data:`BLOCK` at a time in a
+    block-sized scratch, and each block's squares and magnitudes are taken
+    while it is in cache, so no float temporary is larger than one block and
+    no velocity outlives its block.  ``v_th`` is not checked here: the public
+    helpers and ``MethodParams`` check it once.
     """
-    shape = velocities.shape[:-2] + velocities.shape[-1:]
-    speeds, component_max = np.empty(shape), np.empty(shape)
-    scratch = np.empty(shape[:-1] + (min(shape[-1], BLOCK),))
-    for lo in range(0, shape[-1], BLOCK):
-        hi = min(lo + BLOCK, shape[-1])
+    *lead, n, length = data.shape
+    m, width = length - 1, min(length - 1, BLOCK)
+    speeds, component_max = np.empty((*lead, m)), np.empty((*lead, m))
+    velocities, scratch = np.empty((*lead, n, width)), np.empty((*lead, width))
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
         block = np.subtract(
-            data[..., lo + 1:hi + 1], data[..., lo:hi], out=velocities[..., lo:hi]
+            data[..., lo + 1:hi + 1], data[..., lo:hi], out=velocities[..., : hi - lo]
         )
         row = scratch[..., : hi - lo]
         _row_speeds(block, row, out=speeds[..., lo:hi])

@@ -11,16 +11,18 @@ The loop is written once, in :func:`deflation_steps`, for a stack of
 whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
 (:func:`sparsebss.evaluation.run_chunk`) runs it on a chunk of noisy
-records.  Inside the loop velocities are channel-major, a (Q, N, L-1) stack
-with one contiguous row per channel, as the data are.  The direction steps
-gather the velocities they read from those rows as channel rows too, and
-take every heading length on them with :func:`~sparsebss.signals.row_norms`,
-which keeps the bits of ``np.linalg.norm`` on (..., M, N) velocity rows
-without making them.  Each full pass over the record runs one block of
-:data:`~sparsebss.signals.BLOCK` samples at a time, with no temporary
-larger than a block per record: velocities, speeds and the threshold in one
-pass, the deflation in place, and the residual energy through
-:func:`~sparsebss.signals.sum_of_products`.
+records.  Each iteration projects straight into the caller's (Q, N, L)
+estimates, so the loop holds no record-sized array besides the data and the
+estimates.  No velocity buffer is kept either: the velocity-and-threshold
+pass forms the velocities one block of :data:`~sparsebss.signals.BLOCK`
+samples at a time and keeps only their speeds and the mask, and each
+direction step forms again, from the samples on either side, only the
+velocities it reads, as (N, K) channel rows.  Every heading length is taken
+on those rows with :func:`~sparsebss.signals.row_norms`, which keeps the
+bits of ``np.linalg.norm`` on (..., K, N) velocity rows without making
+them.  The other full passes also run a block at a time, with no temporary
+larger than a block per record: the deflation in place, and the residual
+energy through :func:`~sparsebss.signals.sum_of_products`.
 """
 
 from __future__ import annotations
@@ -170,35 +172,37 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
         If no two consecutive headings are both accepted.
     """
     v, speeds = heading_set.velocities, heading_set.speeds
-    best, found = mhc_pick(v.T[None], speeds[None], heading_set.accepted[None])
+    best, found = mhc_pick(
+        lambda _, later: (v[later].T, v[later - 1].T), speeds[None], heading_set.accepted[None]
+    )
     if not found[0]:
         raise NoConsecutivePairError("no consecutive pair of accepted headings")
     return EstimatedDirection(unit_vector=v[best[0]] / speeds[best[0]], support_size=1)
 
 
 def mhc_pick(
-    velocities: np.ndarray, speeds: np.ndarray, accepted: np.ndarray
+    pair_velocities, speeds: np.ndarray, accepted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`mhc_find_direction`'s winning index for each of Q records.
 
-    ``velocities`` is (Q, N, M), channel-major, ``speeds`` and ``accepted``
-    (Q, M).  The headings ``v / |v|`` are formed and compared only at
-    consecutive accepted pairs, whose speeds are positive.  They are taken
-    from the flat stack as (N, pairs) channel rows, and the lengths of their
-    differences and sums by :func:`~sparsebss.signals.row_norms`, with the
-    bits ``np.linalg.norm`` gives (pairs, N) rows.  Each change is written
-    at the pair's later index in a (Q, M) table of +inf.  Returns
+    ``speeds`` and ``accepted`` are (Q, M).  The headings ``v / |v|`` are
+    formed and compared only at consecutive accepted pairs, whose speeds are
+    positive.  ``pair_velocities(records, later)`` returns the velocities of
+    each pair as two (N, pairs) channel rows: record ``records[p]``'s at
+    ``later[p]`` and at ``later[p] - 1``.  The lengths of the headings'
+    differences and sums are taken by :func:`~sparsebss.signals.row_norms`,
+    with the bits ``np.linalg.norm`` gives (pairs, N) rows.  Each change is
+    written at the pair's later index in a (Q, M) table of +inf.  Returns
     the first ``argmin`` of each record, its smallest change at the lowest
     index, and whether that change is finite (index 0 if it is not).
     """
-    q, n, m = velocities.shape
+    q, m = accepted.shape
     pair = np.zeros((q, m), dtype=bool)
     np.logical_and(accepted[:, 1:], accepted[:, :-1], out=pair[:, 1:])
     later = np.flatnonzero(pair)
-    # Row i: the flat positions of channel i of each later heading in the (Q, N, M) stack.
-    flat = (later + later // m * ((n - 1) * m)) + (m * np.arange(n))[:, None]
-    here = np.take(velocities, flat) / np.take(speeds, later)
-    before = np.take(velocities, flat - 1) / np.take(speeds, later - 1)
+    here, before = pair_velocities(*np.divmod(later, m))
+    here = here / np.take(speeds, later)
+    before = before / np.take(speeds, later - 1)
     change = np.full((q, m), np.inf)
     np.put(change, later, np.minimum(row_norms(here - before), row_norms(here + before)))
     best = np.argmin(change, axis=1)
@@ -229,50 +233,53 @@ def deflate(data, direction: EstimatedDirection, source_row) -> np.ndarray:
 
 
 def _global_direction(
-    velocities: np.ndarray, accepted: np.ndarray, alpha: float, iteration: int
+    data: np.ndarray, accepted: np.ndarray, alpha: float, iteration: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | ClusterFormationFailedError]:
-    """The global direction step for a (1, N, M) velocity stack, via :func:`find_cluster`.
+    """The global direction step for a (1, N, L) record, via :func:`find_cluster`.
 
-    The accepted velocities are gathered as contiguous (N, K) channel rows
-    and handed over as their (K, N) view.  Returns the (1, N) unit direction
-    (zero on failure), whether it was found, and the cluster's
-    ``(member indices, epsilon)`` or the error.
+    Only the accepted velocities are formed, from the samples on either side
+    of each, as contiguous (N, K) channel rows handed over as their (K, N)
+    view.  Returns the (1, N) unit direction (zero on failure), whether it
+    was found, and the cluster's ``(member indices, epsilon)`` or the error.
     """
     accepted_idx = np.flatnonzero(accepted[0])
     try:
         epsilon = gap_threshold(alpha, accepted_idx.size)
-        cluster, _ = find_cluster(np.take(velocities[0], accepted_idx, axis=1).T, epsilon)
+        rows = np.take(data[0], accepted_idx + 1, axis=1)
+        rows -= np.take(data[0], accepted_idx, axis=1)
+        cluster, _ = find_cluster(rows.T, epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
         failed = ClusterFormationFailedError(iteration, cause)
-        return np.zeros((1, velocities.shape[1])), np.zeros(1, dtype=bool), failed
+        return np.zeros((1, data.shape[1])), np.zeros(1, dtype=bool), failed
     members = accepted_idx[cluster.member_indices]
     return direction.unit_vector[None], np.ones(1, dtype=bool), (members, epsilon)
 
 
 def _global_directions(
-    v: np.ndarray, accepted: np.ndarray, alpha: float
+    data: np.ndarray, accepted: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The global method's direction step for a (Q, N, M) velocity stack.
+    """The global method's direction step for a (Q, N, L) record stack.
 
-    The stacked form of :func:`_global_direction`, on the loop's channel-major
-    velocities, with :func:`gap_threshold`'s epsilon and minimum applied per
-    record.  Each record's accepted velocities move to the front, in index
-    order, of a width set by the record with the most; empty slot ``j`` reads
-    magnitude ``2 + j``, a whole unit from any other, so no gap reaches it.
-    Magnitudes are sorted and scanned as contiguous channel rows, as in
+    The stacked form of :func:`_global_direction`, with :func:`gap_threshold`'s
+    epsilon and minimum applied per record.  Each record's accepted
+    velocities are formed at the front, in index order, of channel rows as
+    wide as the record with the most; empty slot ``j`` reads magnitude
+    ``2 + j``, a whole unit from any other, so no gap reaches it.  Magnitudes
+    are sorted and scanned as contiguous channel rows, as in
     :func:`find_cluster`.  Returns the unit directions and which records
     formed a cluster.
     """
-    q, n, _ = v.shape
+    q, n, _ = data.shape
     count = accepted.sum(axis=-1)
     width = int(count.max())
     directions = np.zeros((q, n))
     found = count >= 2
     if width < 2:
         return directions, found
-    slots = np.argsort(~accepted, axis=-1, kind="stable")[:, :width]
-    rows = np.take_along_axis(v, slots[:, None], axis=2)
+    # A slot is a velocity index, at most L - 2, so slot + 1 is a sample.
+    slots = np.argsort(~accepted, axis=-1, kind="stable")[:, None, :width]
+    rows = np.take_along_axis(data, slots + 1, axis=2) - np.take_along_axis(data, slots, axis=2)
     position = np.arange(width)
     valid = position < count[:, None]
     speeds = np.where(valid, row_norms(rows), 1.0)
@@ -308,44 +315,55 @@ def _global_directions(
     return directions, found
 
 
-def deflation_steps(data: np.ndarray, params: MethodParams):
+def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
     """The deflation loop over a (Q, N, L) stack of whitened records, in place.
 
-    Each iteration yields the (Q, L) sources, the (Q, N) directions, which
-    records found one (the others get a zero direction), the (Q, L-1)
-    acceptance masks, and, for the global method on one record,
-    :func:`_global_direction`'s cluster or error (else None).  One long
-    record clusters faster through :func:`find_cluster`, many short ones
-    through the stacked :func:`_global_directions`; both give the same bits.
+    Iteration ``i`` projects the records onto their directions straight into
+    ``estimates[:, i]``, a (Q, N, L) array the caller owns, and yields the
+    (Q, N) directions, which records found one (the others get a zero
+    direction), the (Q, L-1) acceptance masks, and, for the global method on
+    one record, :func:`_global_direction`'s cluster or error (else None).
+    One long record clusters faster through :func:`find_cluster`, many short
+    ones through the stacked :func:`_global_directions`; both give the same bits.
 
-    Velocities stay channel-major, (Q, N, L-1) like the data, in one buffer
-    reused by every iteration, and every direction step takes that stack as
-    it is.  The velocity pass and the deflation read the data one block of
-    :data:`~sparsebss.signals.BLOCK` samples at a time.  ``params`` was
-    validated when it was built.
+    No velocity outlives the pass that reads it.  The velocity-and-threshold
+    pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
+    a time, and each direction step forms again, from the samples on either
+    side, only the velocities it reads: the accepted ones, or MHC's
+    consecutive accepted pairs.  The deflation reads the data a block at a
+    time too.  ``params`` was validated when it was built.
     """
     q, n, length = data.shape
     records = np.arange(q)
-    v = np.empty((q, n, length - 1))
+
+    def pair_velocities(record, later):
+        now = data[record, :, later]
+        return (data[record, :, later + 1] - now).T, (now - data[record, :, later - 1]).T
+
     for iteration in range(n):
-        speeds, accepted, _ = _accept(data, params.v_th, v)
+        speeds, accepted, _ = _accept(data, params.v_th)
         cluster = None
         if params.method == "mhc":
-            best, found = mhc_pick(v, speeds, accepted)
+            best, found = mhc_pick(pair_velocities, speeds, accepted)
             speed = np.where(found, speeds[records, best], np.inf)
-            directions = v[records, :, best] / speed[:, None]
-        elif q > 1:
-            directions, found = _global_directions(v, accepted, params.alpha)
+            del speeds
+            directions = (data[records, :, best + 1] - data[records, :, best]) / speed[:, None]
         else:
-            directions, found, cluster = _global_direction(v, accepted, params.alpha, iteration)
-        # Free the speeds before the next iteration's pass makes new ones.
-        del speeds
-        sources = (directions[:, None, :] @ data)[:, 0]
+            # The global steps never read the speeds: free them before they gather.
+            del speeds
+            if q > 1:
+                directions, found = _global_directions(data, accepted, params.alpha)
+            else:
+                directions, found, cluster = _global_direction(
+                    data, accepted, params.alpha, iteration
+                )
+        row = estimates[:, iteration:iteration + 1]
+        np.matmul(directions[:, None, :], data, out=row)
         for lo in range(0, length, BLOCK):
-            part = sources[:, lo:lo + BLOCK]
+            part = row[:, 0, lo:lo + BLOCK]
             for i in range(n):
                 data[:, i, lo:lo + BLOCK] -= directions[:, i, None] * part
-        yield sources, directions, found, accepted, cluster
+        yield directions, found, accepted, cluster
 
 
 def separate(mixtures, params: MethodParams) -> SeparationResult:
@@ -368,11 +386,11 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
     """
     whitened = gram_schmidt_whiten(mixtures)
     data = whitened.components[None]
-    estimates = []
+    estimates = np.empty(data.shape)
     directions: list[EstimatedDirection] = []
     iterations: list[IterationDiagnostics] = []
-    steps = deflation_steps(data, params)
-    for iteration, (sources, units, found, accepted, cluster) in enumerate(steps):
+    steps = deflation_steps(data, params, estimates)
+    for iteration, (units, found, accepted, cluster) in enumerate(steps):
         if isinstance(cluster, ClusterFormationFailedError):
             raise cluster from cluster.cause
         if not found[0]:
@@ -382,7 +400,6 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
             )
         members, epsilon = cluster or (np.array([], dtype=int), None)
         support = len(members) if params.method == "global" else 1
-        estimates.append(sources[0])
         directions.append(EstimatedDirection(unit_vector=units[0], support_size=support))
         iterations.append(
             IterationDiagnostics(
@@ -394,7 +411,7 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
             )
         )
     return SeparationResult(
-        estimates=np.array(estimates),
+        estimates=estimates[0],
         directions=directions,
         iterations=iterations,
         transform=whitened.transform,

@@ -281,29 +281,53 @@ def test_mhc_find_direction_matches_loop_reference(record):
             mhc_find_direction(heading_set)
     else:
         np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
-        best, found = mhc_pick(headings.T[None], np.ones((1, len(headings))), accepted[None])
+        speeds = np.ones((1, len(headings)))
+        best, found = mhc_pick(stack_pairs(headings.T[None]), speeds, accepted[None])
         assert found[0] and best[0] == expected
+
+
+def stack_pairs(v):
+    """``mhc_pick``'s pair gather on a (Q, N, M) velocity stack."""
+    return lambda record, later: (v[record, :, later].T, v[record, :, later - 1].T)
 
 
 @st.composite
 def velocity_stacks(draw):
-    """A (Q, N, M) stack on a coarse grid; some records have no consecutive accepted pair.
+    """A (Q, N, M) stack of real velocities; some records have no consecutive accepted pair.
 
-    From N = 8 on, numpy sums each change's squares with eight running sums.
+    Each record's velocities stray a little from one direction.  In most
+    records the first two or three come back over and over: as they were,
+    scaled by a power of two or negated, which ties their changes exactly,
+    or with their channels permuted, which ties them up to the order of each
+    change's sum of squares.  The pick then rests on that order: from N = 8
+    on, numpy sums a vector's squares with eight running sums.
     """
     q = draw(st.integers(1, 6))
     m = draw(st.integers(1, 30))
-    n = draw(st.integers(2, 10))
+    n = draw(st.sampled_from(range(2, 11)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v = rng.integers(-2, 3, size=(q, n, m)).astype(float)
-    v[:, 0][np.all(v == 0, axis=1)] = 1.0
+    v = rng.standard_normal((q, n, 1)) + 0.1 * rng.standard_normal((q, n, m))
+    for record in v:
+        kind = draw(st.sampled_from(["none", "same", "scaled", "negated", "permuted"]))
+        width = int(rng.integers(2, 4))
+        for start in range(width, m, width) if kind != "none" else ():
+            stretch = record[:, :width]
+            if kind == "scaled":
+                stretch = stretch * 2.0 ** int(rng.integers(-3, 4))
+            elif kind == "negated":
+                stretch = -stretch
+            elif kind == "permuted":
+                stretch = stretch[rng.permutation(n)]
+            record[:, start:start + width] = stretch[:, : m - start]
     accepted = np.zeros((q, m), dtype=bool)
     for record in accepted:
-        kind = draw(st.sampled_from(["none", "alternate", "random"]))
+        kind = draw(st.sampled_from(["none", "alternate", "random", "all"]))
         if kind == "alternate":
             record[rng.integers(0, 2)::2] = True
         elif kind == "random":
             record[:] = rng.random(m) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+        elif kind == "all":
+            record[:] = True
     return v, accepted
 
 
@@ -312,7 +336,7 @@ def velocity_stacks(draw):
 def test_mhc_pick_matches_loop_reference_per_record(stack):
     v, accepted = stack
     speeds = np.linalg.norm(v, axis=1)
-    best, found = mhc_pick(v, speeds, accepted)
+    best, found = mhc_pick(stack_pairs(v), speeds, accepted)
     for q in range(len(v)):
         expected = loop_mhc_index((v[q] / speeds[q]).T, accepted[q])
         if expected is None:
@@ -325,7 +349,7 @@ def test_mhc_pick_on_one_velocity_finds_nothing():
     # Two samples make one velocity and no consecutive pair.  Nothing may
     # divide by a record's M - 1 = 0 pairs: a warning would raise here.
     v = np.arange(1.0, 7.0).reshape(3, 2, 1)
-    best, found = mhc_pick(v, np.linalg.norm(v, axis=1), np.ones((3, 1), dtype=bool))
+    best, found = mhc_pick(stack_pairs(v), np.linalg.norm(v, axis=1), np.ones((3, 1), dtype=bool))
     np.testing.assert_array_equal(best, [0, 0, 0])
     assert not found.any()
     with pytest.raises(NoConsecutivePairError, match="iteration 0"):

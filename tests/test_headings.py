@@ -112,14 +112,16 @@ def test_threshold_on_a_stack_matches_each_record():
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_channel_row_kernel_keeps_the_helpers_bits(n):
-    # The deflation loop's kernel reads (N, L-1) channel rows in blocks; the
+    # The deflation loop's kernel forms (N, L-1) channel rows in blocks; the
     # public helpers apply np.linalg.norm to the (L-1, N) view.  Speeds and
-    # masks agree bit for bit on both sides of eight channels, across blocks.
+    # masks agree bit for bit on both sides of eight channels, across blocks,
+    # and so do the velocities a direction step forms again from the samples.
     e = np.random.default_rng(n).standard_normal((n, 2 * BLOCK + 7))
     expected = compute_headings(e, 0.3)
-    velocities = np.empty((1, n, e.shape[1] - 1))
-    speeds, accepted, v_max = _accept(e[None], 0.3, velocities)
-    assert velocities[0].T.tobytes() == expected.velocities.tobytes()
+    speeds, accepted, v_max = _accept(e[None], 0.3)
     assert speeds[0].tobytes() == expected.speeds.tobytes()
     np.testing.assert_array_equal(accepted[0], expected.accepted)
     assert v_max[0] == expected.v_max
+    idx = np.flatnonzero(accepted[0])
+    rows = np.take(e, idx + 1, axis=1) - np.take(e, idx, axis=1)
+    assert rows.T.tobytes() == expected.velocities[idx].tobytes()
