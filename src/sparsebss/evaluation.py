@@ -122,13 +122,16 @@ def associate_stack(actual: np.ndarray, estimates: np.ndarray):
     Returns ``(permutation, signs, correlations, constant)`` as (Q, S)
     arrays plus a (Q,) mask of runs with a constant row, whose other
     outputs are meaningless.  The correlations follow ``np.corrcoef``'s
-    steps over a stacked ``matmul``, which gives its exact bits.
+    steps over a stacked ``matmul``, which gives its exact bits.  The
+    sources and estimates are concatenated once, and that copy is centred
+    in place by its ``mean``, which is what ``np.average`` takes without
+    weights; neither input is written.
     """
     q, n, _ = estimates.shape
     rows = np.concatenate([np.broadcast_to(actual, estimates.shape), estimates], axis=1)
     constant = (rows.max(axis=-1) == rows.min(axis=-1)).any(axis=-1)
-    centred = rows - np.average(rows, axis=-1)[..., None]
-    cov = centred @ centred.swapaxes(-1, -2)
+    rows -= rows.mean(axis=-1, keepdims=True)
+    cov = rows @ rows.swapaxes(-1, -2)
     cov *= np.true_divide(1, rows.shape[-1] - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         stddev = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
@@ -172,9 +175,15 @@ def source_errors(actual, estimates) -> tuple[Association, np.ndarray]:
 
 
 def signed_errors(actual, estimates, permutation, signs) -> np.ndarray:
-    """``actual[r] - signs[r] * estimates[permutation[r]]``, over any leading run axes."""
+    """``actual[r] - signs[r] * estimates[permutation[r]]``, over any leading run axes.
+
+    The matched rows are gathered once; the signs multiply them and
+    ``actual`` is subtracted from them in that array, which is returned.
+    The operations and their order are those of the formula.
+    """
     matched = np.take_along_axis(estimates, permutation[..., None], axis=-2)
-    return actual - signs[..., None] * matched
+    matched *= signs[..., None]
+    return np.subtract(actual, matched, out=matched)
 
 
 def rms_metrics(errors):
@@ -213,6 +222,13 @@ def run_chunk(
     axis and multiplies in the one-run shapes, so each run gives the bits
     that ``separate``, ``normalize_unit_norm`` and ``source_errors`` give it
     alone, and fails exactly where that path raises a ``SparseBssError``.
+
+    The chunk makes no throwaway copy of its records: the noise is drawn
+    into the array it is added in (:func:`~sparsebss.rng.normal_grid`), the
+    estimates are divided by their norms where they lie, association
+    centres its one concatenation in place, and the errors are formed in
+    the gathered matched rows (:func:`signed_errors`).  The whitened data is
+    freed once the loop ends.
     """
     noisy = noisy_stack(clean, noise_sd, seeds)
     ok = np.isfinite(noisy).all(axis=(1, 2))
@@ -223,9 +239,10 @@ def run_chunk(
         estimates = np.empty_like(data)
         for _, found, _, _ in deflation_steps(data, params, estimates):
             ok &= found
+        del data
         scale = np.linalg.norm(estimates, axis=-1)
         ok &= in_scale_range(scale).all(axis=-1)
-        estimates = estimates / scale[..., None]
+        estimates /= scale[..., None]
         permutation, signs, _, constant = associate_stack(actual, estimates)
     ok &= ~constant
     return signed_errors(actual, estimates, permutation, signs), ok

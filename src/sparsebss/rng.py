@@ -10,7 +10,11 @@ streams regardless of chunking, platform, or process count.
 :func:`normal_grid` allocates its output once and fills it one block of
 :data:`_BLOCK_PAIRS` Box-Muller pairs (over all its seeds) at a time, so
 beyond the output it holds under 2 MB of temporaries at any size (plus one
-copy of the output when several seeds draw an odd number of values).
+copy of the output when several seeds draw an odd number of values).  The
+arithmetic runs in place: a block's counter states are mixed, shifted and
+scaled to uniforms in one uint64 buffer, read back as float64; r and the
+angle are formed in that buffer's even and odd slots, and ``cos`` and
+``sin`` are written straight into the output and scaled by r there.
 """
 
 from __future__ import annotations
@@ -28,9 +32,13 @@ _BLOCK_PAIRS = 1 << 14
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's output mix of the uint64 states ``z``, written into ``z``."""
+    shift = np.empty_like(z)
+    for bits, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(bits), out=shift)
+        z *= factor
+    z ^= np.right_shift(z, np.uint64(31), out=shift)
+    return z
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -50,9 +58,11 @@ def _uniform_grid(seeds, count: int, start: int = 0) -> np.ndarray:
     base = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = base[:, None] + idx * _GOLDEN
-        bits = _mix64(state)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53
+        idx *= _GOLDEN
+        state = _mix64(np.add(base[:, None], idx))
+    state >>= np.uint64(11)
+    # Each 53-bit integer converts exactly, into the float64 that overlays it.
+    return np.multiply(state, _U53, out=state.view(np.float64))
 
 
 def normal_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -78,9 +88,16 @@ def normal_grid(seeds, shape: tuple[int, ...]) -> np.ndarray:
     for start in range(0, pairs, width):
         stop = min(start + width, pairs)
         u = _uniform_grid(seeds, 2 * (stop - start), 2 * start)
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-        theta = (2.0 * np.pi) * u[:, 1::2]
+        r, theta = u[:, 0::2], u[:, 1::2]
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
         block = out[:, 2 * start : 2 * stop]
-        np.multiply(r, np.cos(theta), out=block[:, 0::2])
-        np.multiply(r, np.sin(theta), out=block[:, 1::2])
+        cos, sin = block[:, 0::2], block[:, 1::2]
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        cos *= r
+        sin *= r
     return out[:, :count].reshape((len(seeds), *shape))

@@ -132,27 +132,52 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
     return EstimatedDirection(unit_vector=unit[0], support_size=len(members))
 
 
-def average_directions(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`weighted_average_heading` for a (B, k, N) stack of k-member clusters.
+def average_directions(
+    members: np.ndarray, size: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`weighted_average_heading` for a (B, K, N) stack of clusters.
 
-    Returns ``(unit, length, moving)``: the unit directions (B, N), the
-    lengths of the averages before scaling, and whether any member moves.
-    Every aligned member has a nonnegative projection on the strongest one,
-    which itself contributes m_max**2 / sum(m**2) >= 1/k to the average's
-    projection on its direction, so a moving cluster's length is at least 1/k.
-    Each product is a batched ``matmul`` whose items have the one-cluster
-    shapes, so every cluster averages exactly as it would alone.  Members
-    whose squares overflow leave a length that is NaN or zero, without a warning.
+    Cluster ``b`` holds ``size[b]`` members (all K if ``size`` is None),
+    followed by zero rows; ``size`` must not decrease.  Returns ``(unit,
+    length, moving)``: the unit directions (B, N), the lengths of the
+    averages before scaling, and whether any member moves.  Every aligned
+    member has a nonnegative projection on the strongest one, which itself
+    contributes m_max**2 / sum(m**2) >= 1/k to the average's projection on
+    its direction, so a moving cluster's length is at least 1/k.
+
+    Each cluster averages exactly as it would alone.  Only three steps
+    depend on the member count k: the sign test against the strongest
+    member and the weighted sum, which are ``matmul`` products, and the sum
+    of squared magnitudes, which numpy adds pairwise over k.  They run once
+    per size, on the basic slice ``[lo:hi, :k]`` of the clusters of that
+    size: a stacked ``matmul`` hands each (k, N) item of that slice to BLAS
+    as it would a lone cluster.  The rest runs once on the padded stack,
+    where the zero rows come after the members and change nothing: the
+    magnitudes, the strongest member (the first maximum), whether any moves,
+    the signs, the length and the division.  Members whose squares overflow
+    leave a length that is NaN or zero, without a warning.
     """
+    count, width, _ = members.shape
+    groups = [(width, 0, count)]
+    if size is not None:
+        edges = (np.flatnonzero(np.diff(size)) + 1).tolist()
+        groups = list(zip(size[[0, *edges]].tolist(), [0, *edges], [*edges, count]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         magnitudes = row_norms(members.swapaxes(-1, -2))
         moving = np.any(magnitudes > 0.0, axis=-1)
         strongest = np.argmax(magnitudes, axis=-1)[:, None, None]
-        reference = np.take_along_axis(members, strongest, axis=-2)
-        flips = np.where((members @ reference.swapaxes(-1, -2))[..., 0] < 0.0, -1.0, 1.0)
-        aligned = members * flips[..., None]
-        weights = np.sum(np.square(magnitudes), axis=-1)[:, None]
-        average = (magnitudes[:, None, :] @ aligned)[:, 0] / weights
+        reference = np.take_along_axis(members, strongest, axis=-2).swapaxes(-1, -2)
+        squares = np.square(magnitudes)
+        dots = np.zeros((count, width))
+        weights = np.empty((count, 1))
+        for k, lo, hi in groups:
+            dots[lo:hi, :k] = (members[lo:hi, :k] @ reference[lo:hi])[..., 0]
+            weights[lo:hi, 0] = np.sum(squares[lo:hi, :k], axis=-1)
+        aligned = members * np.where(dots < 0.0, -1.0, 1.0)[..., None]
+        average = np.empty((count, members.shape[-1]))
+        for k, lo, hi in groups:
+            average[lo:hi] = (magnitudes[lo:hi, None, :k] @ aligned[lo:hi, :k])[:, 0]
+        average /= weights
         length = np.sqrt((average[:, None, :] @ average[:, :, None])[:, 0, 0])
         return average / length[:, None], length, moving
 
@@ -256,36 +281,95 @@ def _global_direction(
     return direction.unit_vector[None], np.ones(1, dtype=bool), (members, epsilon)
 
 
+def _slots(count: np.ndarray) -> np.ndarray:
+    """Each item's position within its record, for items listed record by record.
+
+    ``count[q]`` is record q's number of items, as ``np.nonzero`` lists them.
+    """
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
 def _global_directions(
     data: np.ndarray, accepted: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The global method's direction step for a (Q, N, L) record stack.
 
     The stacked form of :func:`_global_direction`, with :func:`gap_threshold`'s
-    epsilon and minimum applied per record.  Each record's accepted
-    velocities are formed at the front, in index order, of channel rows as
-    wide as the record with the most; empty slot ``j`` reads magnitude
-    ``2 + j``, a whole unit from any other, so no gap reaches it.  Magnitudes
-    are sorted and scanned as contiguous channel rows, as in
-    :func:`find_cluster`.  Returns the unit directions and which records
-    formed a cluster.
+    epsilon and minimum applied per record.  ``np.nonzero`` lists the
+    accepted velocities record by record, in index order, and each is
+    formed from the samples on either side of it by flat ``np.take``, into
+    one (N, K) channel rows array for all records.  :func:`_clustered_slots`
+    marks each record's cluster among them.
+
+    Every found record's cluster is averaged in one :func:`average_directions`
+    call.  The members are stacked in ascending cluster size and
+    zero-padded, so the three steps whose shape depends on the size run once
+    per size, on a basic slice, and keep each record's one-cluster bits.
+    Returns the unit directions and which records formed a cluster.
     """
     q, n, _ = data.shape
     count = accepted.sum(axis=-1)
-    width = int(count.max())
     directions = np.zeros((q, n))
     found = count >= 2
-    if width < 2:
+    if count.max() < 2:
         return directions, found
-    # A slot is a velocity index, at most L - 2, so slot + 1 is a sample.
-    slots = np.argsort(~accepted, axis=-1, kind="stable")[:, None, :width]
-    rows = np.take_along_axis(data, slots + 1, axis=2) - np.take_along_axis(data, slots, axis=2)
+    record, index = np.nonzero(accepted)
+    velocities = _velocity_rows(data, record, index)
+    survivors = _clustered_slots(velocities, record, count, alpha)
+    size = survivors.sum(axis=-1)
+    found &= size > 0
+    runs = np.flatnonzero(found)
+    if runs.size == 0:
+        return directions, found
+    runs = runs[np.argsort(size[runs], kind="stable")]
+    size = size[runs]
+    run, slot = np.nonzero(survivors[runs])
+    picked = np.take(velocities, (np.cumsum(count) - count)[runs[run]] + slot, axis=1)
+    members = np.zeros((runs.size * size[-1], n))
+    members[run * size[-1] + _slots(size)] = picked.T
+    members = members.reshape(runs.size, size[-1], n)
+    directions[runs], _, found[runs] = average_directions(members, size)
+    return directions, found
+
+
+def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Velocities ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
+
+    Velocity j of record r is sample j + 1 minus sample j, which sits at
+    flat index ``(r * N + i) * L + j`` in channel i; j is at most L - 2.
+    """
+    _, n, length = data.shape
+    take = (record * (n * length) + index) + (np.arange(n) * length)[:, None]
+    flat = data.reshape(-1)
+    rows = np.take(flat, take + 1)
+    rows -= np.take(flat, take)
+    return rows
+
+
+def _clustered_slots(
+    velocities: np.ndarray, record: np.ndarray, count: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Which of each record's ``count`` listed velocities form its global cluster.
+
+    ``velocities`` are (N, K) channel rows listed record by record
+    (``record``).  Each heading's magnitudes fill its slot, its position
+    within its record, in a (Q, N, width) table as wide as the record with
+    the most; empty slot ``j`` reads magnitude ``2 + j``, a whole unit from
+    any other, so no gap reaches it.  The table is sorted and scanned as
+    contiguous channel rows, as in :func:`find_cluster`.  Returns a
+    (Q, width) mask of the slots in each record's cluster.
+    """
+    n = velocities.shape[0]
+    q, width = count.size, int(count.max())
     position = np.arange(width)
-    valid = position < count[:, None]
-    speeds = np.where(valid, row_norms(rows), 1.0)
-    magnitudes = np.where(valid[:, None], np.abs(rows / speeds[:, None]), 2.0 + position)
+    magnitudes = np.empty((q, n, width))
+    magnitudes[...] = 2.0 + position
+    slot = record * (n * width) + _slots(count) + (np.arange(n) * width)[:, None]
+    np.put(magnitudes, slot, np.abs(velocities / row_norms(velocities)))
+    # Sorted positions, as flat indices into the (Q, N, width) tables.
     order = np.argsort(magnitudes, axis=-1, kind="stable")
-    values = np.take_along_axis(magnitudes, order, axis=-1)
+    order += (np.arange(q * n) * width).reshape(q, n, 1)
+    values = np.take(magnitudes, order)
     adjacency = np.zeros(values.shape, dtype=bool)
     # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
     adjacency[..., 1:] = np.diff(values, axis=-1) < (alpha / np.maximum(count, 2))[:, None, None]
@@ -300,19 +384,8 @@ def _global_directions(
     in_run[..., :-1] |= adjacency[..., 1:]
     in_run[np.arange(q), component] = seed
     member = np.empty_like(in_run)
-    np.put_along_axis(member, order, in_run, axis=-1)
-    survivors = member.all(axis=1)
-
-    size = survivors.sum(axis=-1)
-    found &= size > 0
-    # One stacked average per cluster size keeps every item in its one-record
-    # shape.  The gather makes contiguous (k, N) members, as find_cluster's
-    # are, so the averages' matmul products keep their bits.
-    for k in np.flatnonzero(np.bincount(size[found])):
-        runs = np.flatnonzero(found & (size == k))
-        members = np.nonzero(survivors[runs])[1].reshape(len(runs), k)
-        directions[runs], _, found[runs] = average_directions(rows[runs[:, None], :, members])
-    return directions, found
+    member.reshape(-1)[order] = in_run
+    return member.all(axis=1)
 
 
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):

@@ -23,6 +23,7 @@ from sparsebss import (
     rms_metrics,
     source_errors,
 )
+from sparsebss.evaluation import associate_stack
 
 #: Fixed example sequence, so every run of the suite tests the same cases.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -78,6 +79,26 @@ class TestAssociate:
             corr = np.corrcoef(np.vstack([actual, estimates]))[:n, n:]
             assoc = associate(actual, estimates)
             np.testing.assert_array_equal(assoc.permutation, greedy_oracle(corr))
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("length", [3, 50, 1001])
+    def test_stacked_correlations_are_corrcoefs_bits(self, runs, n, length):
+        # associate_stack centres its own copy of the rows in place; the
+        # matched correlations must still be np.corrcoef's, bit for bit,
+        # and neither input may be written.
+        rng = np.random.default_rng(100 * runs + 10 * n + length)
+        actual = rng.normal(size=(n, length))
+        estimates = rng.normal(size=(runs, n, length)) + 0.5 * actual
+        before = actual.copy(), estimates.copy()
+        permutation, _, correlations, constant = associate_stack(actual, estimates)
+        assert not constant.any()
+        for q in range(runs):
+            corr = np.corrcoef(np.vstack([actual, estimates[q]]))[:n, n:]
+            matched = corr[np.arange(n), permutation[q]]
+            assert correlations[q].tobytes() == matched.tobytes()
+        assert actual.tobytes() == before[0].tobytes()
+        assert estimates.tobytes() == before[1].tobytes()
 
     def test_estimate_permutation_invariance(self):
         rng = np.random.default_rng(73)

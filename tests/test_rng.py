@@ -27,6 +27,28 @@ def unblocked_normal_grid(seeds, shape):
     return out[:, :count].reshape((len(seeds), *shape))
 
 
+def splitmix64_uniforms(seed, count, start):
+    """SplitMix64 on Python integers: outputs ``start`` .. ``start + count - 1``."""
+    out = []
+    for k in range(start, start + count):
+        z = (seed + (k + 1) * 0x9E3779B97F4A7C15) % 2**64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0**-53)
+    return out
+
+
+@pytest.mark.parametrize("start", [0, 1, 2 * _BLOCK_PAIRS - 1])
+def test_uniform_grid_matches_integer_splitmix64(start):
+    # Independent of the array kernel, so an in-place mix that drifted fails here.
+    seeds = [0, 1, 2**63, 2**64 - 1, 20240707]
+    expected = np.array([splitmix64_uniforms(seed, 7, start) for seed in seeds])
+    assert _uniform_grid(seeds, 7, start).tobytes() == expected.tobytes()
+    for seed, row in zip(seeds, expected):
+        assert uniform_values(seed, 7, start).tobytes() == row.tobytes()
+
+
 def test_same_seed_bit_identical():
     a = uniform_values(12345, 1000)
     b = uniform_values(12345, 1000)

@@ -241,6 +241,50 @@ def test_stacked_global_step_without_two_accepted_headings():
     assert not directions.any()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_stacked_average_equals_one_call_per_cluster(n):
+    # Sizes 1 to 20 cross numpy's eight-value unroll of the weights' sum; the
+    # padded stack must still give every cluster its one-call bits.
+    rng = np.random.default_rng(n)
+    clusters = [np.zeros((6, n))]
+    for k in range(1, 21):
+        for _ in range(2):
+            members = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+            members[0] *= 1e4
+            if k > 2:
+                # A member perpendicular to the strongest one, up to rounding.
+                members[2] -= (members[2] @ members[0]) / (members[0] @ members[0]) * members[0]
+            members[rng.random(k) < 0.3] *= -1.0
+            clusters.append(members)
+    clusters.sort(key=len)
+    size = np.array([len(members) for members in clusters])
+    stack = np.zeros((len(clusters), size[-1], n))
+    for b, members in enumerate(clusters):
+        stack[b, : len(members)] = members
+    unit, length, moving = average_directions(stack, size)
+    assert moving.sum() == len(clusters) - 1
+    for b, members in enumerate(clusters):
+        alone = average_directions(members[None])
+        assert unit[b].tobytes() == alone[0][0].tobytes()
+        assert length[b].tobytes() == alone[1][0].tobytes()
+        assert moving[b] == alone[2][0]
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_stacked_global_step_on_one_long_record_keeps_its_bits(seed):
+    # At Q = 1 the loop takes the find_cluster step; the stacked step must
+    # give the same direction bits at every iteration.
+    data = gram_schmidt_whiten(sparse_record(seed, 4, 200_000, 1e-3, burst=50)).components[None]
+    before = data.copy()
+    steps = deflation_steps(data, MethodParams("global", 0.4), np.empty_like(data))
+    for directions, found, accepted, cluster in steps:
+        assert found[0] and cluster is not None
+        stacked, stacked_found = _global_directions(before, accepted, 1.0)
+        assert stacked_found[0]
+        assert stacked.tobytes() == directions.tobytes()
+        before = data.copy()
+
+
 def test_stacked_global_step_is_quiet_under_any_errstate():
     # Records accept different numbers of headings, so the shorter ones are
     # padded with empty slots, some of zero speed.  Their arithmetic must not
