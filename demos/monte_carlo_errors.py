@@ -10,10 +10,10 @@ Every row runs the paper's 10 x 1000 protocol.  ``monte_carlo`` carries
 each chunk of up to ``sparsebss.evaluation.CHUNK_RUNS`` runs through
 ``run_chunk`` as one array pass, so all six rows take a few seconds.
 ``workers=N`` spreads the chunks over N processes, but starting the pool
-costs about as much as a row: on a 2-vCPU Xeon the global 0.40 row at
-noise 0.005 took 0.30-0.35 s with one worker and 0.37-0.42 s with two, and
-the MHC 0.70 row 0.15-0.19 s either way.  The pool pays off only for larger
-campaigns or more cores.
+costs a good part of a row: on a 2-vCPU Xeon the global 0.40 row at noise
+0.005 took 0.18-0.21 s with one worker and 0.18-0.30 s with two, and the
+MHC 0.70 row 0.16-0.17 s with one and 0.12-0.14 s with two (5 calls
+each).  The pool pays off only for larger campaigns or more cores.
 """
 
 from sparsebss import MethodParams, ScenarioConfig, load_preset, monte_carlo

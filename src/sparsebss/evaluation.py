@@ -177,11 +177,16 @@ def source_errors(actual, estimates) -> tuple[Association, np.ndarray]:
 def signed_errors(actual, estimates, permutation, signs) -> np.ndarray:
     """``actual[r] - signs[r] * estimates[permutation[r]]``, over any leading run axes.
 
-    The matched rows are gathered once; the signs multiply them and
-    ``actual`` is subtracted from them in that array, which is returned.
-    The operations and their order are those of the formula.
+    The matched rows are gathered once, by one flat ``np.take`` over the
+    (..., S, L) rows; the signs multiply them and ``actual`` is subtracted
+    from them in that array, which is returned.  The operations and their
+    order are those of the formula.
     """
-    matched = np.take_along_axis(estimates, permutation[..., None], axis=-2)
+    sources, length = estimates.shape[-2:]
+    rows = permutation + sources * np.arange(permutation.size // sources).reshape(
+        *permutation.shape[:-1], 1
+    )
+    matched = np.take(estimates.reshape(-1, length), rows, axis=0)
     matched *= signs[..., None]
     return np.subtract(actual, matched, out=matched)
 
@@ -195,7 +200,15 @@ def rms_metrics(errors):
     source and (S, L), (S,), (S,) for a stack.
     """
     err = np.atleast_2d(as_real_finite(errors))
-    rms_per_sample = np.sqrt(np.mean(np.square(err), axis=0))
+    return _rms_figures(np.mean(np.square(err), axis=0))
+
+
+def _rms_figures(mean_squares: np.ndarray):
+    """:func:`rms_metrics`' three figures from the per-sample mean squares, over any leading axes.
+
+    The square root is taken in place.
+    """
+    rms_per_sample = np.sqrt(mean_squares, out=mean_squares)
     rms_tot = np.sqrt(np.mean(np.square(rms_per_sample), axis=-1))
     rms_max = np.max(rms_per_sample, axis=-1)
     return rms_per_sample, rms_tot, rms_max
@@ -270,7 +283,18 @@ def monte_carlo(
     of :func:`run_chunk`.  ``workers`` > 1 hands the chunks to
     that many processes, one chunk per task; the chunks do not depend on
     ``workers`` and are stacked in seed order, so the report is identical
-    for any worker count.
+    for any worker count.  The seeds are one uint64 array, ``master_seed``
+    modulo 2**64 plus each run's index, wrapping as :func:`derive_seed` does.
+
+    The chunks' errors are pooled from their one concatenation, squared in
+    place once.  The per-set and pooled mean squares are masked sums over
+    that array, whose ``where`` is the success mask, divided by the count of
+    successful runs.  numpy adds the runs of such a sum in order, as it does
+    for the boolean-index copy of the successful runs that
+    :func:`rms_metrics` would take, so the figures keep that call's bits.  A
+    successful run's errors are finite (:func:`run_chunk` requires finite
+    noise, a whitening, a direction and a scale in range), so they need no
+    second check; a failed run's may be anything, and the mask skips them.
 
     Raises
     ------
@@ -287,7 +311,8 @@ def monte_carlo(
 
     run = partial(run_chunk, clean, normalize_unit_norm(sources), params, scenario.noise_sd)
     total_runs = sets * runs_per_set
-    seeds = [derive_seed(master_seed, q) for q in range(total_runs)]
+    # derive_seed(master_seed, q) for every run; uint64 addition wraps modulo 2**64.
+    seeds = np.arange(total_runs, dtype=np.uint64) + np.uint64(derive_seed(master_seed, 0))
     size = chunk_runs(*clean.shape)
     chunks = [seeds[i : i + size] for i in range(0, total_runs, size)]
     if workers > 1:
@@ -299,20 +324,29 @@ def monte_carlo(
         executor = nullcontext()
     with executor as pool:
         results = list(pool.map(run, chunks) if pool else map(run, chunks))
-    errors = np.concatenate([e for e, _ in results]).reshape(sets, runs_per_set, *sources.shape)
-    ok = np.concatenate([k for _, k in results]).reshape(sets, runs_per_set)
+    squares = np.concatenate([e for e, _ in results])
+    ok = np.concatenate([k for _, k in results])
 
-    failures = total_runs - int(ok.sum())
+    failures = total_runs - int(np.count_nonzero(ok))
     if failures == total_runs:
         raise AllRunsFailedError(
             f"all {total_runs} runs failed to separate ({params.method}, "
             f"v_th={params.v_th})"
         )
 
-    per_set = [rms_metrics(e[k])[1:] for e, k in zip(errors, ok) if k.any()]
-    set_rms_tot, set_rms_max = map(np.array, zip(*per_set))
-    rms_per_sample, rms_tot, rms_max = rms_metrics(errors[ok])
-    ddof = 1 if len(per_set) > 1 else 0
+    # The errors of failed runs may overflow when squared; the masks skip them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(squares, out=squares)
+    squares = squares.reshape(sets, runs_per_set, *sources.shape)
+    ok = ok.reshape(sets, runs_per_set)
+    kept = np.count_nonzero(ok, axis=1)
+    mask = ok[..., None, None]
+    per_set = kept > 0
+    set_sums = np.add.reduce(squares, axis=1, where=mask, initial=0.0)[per_set]
+    _, set_rms_tot, set_rms_max = _rms_figures(set_sums / kept[per_set, None, None])
+    pooled = np.add.reduce(squares, axis=(0, 1), where=mask, initial=0.0)
+    rms_per_sample, rms_tot, rms_max = _rms_figures(pooled / (total_runs - failures))
+    ddof = 1 if len(set_rms_tot) > 1 else 0
     return EvalReport(
         rms_per_sample=rms_per_sample,
         rms_tot=rms_tot,

@@ -42,8 +42,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Per-run seed: ``master_seed + index`` modulo 2**64."""
-    return (master_seed + index) % 2**64
+    """Per-run seed: ``master_seed + index`` modulo 2**64, for Python or numpy integers."""
+    return (int(master_seed) + int(index)) % 2**64
 
 
 def uniform_values(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -52,10 +52,18 @@ def uniform_values(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def _uniform_grid(seeds, count: int, start: int = 0) -> np.ndarray:
-    """(len(seeds), count) uniforms: row ``q`` is stream ``seeds[q]``."""
+    """(len(seeds), count) uniforms: row ``q`` is stream ``seeds[q]``.
+
+    ``seeds`` is an integer array or a sequence of Python or numpy integers,
+    each taken exactly modulo 2**64: an integer array is cast to uint64,
+    which wraps it so, and other seeds are reduced as Python ints.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    base = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        base = seeds.astype(np.uint64, copy=False)
+    else:
+        base = np.array([int(s) % 2**64 for s in seeds], dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         idx *= _GOLDEN

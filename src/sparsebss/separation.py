@@ -150,14 +150,17 @@ def average_directions(
     member and the weighted sum, which are ``matmul`` products, and the sum
     of squared magnitudes, which numpy adds pairwise over k.  They run once
     per size, on the basic slice ``[lo:hi, :k]`` of the clusters of that
-    size: a stacked ``matmul`` hands each (k, N) item of that slice to BLAS
-    as it would a lone cluster.  The rest runs once on the padded stack,
-    where the zero rows come after the members and change nothing: the
-    magnitudes, the strongest member (the first maximum), whether any moves,
-    the signs, the length and the division.  Members whose squares overflow
-    leave a length that is NaN or zero, without a warning.
+    size, written straight into their outputs: a stacked ``matmul`` hands
+    each (k, N) item of that slice to BLAS as it would a lone cluster.  The
+    rest runs once on the padded stack, where the zero rows come after the
+    members and change nothing: the magnitudes, the strongest member (the
+    first maximum), whether any moves, the signs, the length and the
+    division.  A member against the strongest one enters the weighted sum
+    with its magnitude negated rather than its velocity, which gives the
+    same products.  Members whose squares overflow leave a length that is
+    NaN or zero, without a warning.
     """
-    count, width, _ = members.shape
+    count, width, n = members.shape
     groups = [(width, 0, count)]
     if size is not None:
         edges = (np.flatnonzero(np.diff(size)) + 1).tolist()
@@ -165,18 +168,19 @@ def average_directions(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         magnitudes = row_norms(members.swapaxes(-1, -2))
         moving = np.any(magnitudes > 0.0, axis=-1)
-        strongest = np.argmax(magnitudes, axis=-1)[:, None, None]
-        reference = np.take_along_axis(members, strongest, axis=-2).swapaxes(-1, -2)
+        strongest = np.arange(count) * width + np.argmax(magnitudes, axis=-1)
+        reference = members.reshape(-1, n)[strongest, :, None]
         squares = np.square(magnitudes)
-        dots = np.zeros((count, width))
+        dots = np.zeros((count, width, 1))
         weights = np.empty((count, 1))
         for k, lo, hi in groups:
-            dots[lo:hi, :k] = (members[lo:hi, :k] @ reference[lo:hi])[..., 0]
-            weights[lo:hi, 0] = np.sum(squares[lo:hi, :k], axis=-1)
-        aligned = members * np.where(dots < 0.0, -1.0, 1.0)[..., None]
-        average = np.empty((count, members.shape[-1]))
+            np.matmul(members[lo:hi, :k], reference[lo:hi], out=dots[lo:hi, :k])
+            np.add.reduce(squares[lo:hi, :k], axis=-1, out=weights[lo:hi, 0])
+        weighted = np.where(dots[..., 0] < 0.0, -magnitudes, magnitudes)[:, None, :]
+        average = np.empty((count, 1, n))
         for k, lo, hi in groups:
-            average[lo:hi] = (magnitudes[lo:hi, None, :k] @ aligned[lo:hi, :k])[:, 0]
+            np.matmul(weighted[lo:hi, :, :k], members[lo:hi, :k], out=average[lo:hi])
+        average = average[:, 0]
         average /= weights
         length = np.sqrt((average[:, None, :] @ average[:, :, None])[:, 0, 0])
         return average / length[:, None], length, moving
@@ -281,65 +285,65 @@ def _global_direction(
     return direction.unit_vector[None], np.ones(1, dtype=bool), (members, epsilon)
 
 
-def _slots(count: np.ndarray) -> np.ndarray:
-    """Each item's position within its record, for items listed record by record.
-
-    ``count[q]`` is record q's number of items, as ``np.nonzero`` lists them.
-    """
-    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-
-
 def _global_directions(
     data: np.ndarray, accepted: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The global method's direction step for a (Q, N, L) record stack.
 
     The stacked form of :func:`_global_direction`, with :func:`gap_threshold`'s
-    epsilon and minimum applied per record.  ``np.nonzero`` lists the
+    epsilon and minimum applied per record.  ``np.flatnonzero`` lists the
     accepted velocities record by record, in index order, and each is
     formed from the samples on either side of it by flat ``np.take``, into
     one (N, K) channel rows array for all records.  :func:`_clustered_slots`
     marks each record's cluster among them.
 
     Every found record's cluster is averaged in one :func:`average_directions`
-    call.  The members are stacked in ascending cluster size and
-    zero-padded, so the three steps whose shape depends on the size run once
-    per size, on a basic slice, and keep each record's one-cluster bits.
-    Returns the unit directions and which records formed a cluster.
+    call.  The records are ordered by cluster size, and the members, record
+    by record, fill the leading rows of each record's zero-padded block, so
+    the three steps whose shape depends on the size run once per size, on a
+    basic slice, and keep each record's one-cluster bits.  Returns the unit
+    directions and which records formed a cluster.
     """
-    q, n, _ = data.shape
-    count = accepted.sum(axis=-1)
+    q, n, length = data.shape
     directions = np.zeros((q, n))
+    record, index = np.divmod(np.flatnonzero(accepted), length - 1)
+    count = np.bincount(record, minlength=q)
     found = count >= 2
-    if count.max() < 2:
+    if not found.any():
         return directions, found
-    record, index = np.nonzero(accepted)
     velocities = _velocity_rows(data, record, index)
-    survivors = _clustered_slots(velocities, record, count, alpha)
-    size = survivors.sum(axis=-1)
+    member = _clustered_slots(velocities, record, count, alpha)
+    size = member.sum(axis=-1)
     found &= size > 0
     runs = np.flatnonzero(found)
     if runs.size == 0:
         return directions, found
     runs = runs[np.argsort(size[runs], kind="stable")]
     size = size[runs]
-    run, slot = np.nonzero(survivors[runs])
-    picked = np.take(velocities, (np.cumsum(count) - count)[runs[run]] + slot, axis=1)
-    members = np.zeros((runs.size * size[-1], n))
-    members[run * size[-1] + _slots(size)] = picked.T
-    members = members.reshape(runs.size, size[-1], n)
+    # Slot j of record r holds velocity column (cumsum(count) - count)[r] + j.
+    slots = (np.cumsum(count) - count)[runs, None] + np.arange(member.shape[1])
+    members = np.zeros((runs.size, size[-1], n))
+    rows = np.flatnonzero(np.arange(size[-1]) < size[:, None])
+    members.reshape(-1, n)[rows] = np.take(velocities, slots[member[runs]], axis=1).T
     directions[runs], _, found[runs] = average_directions(members, size)
     return directions, found
+
+
+def _sample_index(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Flat indices of samples ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) rows.
+
+    Sample j of channel i of record r sits at ``(r * N + i) * L + j``.
+    """
+    _, n, length = data.shape
+    return (record * (n * length) + index) + (np.arange(n) * length)[:, None]
 
 
 def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Velocities ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
 
-    Velocity j of record r is sample j + 1 minus sample j, which sits at
-    flat index ``(r * N + i) * L + j`` in channel i; j is at most L - 2.
+    Velocity j is sample j + 1 minus sample j; j is at most L - 2.
     """
-    _, n, length = data.shape
-    take = (record * (n * length) + index) + (np.arange(n) * length)[:, None]
+    take = _sample_index(data, record, index)
     flat = data.reshape(-1)
     rows = np.take(flat, take + 1)
     rows -= np.take(flat, take)
@@ -353,39 +357,52 @@ def _clustered_slots(
 
     ``velocities`` are (N, K) channel rows listed record by record
     (``record``).  Each heading's magnitudes fill its slot, its position
-    within its record, in a (Q, N, width) table as wide as the record with
+    within its record, in an (N, Q, width) table as wide as the record with
     the most; empty slot ``j`` reads magnitude ``2 + j``, a whole unit from
     any other, so no gap reaches it.  The table is sorted and scanned as
-    contiguous channel rows, as in :func:`find_cluster`.  Returns a
+    contiguous channel rows, as in :func:`find_cluster`, and its channels
+    lead so that their membership is ANDed across whole blocks.  Returns a
     (Q, width) mask of the slots in each record's cluster.
+
+    The sort is numpy's default ``argsort``, whose order among tied
+    magnitudes is arbitrary; the mask does not depend on it.  Any tie order
+    gives the same sorted values, hence the same adjacency.  Tied values
+    are adjacent, their gap 0 below epsilon, so they share their in-run
+    flags.  A maximal run covering sorted positions lo - 1 .. hi never
+    splits a tie group either: a tie across lo - 2 and lo - 1 would mark
+    lo - 1, and a tie across hi and hi + 1 would mark hi + 1.  So every
+    tied heading gets the same flag, whichever slot it sorts into.
     """
     n = velocities.shape[0]
     q, width = count.size, int(count.max())
     position = np.arange(width)
-    magnitudes = np.empty((q, n, width))
+    magnitudes = np.empty((n, q, width))
     magnitudes[...] = 2.0 + position
-    slot = record * (n * width) + _slots(count) + (np.arange(n) * width)[:, None]
+    # Listed velocity k sits in slot k - (cumsum(count) - count)[record[k]] of its record.
+    first = np.arange(q) * width - (np.cumsum(count) - count)
+    slot = (np.arange(record.size) + first[record]) + (np.arange(n) * (q * width))[:, None]
     np.put(magnitudes, slot, np.abs(velocities / row_norms(velocities)))
-    # Sorted positions, as flat indices into the (Q, N, width) tables.
-    order = np.argsort(magnitudes, axis=-1, kind="stable")
-    order += (np.arange(q * n) * width).reshape(q, n, 1)
+    # Sorted positions, as flat indices into the (N, Q, width) tables.
+    order = np.argsort(magnitudes, axis=-1)
+    order += (np.arange(n * q) * width).reshape(n, q, 1)
     values = np.take(magnitudes, order)
     adjacency = np.zeros(values.shape, dtype=bool)
     # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
-    adjacency[..., 1:] = np.diff(values, axis=-1) < (alpha / np.maximum(count, 2))[:, None, None]
+    epsilon = (alpha / np.maximum(count, 2))[:, None]
+    np.less(values[..., 1:] - values[..., :-1], epsilon, out=adjacency[..., 1:])
 
     # A heading is in a component's clustering when its sorted position or
     # the next one is marked (``cross_check_components``).  In the seed's
     # component it is in the seed: sorted positions lo - 1 .. hi, since lo
     # marks the gap after lo - 1 (``expand_and_remap``).  No run, no seed.
-    component, lo, run_length = longest_runs(adjacency.swapaxes(1, 2))
+    component, lo, run_length = longest_runs(adjacency.transpose(1, 2, 0))
     seed = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
     in_run = adjacency.copy()
     in_run[..., :-1] |= adjacency[..., 1:]
-    in_run[np.arange(q), component] = seed
+    in_run[component, np.arange(q)] = seed
     member = np.empty_like(in_run)
     member.reshape(-1)[order] = in_run
-    return member.all(axis=1)
+    return member.all(axis=0)
 
 
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
@@ -403,15 +420,20 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
     a time, and each direction step forms again, from the samples on either
     side, only the velocities it reads: the accepted ones, or MHC's
-    consecutive accepted pairs.  The deflation reads the data a block at a
-    time too.  ``params`` was validated when it was built.
+    consecutive accepted pairs, each pair from its three samples by flat
+    ``np.take``.  The deflation reads the data a block at a time too.
+    ``params`` was validated when it was built.
     """
     q, n, length = data.shape
     records = np.arange(q)
 
     def pair_velocities(record, later):
-        now = data[record, :, later]
-        return (data[record, :, later + 1] - now).T, (now - data[record, :, later - 1]).T
+        take = _sample_index(data, record, later)
+        flat = data.reshape(-1)
+        now = np.take(flat, take)
+        here = np.take(flat, take + 1)
+        here -= now
+        return here, np.subtract(now, np.take(flat, take - 1), out=now)
 
     for iteration in range(n):
         speeds, accepted, _ = _accept(data, params.v_th)

@@ -27,10 +27,11 @@ from sparsebss import (
     separate,
     source_errors,
 )
+from sparsebss import evaluation
 from sparsebss.clustering import longest_runs
-from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, run_chunk
+from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, rms_metrics, run_chunk
 from sparsebss.rng import derive_seed
-from sparsebss.separation import mhc_pick
+from sparsebss.separation import _clustered_slots, mhc_pick
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -378,3 +379,141 @@ def test_mhc_pick_on_one_velocity_finds_nothing():
     assert not found.any()
     with pytest.raises(NoConsecutivePairError, match="iteration 0"):
         separate([[1.0, 2.0], [3.0, -1.0]], MethodParams(method="mhc", v_th=0.5))
+
+
+#: Bound on one 1 x 1000 ``monte_carlo`` call's traced peak, in multiples of
+#: its (1000, 2, 50) error array.  The chunks' errors and their one
+#: concatenation, squared in place, measured 2.08 for both methods; pooling
+#: from boolean-index copies and their squares measured 3.47 (MHC) to 4.08
+#: (global).
+MONTE_CARLO_PEAK_ERROR_ARRAYS = 2.25
+
+
+@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7)])
+def test_monte_carlo_peak(method, v_th):
+    config = noisy_example1(0.005)
+    params = MethodParams(method, v_th)
+    monte_carlo(config, params, 1, 1000, master_seed=5)  # first-call imports stay out of the peak
+    tracemalloc.start()
+    try:
+        monte_carlo(config, params, 1, 1000, master_seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sources, _ = config.generate()
+    assert peak <= MONTE_CARLO_PEAK_ERROR_ARRAYS * 1000 * sources.nbytes
+
+
+def assert_pooled_as_rms_metrics(report, errors, ok):
+    """``report`` has the bits of one ``rms_metrics`` call per set with a
+    successful run and one over every successful run."""
+    per_set = [rms_metrics(e[k])[1:] for e, k in zip(errors, ok) if k.any()]
+    set_rms_tot, set_rms_max = map(np.array, zip(*per_set))
+    ddof = 1 if len(per_set) > 1 else 0
+    expected = dict(
+        zip(("rms_per_sample", "rms_tot", "rms_max"), rms_metrics(errors[ok])),
+        set_rms_tot=set_rms_tot,
+        set_rms_max=set_rms_max,
+        mean_rms_tot=set_rms_tot.mean(axis=0),
+        sd_rms_tot=set_rms_tot.std(axis=0, ddof=ddof),
+        mean_rms_max=set_rms_max.mean(axis=0),
+        sd_rms_max=set_rms_max.std(axis=0, ddof=ddof),
+    )
+    for name, value in expected.items():
+        got = getattr(report, name)
+        assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+    assert report.failures == ok.size - ok.sum()
+
+
+@pytest.mark.parametrize(
+    "method, v_th, sets, runs, master_seed, workers",
+    [
+        ("global", 0.4, 1, 1000, 11, 1),
+        ("mhc", 0.8, 3, 200, 2**64 - 2, 1),  # the seeds wrap modulo 2**64 after two runs
+        ("global", 0.3, 2, 333, -5, 2),  # 666 runs: the last chunk is short
+    ],
+)
+def test_pooling_keeps_the_bits_of_rms_metrics(method, v_th, sets, runs, master_seed, workers):
+    config = noisy_example1(0.01)
+    params = MethodParams(method, v_th)
+    report = monte_carlo(config, params, sets, runs, master_seed=master_seed, workers=workers)
+    sources, clean = config.generate()
+    seeds = [derive_seed(master_seed, q) for q in range(sets * runs)]
+    chunks = [run_chunk(clean, normalize_unit_norm(sources), params, 0.01, seeds[i : i + CHUNK_RUNS])
+              for i in range(0, len(seeds), CHUNK_RUNS)]
+    errors = np.concatenate([e for e, _ in chunks]).reshape(sets, runs, *sources.shape)
+    ok = np.concatenate([k for _, k in chunks]).reshape(sets, runs)
+    assert ok.any()
+    assert_pooled_as_rms_metrics(report, errors, ok)
+
+
+def test_pooling_leaves_out_a_set_without_a_successful_run(monkeypatch):
+    sets, runs = 3, 150  # set 1 spans the edge of the first chunk
+    returned = []
+
+    def run_chunk_failing_set_1(clean, actual, params, noise_sd, seeds):
+        errors, ok = run_chunk(clean, actual, params, noise_sd, seeds)
+        ok &= (np.asarray(seeds) // runs != 1) & (np.asarray(seeds) % 7 != 3)
+        returned.append((errors.copy(), ok.copy()))
+        return errors, ok
+
+    monkeypatch.setattr(evaluation, "run_chunk", run_chunk_failing_set_1)
+    report = monte_carlo(noisy_example1(0.005), MethodParams("global", 0.4), sets, runs, master_seed=0)
+    errors = np.concatenate([e for e, _ in returned]).reshape(sets, runs, 2, -1)
+    ok = np.concatenate([k for _, k in returned]).reshape(sets, runs)
+    assert not ok[1].any() and ok[0].any() and ok[2].any()
+    assert report.set_rms_tot.shape == report.set_rms_max.shape == (2, 2)
+    assert_pooled_as_rms_metrics(report, errors, ok)
+
+
+def stable_clustered_slots(velocities, record, count, alpha):
+    """The stacked cluster mask on (Q, N, width) tables sorted with a stable
+    sort: ties keep slot order, the reference any tie order must match."""
+    n = velocities.shape[0]
+    q, width = count.size, int(count.max())
+    position = np.arange(width)
+    magnitudes = np.empty((q, n, width))
+    magnitudes[...] = 2.0 + position
+    slots = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    np.put(magnitudes, record * (n * width) + slots + (np.arange(n) * width)[:, None],
+           np.abs(velocities / np.linalg.norm(velocities, axis=0)))
+    order = np.argsort(magnitudes, axis=-1, kind="stable")
+    order += (np.arange(q * n) * width).reshape(q, n, 1)
+    values = np.take(magnitudes, order)
+    adjacency = np.zeros(values.shape, dtype=bool)
+    adjacency[..., 1:] = np.diff(values, axis=-1) < (alpha / np.maximum(count, 2))[:, None, None]
+    component, lo, run_length = longest_runs(adjacency.swapaxes(1, 2))
+    in_run = adjacency.copy()
+    in_run[..., :-1] |= adjacency[..., 1:]
+    in_run[np.arange(q), component] = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
+    member = np.empty_like(in_run)
+    member.reshape(-1)[order] = in_run
+    return member.all(axis=1), magnitudes
+
+
+#: Integer directions per channel count: scaled by +-1, 2 or 0.5, they give
+#: headings whose magnitudes tie exactly.
+TIE_DIRECTIONS = {
+    2: [[1, 0], [0, 1], [1, 1], [1, -2]],
+    3: [[1, 0, 0], [0, 1, 1], [1, 1, 1], [2, -1, 0]],
+}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, 0.05])
+@pytest.mark.parametrize("n", [2, 3])
+def test_cluster_mask_does_not_depend_on_the_tie_order(n, alpha):
+    rng = np.random.default_rng([n, int(alpha * 100)])
+    directions = np.array(TIE_DIRECTIONS[n], dtype=float)
+    reordered = 0
+    for _ in range(100):
+        count = rng.integers(0, 30, rng.integers(1, 12))
+        count[rng.integers(count.size)] = max(2, count.max())
+        k = int(count.sum())
+        record = np.repeat(np.arange(count.size), count)
+        scales = rng.choice([1.0, -1.0, 2.0, -2.0, 0.5, -0.5], k)
+        velocities = np.ascontiguousarray((directions[rng.integers(0, 4, k)] * scales[:, None]).T)
+        expected, magnitudes = stable_clustered_slots(velocities, record, count, alpha)
+        reordered += not np.array_equal(np.argsort(magnitudes, axis=-1),
+                                        np.argsort(magnitudes, axis=-1, kind="stable"))
+        assert np.array_equal(_clustered_slots(velocities, record, count, alpha), expected)
+    assert reordered > 50

@@ -9,6 +9,7 @@ from sparsebss.rng import (
     normal_matrix,
     uniform_values,
 )
+from sparsebss.simulate import add_noise
 
 #: Counts around one block edge, and an odd count over several blocks.
 BLOCK_COUNTS = [1, 2 * _BLOCK_PAIRS - 1, 2 * _BLOCK_PAIRS + 1, 5 * _BLOCK_PAIRS + 3]
@@ -113,3 +114,31 @@ def test_negative_counts_rejected():
         uniform_values(1, -1)
     with pytest.raises(ValueError, match="nonnegative"):
         normal_matrix(1, (-1, 2))
+
+
+@pytest.mark.parametrize(
+    "seed, word",
+    [
+        (np.int64(3), 3),
+        (np.uint64(3), 3),
+        (np.int64(-3), 2**64 - 3),
+        (np.uint64(2**64 - 1), 2**64 - 1),
+        (np.int8(-1), 2**64 - 1),
+        (2**64 + 5, 5),
+        (-(2**65) - 2, 2**64 - 2),
+    ],
+)
+def test_numpy_and_large_seeds_reduce_exactly_modulo_2_64(seed, word):
+    assert derive_seed(seed, 1) == (word + 1) % 2**64
+    assert uniform_values(seed, 4).tobytes() == uniform_values(word, 4).tobytes()
+    assert normal_matrix(seed, (2, 2)).tobytes() == normal_matrix(word, (2, 2)).tobytes()
+    assert add_noise(np.ones((2, 3)), 0.1, seed).tobytes() == add_noise(np.ones((2, 3)), 0.1, word).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8])
+def test_integer_seed_arrays_draw_each_seeds_stream(dtype):
+    seeds = np.array([1, 2, 250], dtype=dtype)
+    grid = normal_grid(seeds, (2, 3))
+    assert grid.tobytes() == normal_grid([1, 2, 250], (2, 3)).tobytes()
+    negative = normal_grid(np.array([-1, -7]), (5,))
+    assert negative.tobytes() == normal_grid([2**64 - 1, 2**64 - 7], (5,)).tobytes()
