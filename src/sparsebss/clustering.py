@@ -239,6 +239,13 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     -------
     (Cluster, ClusterTables)
         Member indices are positions into ``velocities``.
+
+    When every component's magnitudes span less than epsilon (``max - min <
+    epsilon``, strict as the adjacency test), the cluster is every heading
+    and the tables are built without sorting: rounded subtraction is
+    monotone, so every sorted gap is below epsilon, and the longest run,
+    positions 1 .. M-1 of component 0, takes in every heading.  This holds
+    at a deflation's last iteration, whose residual holds one source.
     """
     v = np.atleast_2d(as_real_finite(velocities, "velocities"))
     if v.shape[0] < 2:
@@ -253,6 +260,12 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
         raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")
     magnitudes = np.divide(rows, speeds)
     np.abs(magnitudes, out=magnitudes)
+    if np.all(magnitudes.max(axis=1) - magnitudes.min(axis=1) < epsilon):
+        adjacency = np.ones(rows.shape, dtype=bool)
+        adjacency[:, 0] = False
+        membership = np.ones(rows.shape, dtype=bool)
+        tables = ClusterTables(adjacency.T, membership.T, np.ones(len(v), dtype=bool))
+        return extract_cluster(tables, v), tables
     # Transposed views: column i of each (M, N) table is channel row i.
     sorted_components = [sort_component(magnitudes.T, i) for i in range(len(rows))]
     adjacency = np.stack([build_adjacency(sc, epsilon) for sc in sorted_components]).T

@@ -121,15 +121,17 @@ def associate_stack(actual: np.ndarray, estimates: np.ndarray):
 
     Returns ``(permutation, signs, correlations, constant)`` as (Q, S)
     arrays plus a (Q,) mask of runs with a constant row, whose other
-    outputs are meaningless.  The correlations follow ``np.corrcoef``'s
-    steps over a stacked ``matmul``, which gives its exact bits.  The
-    sources and estimates are concatenated once, and that copy is centred
-    in place by its ``mean``, which is what ``np.average`` takes without
-    weights; neither input is written.
+    outputs are meaningless.  A row is constant when every sample equals
+    its first (``max == min``; a NaN makes neither true).  The correlations
+    follow ``np.corrcoef``'s steps over a stacked ``matmul``, which gives
+    its exact bits.  The sources and estimates are concatenated once, and
+    that copy is centred in place by its ``mean``, which is what
+    ``np.average`` takes without weights; neither input is written.
     """
     q, n, _ = estimates.shape
+    constant = (estimates == estimates[..., :1]).all(axis=-1).any(axis=-1)
+    constant |= (actual == actual[..., :1]).all(axis=-1).any()
     rows = np.concatenate([np.broadcast_to(actual, estimates.shape), estimates], axis=1)
-    constant = (rows.max(axis=-1) == rows.min(axis=-1)).any(axis=-1)
     rows -= rows.mean(axis=-1, keepdims=True)
     cov = rows @ rows.swapaxes(-1, -2)
     cov *= np.true_divide(1, rows.shape[-1] - 1)
@@ -235,6 +237,10 @@ def run_chunk(
     axis and multiplies in the one-run shapes, so each run gives the bits
     that ``separate``, ``normalize_unit_norm`` and ``source_errors`` give it
     alone, and fails exactly where that path raises a ``SparseBssError``.
+    Each failure is flagged once: whitening flags a zero, rank-deficient or
+    out-of-scale channel (a non-finite one has an rms out of range), the
+    loop a missing direction, the norms an estimate out of scale, and
+    association a constant row.
 
     The chunk makes no throwaway copy of its records: the noise is drawn
     into the array it is added in (:func:`~sparsebss.rng.normal_grid`), the
@@ -243,12 +249,13 @@ def run_chunk(
     the gathered matched rows (:func:`signed_errors`).  The whitened data is
     freed once the loop ends.
     """
-    noisy = noisy_stack(clean, noise_sd, seeds)
-    ok = np.isfinite(noisy).all(axis=(1, 2))
+    # Noise that overflows gives a non-finite record, which whitening flags.
+    with np.errstate(over="ignore"):
+        noisy = noisy_stack(clean, noise_sd, seeds)
     with np.errstate(divide="ignore", invalid="ignore"):
         data, _, failed = whiten_stack(noisy)
         del noisy
-        ok &= failed < 0
+        ok = failed < 0
         estimates = np.empty_like(data)
         for _, found, _, _ in deflation_steps(data, params, estimates):
             ok &= found
@@ -292,17 +299,22 @@ def monte_carlo(
     successful runs.  numpy adds the runs of such a sum in order, as it does
     for the boolean-index copy of the successful runs that
     :func:`rms_metrics` would take, so the figures keep that call's bits.  A
-    successful run's errors are finite (:func:`run_chunk` requires finite
-    noise, a whitening, a direction and a scale in range), so they need no
-    second check; a failed run's may be anything, and the mask skips them.
+    successful run's errors are finite (:func:`run_chunk` requires a
+    whitening, hence finite noise, a direction and a scale in range), so
+    they need no second check; a failed run's may be anything, and the mask
+    skips them.
 
     Raises
     ------
     AllRunsFailedError
         If not a single run separated successfully.
+    ValueError
+        If ``sets``, ``runs_per_set`` or ``workers`` is below 1.
     """
     if sets < 1 or runs_per_set < 1:
         raise ValueError("sets and runs_per_set must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if master_seed is None:
         master_seed = scenario.seed
     sources, clean = scenario.generate()

@@ -372,24 +372,35 @@ def _clustered_slots(
     splits a tie group either: a tie across lo - 2 and lo - 1 would mark
     lo - 1, and a tie across hi and hi + 1 would mark hi + 1.  So every
     tied heading gets the same flag, whichever slot it sorts into.
+
+    If every record's magnitudes span less than its epsilon in every
+    component, no table is built: each record of two headings or more
+    clusters all of them, by :func:`find_cluster`'s proof.
     """
     n = velocities.shape[0]
     q, width = count.size, int(count.max())
     position = np.arange(width)
+    # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
+    epsilon = alpha / np.maximum(count, 2)
+    start = np.cumsum(count) - count
+    listed = np.abs(velocities / row_norms(velocities))
+    edges = start[count > 0]
+    spread = np.maximum.reduceat(listed, edges, axis=1) - np.minimum.reduceat(listed, edges, axis=1)
+    if np.all(spread < epsilon[count > 0]):
+        return position < np.where(count < 2, 0, count)[:, None]
     magnitudes = np.empty((n, q, width))
     magnitudes[...] = 2.0 + position
-    # Listed velocity k sits in slot k - (cumsum(count) - count)[record[k]] of its record.
-    first = np.arange(q) * width - (np.cumsum(count) - count)
+    # Listed velocity k sits in slot k - start[record[k]] of its record.
+    first = np.arange(q) * width - start
     slot = (np.arange(record.size) + first[record]) + (np.arange(n) * (q * width))[:, None]
-    np.put(magnitudes, slot, np.abs(velocities / row_norms(velocities)))
+    np.put(magnitudes, slot, listed)
+    del listed
     # Sorted positions, as flat indices into the (N, Q, width) tables.
     order = np.argsort(magnitudes, axis=-1)
     order += (np.arange(n * q) * width).reshape(n, q, 1)
     values = np.take(magnitudes, order)
     adjacency = np.zeros(values.shape, dtype=bool)
-    # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
-    epsilon = (alpha / np.maximum(count, 2))[:, None]
-    np.less(values[..., 1:] - values[..., :-1], epsilon, out=adjacency[..., 1:])
+    np.less(values[..., 1:] - values[..., :-1], epsilon[:, None], out=adjacency[..., 1:])
 
     # A heading is in a component's clustering when its sorted position or
     # the next one is marked (``cross_check_components``).  In the seed's
@@ -413,19 +424,22 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     (Q, N) directions, which records found one (the others get a zero
     direction), the (Q, L-1) acceptance masks, and, for the global method on
     one record, :func:`_global_direction`'s cluster or error (else None).
-    One long record clusters faster through :func:`find_cluster`, many short
-    ones through the stacked :func:`_global_directions`; both give the same bits.
+    One record clusters through :func:`find_cluster`, many through the stacked
+    :func:`_global_directions`, with the same bits: the benchmark's span test
+    requires one :func:`find_cluster` call per global iteration of :func:`separate`.
 
     No velocity outlives the pass that reads it.  The velocity-and-threshold
     pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
     a time, and each direction step forms again, from the samples on either
     side, only the velocities it reads: the accepted ones, or MHC's
     consecutive accepted pairs, each pair from its three samples by flat
-    ``np.take``.  The deflation reads the data a block at a time too.
-    ``params`` was validated when it was built.
+    ``np.take``.  The deflation subtracts in place, over all channels at
+    once, ``BLOCK // N`` samples a step.  ``params`` was validated when it
+    was built.
     """
     q, n, length = data.shape
     records = np.arange(q)
+    step = max(1, BLOCK // n)
 
     def pair_velocities(record, later):
         take = _sample_index(data, record, later)
@@ -454,10 +468,8 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
                 )
         row = estimates[:, iteration:iteration + 1]
         np.matmul(directions[:, None, :], data, out=row)
-        for lo in range(0, length, BLOCK):
-            part = row[:, 0, lo:lo + BLOCK]
-            for i in range(n):
-                data[:, i, lo:lo + BLOCK] -= directions[:, i, None] * part
+        for lo in range(0, length, step):
+            data[..., lo:lo + step] -= directions[..., None] * row[..., lo:lo + step]
         yield directions, found, accepted, cluster
 
 

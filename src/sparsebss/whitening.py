@@ -84,7 +84,8 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     block at a time and the residual divided where it lies, so no other
     array is larger than a block.  A record of at most a block is whitened
     in a contiguous copy of the channel: over a stack of short records,
-    in-place passes would run one short strided row per record.
+    in-place passes would run one short strided row per record.  Either
+    way the channel's rms is taken from its copy.
     """
     q, n, length = z.shape
     components = np.empty_like(z)
@@ -92,12 +93,12 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     failed = np.full(q, -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n):
-            channel_rms = rms(z[:, i])
             if length > BLOCK:
                 residual = components[:, i]
                 residual[...] = z[:, i]
             else:
                 residual = z[:, i].copy()
+            channel_rms = rms(residual)
             row = np.zeros((q, n))
             row[:, i] = 1.0
             for k in range(i):

@@ -1,6 +1,7 @@
 """The batched Monte Carlo engine against the per-run path it batches."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,11 +28,12 @@ from sparsebss import (
     separate,
     source_errors,
 )
-from sparsebss import evaluation
+from sparsebss import evaluation, separation
 from sparsebss.clustering import longest_runs
 from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, rms_metrics, run_chunk
 from sparsebss.rng import derive_seed
 from sparsebss.separation import _clustered_slots, mhc_pick
+from sparsebss.whitening import whiten_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -491,6 +493,28 @@ def stable_clustered_slots(velocities, record, count, alpha):
     return member.all(axis=1), magnitudes
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_cluster_mask_of_tight_records_needs_no_tables(monkeypatch, n):
+    # Every record's headings are +-u: each record of two or more clusters all
+    # of them, and the mask must be the sorted tables' without building them.
+    rng = np.random.default_rng(n)
+    count = rng.integers(0, 30, 40)
+    count[:3] = [0, 1, 2]
+    record = np.repeat(np.arange(count.size), count)
+    u = rng.standard_normal((n, count.size))
+    speeds = rng.uniform(0.1, 10.0, record.size) * rng.choice([-1.0, 1.0], record.size)
+    velocities = u[:, record] * speeds * (1.0 + 1e-9 * rng.standard_normal((n, record.size)))
+    expected, _ = stable_clustered_slots(velocities, record, count, 1.0)
+
+    def no_tables(*args):
+        raise AssertionError("the stacked step built its run tables")
+
+    monkeypatch.setattr(separation, "longest_runs", no_tables)
+    mask = _clustered_slots(velocities, record, count, 1.0)
+    assert np.array_equal(mask, expected)
+    assert np.array_equal(mask.sum(axis=1), np.where(count < 2, 0, count))
+
+
 #: Integer directions per channel count: scaled by +-1, 2 or 0.5, they give
 #: headings whose magnitudes tie exactly.
 TIE_DIRECTIONS = {
@@ -517,3 +541,24 @@ def test_cluster_mask_does_not_depend_on_the_tie_order(n, alpha):
                                         np.argsort(magnitudes, axis=-1, kind="stable"))
         assert np.array_equal(_clustered_slots(velocities, record, count, alpha), expected)
     assert reordered > 50
+
+
+@pytest.mark.parametrize("noise_sd", [1e308, 6e307])
+@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7)])
+def test_overflowing_noise_fails_exactly_the_runs_separate_refuses(method, v_th, noise_sd):
+    # Noise this large gives infinite samples in some or all records; whitening
+    # alone must flag them, with no warning, where ``separate`` raises.
+    sources, clean = noisy_example1(noise_sd).generate()
+    actual = normalize_unit_norm(sources)
+    params = MethodParams(method, v_th)
+    seeds = [derive_seed(12, q) for q in range(60)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, ok = run_chunk(clean, actual, params, noise_sd, seeds)
+    with np.errstate(over="ignore"):
+        noisy = evaluation.noisy_stack(clean, noise_sd, seeds)
+        reference = [per_run(clean, actual, params, noise_sd, s) for s in seeds]
+    assert list(ok) == [r is not None for r in reference]
+    infinite = ~np.isfinite(noisy).all(axis=(1, 2))
+    assert infinite.any()
+    assert (whiten_stack(noisy)[2][infinite] >= 0).all()

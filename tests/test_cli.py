@@ -165,6 +165,15 @@ def test_montecarlo_row_whose_runs_all_fail(tmp_path):
     assert last_line.split() == ["global", "0.40", "---", "---", "100.0%"]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_montecarlo_needs_a_worker(tmp_path, capsys, workers):
+    report_path = tmp_path / "mc.txt"
+    args = ("montecarlo", "example1", report_path, "--vth", "0.4", "--runs", "3", "--workers", workers)
+    assert run_cli(*args) == 1
+    assert "error: workers must be at least 1" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_parser_defaults_are_the_method_defaults():
     parser = build_parser()
     args = parser.parse_args(["separate", "in.csv", "out.csv"])

@@ -384,3 +384,80 @@ def test_find_cluster_keeps_row_major_bits(monkeypatch, n):
     assert a.member_indices.tobytes() == b.member_indices.tobytes()
     assert a.member_velocities.tobytes() == b.member_velocities.tobytes()
     assert tables_a.membership.tobytes() == tables_b.membership.tobytes()
+
+
+def step_pipeline(velocities, epsilon):
+    """:func:`find_cluster` through its step helpers, always sorting."""
+    v = np.asarray(velocities)
+    magnitudes = np.abs(v / np.linalg.norm(np.ascontiguousarray(v), axis=1)[:, None])
+    sorted_components = [sort_component(magnitudes, i) for i in range(v.shape[1])]
+    adjacency = np.column_stack([build_adjacency(sc, epsilon) for sc in sorted_components])
+    run = find_largest_run(adjacency)
+    seed = expand_and_remap(run, sorted_components)
+    tables = cross_check_components(seed, run[0], adjacency, sorted_components)
+    return extract_cluster(tables, v), tables
+
+
+def tight_set(k, n, seed, channel_rows):
+    """+-u at random speeds, each perturbed far below epsilon.
+
+    Returned as (K, N) rows, or as the (K, N) view of (N, K) channel rows.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    speeds = rng.uniform(0.1, 10.0, k) * rng.choice([-1.0, 1.0], k)
+    v = (speeds[:, None] * u) * (1.0 + 1e-9 * rng.standard_normal((k, n)))
+    return np.ascontiguousarray(v.T).T if channel_rows else v
+
+
+def cluster_and_sorts(velocities, epsilon):
+    """:func:`find_cluster`'s result and how many components it sorted."""
+    sorts = []
+
+    def counting_sort(magnitudes, component):
+        sorts.append(component)
+        return sort_component(magnitudes, component)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "sort_component", counting_sort)
+        return find_cluster(velocities, epsilon), len(sorts)
+
+
+def assert_same_cluster(got, expected):
+    (cluster, tables), (cluster_ref, tables_ref) = got, expected
+    indices, indices_ref = cluster.member_indices, cluster_ref.member_indices
+    assert indices.dtype == indices_ref.dtype and indices.tobytes() == indices_ref.tobytes()
+    members, members_ref = cluster.member_velocities, cluster_ref.member_velocities
+    assert members.shape == members_ref.shape and members.strides == members_ref.strides
+    assert members.flags.c_contiguous and members.tobytes() == members_ref.tobytes()
+    for name in ("adjacency", "membership", "survivors"):
+        np.testing.assert_array_equal(getattr(tables, name), getattr(tables_ref, name))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    k=st.integers(2, 200),
+    n=st.integers(2, 9),
+    alpha=st.sampled_from([1.0, 0.3, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+    channel_rows=st.booleans(),
+)
+def test_tight_set_clusters_every_heading_without_sorting(k, n, alpha, seed, channel_rows):
+    # The last iteration's residual holds one source: every heading is +-u and
+    # the sorts can only find every heading.  The exit must return what they would.
+    v = tight_set(k, n, seed, channel_rows)
+    epsilon = gap_threshold(alpha, k)
+    got, sorts = cluster_and_sorts(v, epsilon)
+    assert sorts == 0
+    assert len(got[0]) == k
+    assert_same_cluster(got, step_pipeline(v, epsilon))
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_spread_equal_to_epsilon_takes_the_full_path(n):
+    v = tight_set(50, n, n, channel_rows=True)
+    magnitudes = np.abs(v / np.linalg.norm(np.ascontiguousarray(v), axis=1)[:, None])
+    epsilon = float(np.max(magnitudes.max(axis=0) - magnitudes.min(axis=0)))
+    got, sorts = cluster_and_sorts(v, epsilon)
+    assert sorts == n
+    assert_same_cluster(got, step_pipeline(v, epsilon))

@@ -41,6 +41,31 @@ def signed_permutations(draw):
     return actual, perm, signs, seed
 
 
+#: Row kinds for the constant-row property: the old rule, max == min, and a
+#: test against the first sample must agree on each.
+ROW_KINDS = ["constant", "signed_zero", "nan_first", "nan_later", "free"]
+
+
+@st.composite
+def rows_of_every_kind(draw, count, length):
+    """``count`` rows of ``length`` samples over a few values, each of a drawn kind."""
+    rows = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0]), min_size=count * length, max_size=count * length
+    ))).reshape(count, length)
+    for row in rows:
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "signed_zero":
+            row[:] = np.where(row > 1.0, -0.0, 0.0)
+        elif kind == "nan_first":
+            row[1:] = row[1]
+            row[0] = np.nan
+        elif kind != "free":
+            row[1:] = row[0]
+            if kind == "nan_later":
+                row[draw(st.integers(1, length - 1))] = np.nan
+    return rows
+
+
 def greedy_oracle(corr):
     """Brute force over all permutations: the greedy elimination picks the
     assignment whose matched |c| values, sorted descending, are
@@ -99,6 +124,16 @@ class TestAssociate:
             assert correlations[q].tobytes() == matched.tobytes()
         assert actual.tobytes() == before[0].tobytes()
         assert estimates.tobytes() == before[1].tobytes()
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_constant_mask_is_the_max_equals_min_rule(self, data):
+        runs, n, length = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 3), (2, 6)))
+        actual = data.draw(rows_of_every_kind(n, length))
+        estimates = data.draw(rows_of_every_kind(runs * n, length)).reshape(runs, n, length)
+        rows = np.concatenate([np.broadcast_to(actual, estimates.shape), estimates], axis=1)
+        expected = (rows.max(axis=-1) == rows.min(axis=-1)).any(axis=-1)
+        assert associate_stack(actual, estimates)[3].tolist() == expected.tolist()
 
     def test_estimate_permutation_invariance(self):
         rng = np.random.default_rng(73)
@@ -303,6 +338,11 @@ class TestMonteCarlo:
     def test_needs_a_run(self, sets, runs):
         with pytest.raises(ValueError, match="at least 1"):
             monte_carlo(noisy_example1(0.005), MethodParams("global", 0.4), sets, runs)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_needs_a_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            monte_carlo(noisy_example1(0.005), MethodParams("global", 0.4), 1, 5, workers=workers)
 
     def test_mixture_count_must_match_sources(self):
         # each run would give 2 estimates for 3 sources

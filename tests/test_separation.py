@@ -33,6 +33,7 @@ from sparsebss import (
     source_errors,
     weighted_average_heading,
 )
+from sparsebss import separation
 from sparsebss.headings import HeadingSet
 from sparsebss.separation import _global_directions, average_directions, deflation_steps
 from sparsebss.signals import BLOCK
@@ -283,6 +284,39 @@ def test_stacked_global_step_on_one_long_record_keeps_its_bits(seed):
         assert stacked_found[0]
         assert stacked.tobytes() == directions.tobytes()
         before = data.copy()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1])
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_stacked_global_step_on_tight_records_equals_find_cluster(n, alpha):
+    # Each record holds one source, as at the last iteration of a deflation, so
+    # every record's accepted headings are +-u: the stacked step must take
+    # every one without building its tables, and give find_cluster's bits.
+    rng = np.random.default_rng([n, int(10 * alpha)])
+    q, length = 40, 30
+    data = rng.standard_normal((q, n, 1)) * rng.standard_normal((q, 1, length))
+    data += 1e-12 * rng.standard_normal(data.shape)
+    accepted = rng.random((q, length - 1)) < rng.random((q, 1))
+    accepted[0] = False
+    accepted[1] = np.arange(length - 1) == 3
+
+    def no_tables(*args):
+        raise AssertionError("the stacked step built its run tables")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(separation, "longest_runs", no_tables)
+        directions, found = _global_directions(data, accepted, alpha)
+    for r in range(q):
+        index = np.flatnonzero(accepted[r])
+        assert found[r] == (index.size >= 2)
+        if not found[r]:
+            assert not directions[r].any()
+            continue
+        rows = data[r][:, index + 1] - data[r][:, index]
+        cluster, _ = find_cluster(rows.T, gap_threshold(alpha, index.size))
+        assert len(cluster) == index.size
+        expected = weighted_average_heading(cluster).unit_vector
+        assert directions[r].tobytes() == expected.tobytes()
 
 
 def test_stacked_global_step_is_quiet_under_any_errstate():
