@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,19 @@ def add_noise(mixtures, sd: float, seed: int) -> np.ndarray:
 
     Returns a new array and leaves ``mixtures`` unchanged: the one record of
     ``noisy_stack(z, sd, [seed])``.  Raises ``ValueError`` unless ``sd`` is
-    finite and nonnegative.
+    finite and nonnegative, and :class:`NonFiniteError` when a noisy sample
+    is not finite, as when noise of an ``sd`` near the largest double
+    overflows.
     """
     z = np.atleast_2d(np.asarray(mixtures, dtype=float))
     if not (math.isfinite(sd) and sd >= 0.0):
         raise ValueError(f"sd must be finite and nonnegative, got {sd}")
-    return noisy_stack(z, sd, [seed])[0]
+    with np.errstate(over="ignore"):
+        noisy = noisy_stack(z, sd, [seed])[0]
+    # min and max take no temporary the size of the record; a NaN reaches both
+    if noisy.size and not (np.isfinite(noisy.min()) and np.isfinite(noisy.max())):
+        raise NonFiniteError(f"noise of sd {sd!r} gives NaN or infinite samples")
+    return noisy
 
 
 def noisy_stack(clean: np.ndarray, sd: float, seeds) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,65 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(flo
 def savetxt_reference(path, data, names):
     """The writer's former implementation: the bytes it must reproduce."""
     np.savetxt(path, data.T, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+
+
+def line_reader_reference(path):
+    """The reader's former implementation: np.loadtxt over a text-mode file
+    object, after the first non-blank line.  ``read_csv`` must give the same
+    names, bits and errors."""
+    with open(path) as fh:
+        header = next((line for line in fh if line.strip()), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [c.strip() for c in header.split(",")]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+    if data.shape[0] == 0 or data.shape[1] != len(names):
+        raise ValueError(f"{path}: ragged or empty table")
+    return names, data.T
+
+
+def read_outcome(read, path):
+    """Names, shape and bytes of what ``read`` returns, or the error it raises."""
+    try:
+        names, data = read(path)
+    except ValueError as err:
+        return type(err), str(err)
+    return names, data.shape, data.tobytes()
+
+
+def g17_reference(data, names):
+    """The writer's bytes, one ``'%.17g' %`` per value."""
+    rows = (",".join("%.17g" % v for v in row) for row in data.T.tolist())
+    return (",".join(names) + "\n" + "\n".join(rows) + "\n").encode()
+
+
+def hard_to_print(seed):
+    """Over 200,000 doubles that probe every branch of the vectorized %.17g.
+
+    Every binade from 1e-320 up, random bit patterns over all finite doubles,
+    zeros, subnormals and the extremes, 10**E and its neighbours, the doubles
+    nearest 9.9999999999999999eN (some print as 1eN+1), and .25/.75 ties
+    above 1e15, which %.17g rounds half to even.
+    """
+    rng = np.random.default_rng(seed)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, (2088, 48)), np.arange(-1064, 1024)[:, None])
+    bits = rng.integers(0, 2**63 - 2**52, 40_000, dtype=np.int64).view(np.float64)
+    powers = 10.0 ** np.arange(-30, 31)
+    near_ten = [float(f"9.9999999999999999e{n}") for n in range(-320, 308)]
+    near_ten += [np.nextafter(float(f"1e{n}"), 0.0) for n in range(-320, 309)]
+    whole = rng.integers(10**15, 2**51, 4000).astype(np.float64)
+    values = np.concatenate([
+        binades.ravel(), bits, EDGE_VALUES, np.arange(1, 200) * 5e-324,
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        near_ten, whole + 0.25, whole + 0.75, whole + 0.5,
+    ])
+    values = np.concatenate([values, -values])
+    return rng.permutation(values)
 
 
 def same_bits(a, b):
@@ -182,20 +242,65 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_csv(path)
 
-    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"a,b\n1,2\n3\n", "number of columns changed from 2 to 1 at row 2"),
+            (b"\n \na,b\r\n1,2\r\n3\r\n", "number of columns changed from 2 to 1 at row 2"),
+            (b"a,b\n# note\n1,2\n3,4,5\n", "number of columns changed from 2 to 3 at row 2"),
+            (b"\n\na,b\r\n1,2\r\n# note\r\n3,x\r\n", "could not convert string 'x'"),
+        ],
+        ids=["ragged", "ragged-blank-lines-crlf", "ragged-comment", "non-numeric-crlf-comment"],
+    )
+    def test_bad_row_rejected_as_the_line_reader_did(self, tmp_path, raw, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as err:
+            read_csv(path)
+        assert message in str(err.value)
+        assert read_outcome(read_csv, path) == read_outcome(line_reader_reference, path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\n\n  \na,b\n1,2\n3,4\n",
+            b"a,b\r\n1,2\r\n3,4\r\n",
+            b"\r\n\r\na , b\r\n1,2\r\n\r\n3,4",
+            b"a,b\n# a comment line\n1,2\n3,4\n",
+            b"a,b\n1,2 # and a trailing one\n3,4\n",
+            b"a,b\r1,2\r3,4\r",
+        ],
+        ids=["blank-lines", "crlf", "crlf-blank-lines-no-eol", "comment", "trailing-comment", "cr"],
+    )
+    def test_blank_lines_line_endings_and_comments(self, tmp_path, raw):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        names, data = read_csv(path)
+        assert names == ["a", "b"]
+        assert same_bits(data, np.array([[1.0, 3.0], [2.0, 4.0]]))
+        assert read_outcome(read_csv, path) == read_outcome(line_reader_reference, path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "\r\n \r\n"])
     def test_empty_file_rejected(self, tmp_path, text):
         path = tmp_path / "empty.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(ValueError, match="empty file"):
             read_csv(path)
+        assert read_outcome(read_csv, path) == read_outcome(line_reader_reference, path)
 
-    @pytest.mark.parametrize("text", ["a,b,c\n1,2\n3,4\n", "a,b\n"])
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b,c\n1,2\n3,4\n", "a,b\n", "\n\na,b\r\n", "a,b", "a,b\n\n# only a comment\n",
+         "# a comment line\n1,2\n3,4\n"],
+    )
     def test_table_unlike_its_header_rejected(self, tmp_path, text):
-        # Rows of one width other than the header's, or no rows at all.
+        # Rows of one width other than the header's, or no rows at all; a
+        # leading comment line is the header, as it always was.
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(ValueError, match="ragged or empty table"):
             read_csv(path)
+        assert read_outcome(read_csv, path) == read_outcome(line_reader_reference, path)
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -234,6 +339,17 @@ class TestCsv:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert same_bits(read_csv(tmp_path / "new.csv")[1], data)
 
+    def test_hard_values_match_per_value_format_and_read_back(self, tmp_path):
+        values = hard_to_print(seed=19)
+        assert values.size >= 200_000
+        data = values[: values.size // 4 * 4].reshape(-1, 4).T  # 4 channels
+        names = ["w", "x", "y", "z"]
+        write_csv(tmp_path / "hard.csv", data, names)
+        assert (tmp_path / "hard.csv").read_bytes() == g17_reference(data, names)
+        back_names, back = read_csv(tmp_path / "hard.csv")
+        assert back_names == names
+        assert same_bits(back, data)
+
     def test_peak_memory_is_one_block_not_the_record(self, tmp_path):
         # a writer that formats the whole record at once needs about 18 MB here
         data = np.random.default_rng(5).normal(size=(2, 200_000))
@@ -244,6 +360,18 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_peak_memory_of_a_wide_record_is_one_block(self, tmp_path):
+        # blocks of 4096 rows whatever the width need about 16 MB here
+        data = np.random.default_rng(6).normal(size=(64, 12_000))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "wide.csv", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert same_bits(read_csv(tmp_path / "wide.csv")[1], data)
 
     @pytest.mark.parametrize(
         "names,bad",

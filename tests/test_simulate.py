@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ import pytest
 from sparsebss import (
     DimensionMismatchError,
     GaussianPulseSpec,
+    NonFiniteError,
     add_noise,
     generate_gaussian_sources,
     generate_shifted_uniform_sources,
+    load_preset,
     min_peak_contribution,
     mix,
 )
@@ -190,6 +194,14 @@ class TestAddNoise:
     def test_invalid_sd_rejected(self, sd):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             add_noise(np.ones((1, 4)), sd, seed=0)
+
+    def test_overflowing_noise_raises_without_a_warning(self):
+        # draws beyond 1.8 overflow 1e308 * draw; the error names the sd
+        _, clean = load_preset("example1").generate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=re.escape("sd 1e+308")):
+                add_noise(clean, 1e308, 3)
 
     @pytest.mark.parametrize("shape", [(1, 4), (3, 7), (2, 40_001)])
     def test_new_array_with_the_bits_of_the_formula(self, shape):
