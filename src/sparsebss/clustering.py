@@ -7,14 +7,15 @@ values closer than a gap threshold, remapping the longest marked run back
 to time order, and AND-ing the per-component membership isolates the
 heading indices belonging to a single source.
 
-All indices here are 0-based positions into the heading list handed to the
-caller-facing :func:`find_cluster`.  The tables are indexed (M, N), heading
-by component, but :func:`find_cluster` stores magnitudes, adjacency and
-membership as (N, M) channel rows and passes their transposed views, so
-each component that is sorted, scanned or scattered is one contiguous row.
-It takes the heading lengths on the same rows, with
-:func:`~sparsebss.signals.row_norms`, so the velocities are never copied
-into (M, N) rows.
+The rule is written once, in :func:`cluster_tables`, for a stack of
+records; :func:`find_cluster` runs it on one, and the step helpers spell it
+out one component at a time.  All indices here are 0-based positions into
+the heading list handed to :func:`find_cluster`.  The tables are indexed
+(M, N), heading by component, but :func:`cluster_tables` holds them as
+(N, M) channel rows, so each component that is sorted, scanned or
+scattered is one contiguous row.  The heading lengths are taken on the
+same rows, with :func:`~sparsebss.signals.row_norms`, so the velocities
+are never copied into (M, N) rows.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def gap_threshold(alpha: float, n_headings: int) -> float:
     linearly, so adjacent gaps are about ``1/n_headings``; values bunch far
     tighter than that only where one source dominates.  The global direction
     step of :mod:`sparsebss.separation` takes its epsilon, and its minimum of
-    two accepted headings, from here for one record; its stacked form applies
-    the same ``alpha / n_headings`` and minimum to each record inline.
+    two accepted headings, from here for one record; its stacked form takes
+    ``alpha / n_headings`` per record and leaves a record under two headings
+    unfound.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -222,30 +224,89 @@ def extract_cluster(tables: ClusterTables, velocities: np.ndarray) -> Cluster:
     return Cluster(member_indices=members, member_velocities=velocities[members])
 
 
+def cluster_tables(
+    magnitudes: np.ndarray, count: np.ndarray, epsilon: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cluster rule for Q records at once: membership and adjacency tables.
+
+    ``magnitudes`` are (N, K) channel rows of heading component magnitudes,
+    listed record by record, ``count[r]`` of them for record r; ``epsilon[r]``
+    is record r's gap threshold, at most 1 if the record leaves slots empty.
+    Each heading fills its slot, its position within its record, in
+    (N, Q, width) tables as wide as the largest record: the magnitudes
+    themselves when every record fills its row (always at Q = 1), else a
+    table whose empty slot j reads 2 + j, a whole unit from any other.
+    Returns, as such tables, each component's time-ordered membership masked
+    by its record's seed (:func:`cross_check_components`) and the adjacency
+    of its sorted magnitudes (:func:`build_adjacency`).  The step helpers
+    are the reference, one record and one component at a time.
+
+    numpy's default ``argsort`` orders tied magnitudes arbitrarily, and the
+    tables do not depend on it: ties have the same sorted values, share
+    their in-run flags (their gap, 0, is below epsilon), and no maximal run
+    lo - 1 .. hi splits them, since a tie across lo - 2 and lo - 1 would
+    mark lo - 1, and one across hi and hi + 1 would mark hi + 1.
+
+    If, in every record, every component's magnitudes span less than epsilon
+    (strict, as the adjacency test), nothing is sorted and the tables are
+    read-only views: no sorted gap exceeds the span, so the longest run,
+    positions 1 .. count-1 of component 0, takes in every heading of a
+    record of two or more.  This is so at a deflation's last iteration.
+    """
+    n, listed = magnitudes.shape
+    q, width = count.size, int(count.max())
+    position = np.arange(width)
+    start = np.cumsum(count) - count
+    edges = start[count > 0]
+    spread = np.maximum.reduceat(magnitudes, edges, 1) - np.minimum.reduceat(magnitudes, edges, 1)
+    if np.all(spread < epsilon[count > 0]):
+        member = position < np.where(count < 2, 0, count)[:, None]
+        adjacency = member & (position > 0)
+        return np.broadcast_to(member, (n, q, width)), np.broadcast_to(adjacency, (n, q, width))
+    if listed == q * width:
+        table = magnitudes.reshape(n, q, width)
+    else:
+        table = np.empty((n, q, width))
+        table[...] = 2.0 + position
+        # Listed heading k of record r sits in slot k - start[r] of row r.
+        slot = np.arange(listed) + np.repeat(np.arange(q) * width - start, count)
+        np.put(table, slot + (np.arange(n) * (q * width))[:, None], magnitudes)
+    del magnitudes
+    # Sorted positions, as flat indices into the (N, Q, width) tables.
+    order = np.argsort(table, axis=-1)
+    order += (np.arange(n * q) * width).reshape(n, q, 1)
+    values = np.take(table, order)
+    del table
+    adjacency = np.zeros(values.shape, dtype=bool)
+    for c in range(n):  # one channel's gaps at a time
+        np.less(values[c, :, 1:] - values[c, :, :-1], epsilon[:, None], out=adjacency[c, :, 1:])
+    del values
+
+    # A heading is in a component's clustering when its sorted position or
+    # the next one is marked.  In the seed's component it is in the seed:
+    # sorted positions lo - 1 .. hi, since lo marks the gap after lo - 1
+    # (:func:`expand_and_remap`).  No run, no seed.
+    component, lo, run_length = longest_runs(adjacency.transpose(1, 2, 0))
+    in_run = adjacency.copy()
+    in_run[..., :-1] |= adjacency[..., 1:]
+    seed = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
+    in_run[component, np.arange(q)] = seed
+    membership = np.empty_like(in_run)
+    membership.reshape(-1)[order] = in_run
+    membership &= membership[component, np.arange(q)]
+    return membership, adjacency
+
+
 def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
-    """Run the whole clustering pass on a list of nonzero velocity vectors.
+    """Run the whole clustering pass on (M, N) velocity vectors of positive length.
 
-    Parameters
-    ----------
-    velocities : array_like, shape (M, N)
-        Velocity vectors of the headings entering the sort; all rows must
-        have positive length.  A NaN or infinite entry raises
-        ``NonFiniteError``, and a length that overflows float64
-        ``SparseBssError``.
-    epsilon : float
-        Sorted-gap threshold, usually :func:`gap_threshold`.
-
-    Returns
-    -------
-    (Cluster, ClusterTables)
-        Member indices are positions into ``velocities``.
-
-    When every component's magnitudes span less than epsilon (``max - min <
-    epsilon``, strict as the adjacency test), the cluster is every heading
-    and the tables are built without sorting: rounded subtraction is
-    monotone, so every sorted gap is below epsilon, and the longest run,
-    positions 1 .. M-1 of component 0, takes in every heading.  This holds
-    at a deflation's last iteration, whose residual holds one source.
+    ``epsilon`` is the sorted-gap threshold, usually :func:`gap_threshold`,
+    and must be positive.  Returns the cluster, whose member indices are
+    positions into ``velocities``, and transposed views of the tables of
+    :func:`cluster_tables`, run on the magnitudes' channel rows as one record.
+    A NaN or infinite entry raises ``NonFiniteError``, a length that
+    overflows float64 ``SparseBssError``, no sorted gap below epsilon
+    ``NoRunFoundError``, and no heading left by the AND ``EmptyClusterError``.
     """
     v = np.atleast_2d(as_real_finite(velocities, "velocities"))
     if v.shape[0] < 2:
@@ -258,18 +319,14 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     if np.any(speeds == np.inf):
         i = int(np.argmax(speeds))
         raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")
-    magnitudes = np.divide(rows, speeds)
-    np.abs(magnitudes, out=magnitudes)
-    if np.all(magnitudes.max(axis=1) - magnitudes.min(axis=1) < epsilon):
-        adjacency = np.ones(rows.shape, dtype=bool)
-        adjacency[:, 0] = False
-        membership = np.ones(rows.shape, dtype=bool)
-        tables = ClusterTables(adjacency.T, membership.T, np.ones(len(v), dtype=bool))
-        return extract_cluster(tables, v), tables
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    membership, adjacency = cluster_tables(
+        np.abs(rows / speeds), np.array([len(v)]), np.array([epsilon])
+    )
+    if not adjacency.any():
+        raise NoRunFoundError("adjacency table contains no true entries")
     # Transposed views: column i of each (M, N) table is channel row i.
-    sorted_components = [sort_component(magnitudes.T, i) for i in range(len(rows))]
-    adjacency = np.stack([build_adjacency(sc, epsilon) for sc in sorted_components]).T
-    run = find_largest_run(adjacency)
-    seed = expand_and_remap(run, sorted_components)
-    tables = cross_check_components(seed, run[0], adjacency, sorted_components)
+    membership = membership[:, 0]
+    tables = ClusterTables(adjacency[:, 0].T, membership.T, membership.all(axis=0))
     return extract_cluster(tables, v), tables

@@ -88,6 +88,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"scenario config must be a JSON object, got {type(data).__name__}")
         try:
             kind = str(data["kind"])
             if kind not in SCENARIO_KEYS:
@@ -107,6 +109,8 @@ class ScenarioConfig:
             return cls(length=int(data["length"]), shift=int(data["shift"]), **common)
         except KeyError as missing:
             raise ValueError(f"scenario config is missing key {missing}") from missing
+        except TypeError as err:
+            raise ValueError(f"scenario config has a value of the wrong type: {err}") from err
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -143,7 +147,7 @@ def load_config(path_or_preset: str) -> ScenarioConfig:
     if path.exists():
         try:
             return ScenarioConfig.from_json(path.read_text())
-        except (json.JSONDecodeError, ValueError) as err:
+        except (OSError, ValueError) as err:
             raise ValueError(f"{path}: {err}") from err
     if path_or_preset in PRESET_NAMES:
         return load_preset(path_or_preset)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import Cluster, find_cluster, gap_threshold, longest_runs
+from .clustering import Cluster, cluster_tables, find_cluster, gap_threshold
 from .errors import (
     ClusterFormationFailedError,
     DegenerateClusterError,
@@ -294,8 +294,9 @@ def _global_directions(
     epsilon and minimum applied per record.  ``np.flatnonzero`` lists the
     accepted velocities record by record, in index order, and each is
     formed from the samples on either side of it by flat ``np.take``, into
-    one (N, K) channel rows array for all records.  :func:`_clustered_slots`
-    marks each record's cluster among them.
+    one (N, K) channel rows array for all records.  The AND of their
+    :func:`~sparsebss.clustering.cluster_tables` membership marks each
+    record's cluster among its slots.
 
     Every found record's cluster is averaged in one :func:`average_directions`
     call.  The records are ordered by cluster size, and the members, record
@@ -312,7 +313,9 @@ def _global_directions(
     if not found.any():
         return directions, found
     velocities = _velocity_rows(data, record, index)
-    member = _clustered_slots(velocities, record, count, alpha)
+    # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
+    epsilon = alpha / np.maximum(count, 2)
+    member = cluster_tables(np.abs(velocities / row_norms(velocities)), count, epsilon)[0].all(0)
     size = member.sum(axis=-1)
     found &= size > 0
     runs = np.flatnonzero(found)
@@ -350,72 +353,6 @@ def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> n
     return rows
 
 
-def _clustered_slots(
-    velocities: np.ndarray, record: np.ndarray, count: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Which of each record's ``count`` listed velocities form its global cluster.
-
-    ``velocities`` are (N, K) channel rows listed record by record
-    (``record``).  Each heading's magnitudes fill its slot, its position
-    within its record, in an (N, Q, width) table as wide as the record with
-    the most; empty slot ``j`` reads magnitude ``2 + j``, a whole unit from
-    any other, so no gap reaches it.  The table is sorted and scanned as
-    contiguous channel rows, as in :func:`find_cluster`, and its channels
-    lead so that their membership is ANDed across whole blocks.  Returns a
-    (Q, width) mask of the slots in each record's cluster.
-
-    The sort is numpy's default ``argsort``, whose order among tied
-    magnitudes is arbitrary; the mask does not depend on it.  Any tie order
-    gives the same sorted values, hence the same adjacency.  Tied values
-    are adjacent, their gap 0 below epsilon, so they share their in-run
-    flags.  A maximal run covering sorted positions lo - 1 .. hi never
-    splits a tie group either: a tie across lo - 2 and lo - 1 would mark
-    lo - 1, and a tie across hi and hi + 1 would mark hi + 1.  So every
-    tied heading gets the same flag, whichever slot it sorts into.
-
-    If every record's magnitudes span less than its epsilon in every
-    component, no table is built: each record of two headings or more
-    clusters all of them, by :func:`find_cluster`'s proof.
-    """
-    n = velocities.shape[0]
-    q, width = count.size, int(count.max())
-    position = np.arange(width)
-    # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
-    epsilon = alpha / np.maximum(count, 2)
-    start = np.cumsum(count) - count
-    listed = np.abs(velocities / row_norms(velocities))
-    edges = start[count > 0]
-    spread = np.maximum.reduceat(listed, edges, axis=1) - np.minimum.reduceat(listed, edges, axis=1)
-    if np.all(spread < epsilon[count > 0]):
-        return position < np.where(count < 2, 0, count)[:, None]
-    magnitudes = np.empty((n, q, width))
-    magnitudes[...] = 2.0 + position
-    # Listed velocity k sits in slot k - start[record[k]] of its record.
-    first = np.arange(q) * width - start
-    slot = (np.arange(record.size) + first[record]) + (np.arange(n) * (q * width))[:, None]
-    np.put(magnitudes, slot, listed)
-    del listed
-    # Sorted positions, as flat indices into the (N, Q, width) tables.
-    order = np.argsort(magnitudes, axis=-1)
-    order += (np.arange(n * q) * width).reshape(n, q, 1)
-    values = np.take(magnitudes, order)
-    adjacency = np.zeros(values.shape, dtype=bool)
-    np.less(values[..., 1:] - values[..., :-1], epsilon[:, None], out=adjacency[..., 1:])
-
-    # A heading is in a component's clustering when its sorted position or
-    # the next one is marked (``cross_check_components``).  In the seed's
-    # component it is in the seed: sorted positions lo - 1 .. hi, since lo
-    # marks the gap after lo - 1 (``expand_and_remap``).  No run, no seed.
-    component, lo, run_length = longest_runs(adjacency.transpose(1, 2, 0))
-    seed = (position >= lo[:, None] - 1) & (position < (lo + run_length)[:, None])
-    in_run = adjacency.copy()
-    in_run[..., :-1] |= adjacency[..., 1:]
-    in_run[component, np.arange(q)] = seed
-    member = np.empty_like(in_run)
-    member.reshape(-1)[order] = in_run
-    return member.all(axis=0)
-
-
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
     """The deflation loop over a (Q, N, L) stack of whitened records, in place.
 
@@ -424,9 +361,10 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     (Q, N) directions, which records found one (the others get a zero
     direction), the (Q, L-1) acceptance masks, and, for the global method on
     one record, :func:`_global_direction`'s cluster or error (else None).
-    One record clusters through :func:`find_cluster`, many through the stacked
-    :func:`_global_directions`, with the same bits: the benchmark's span test
-    requires one :func:`find_cluster` call per global iteration of :func:`separate`.
+    One record clusters through :func:`find_cluster` and many through
+    :func:`_global_directions`, both by one rule with the same bits: the
+    benchmark's span test requires one :func:`find_cluster` call per global
+    iteration of :func:`separate`.
 
     No velocity outlives the pass that reads it.  The velocity-and-threshold
     pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at

@@ -76,13 +76,12 @@ def sum_of_products(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     split down to parts of at most :data:`BLOCK` values, forms each part's
     products in one scratch block and hands it to ``np.add.reduce``, so no
     temporary is larger than a block.  A row of at most :data:`BLOCK`
-    values is one part.  ``np.square`` forms a square as ``x * x`` does,
-    and faster.
+    values is one part, and its scratch is the row's width.  ``np.square``
+    forms a square as ``x * x`` does, and faster.
     """
     product, operands = (np.square, (a,)) if b is None else (np.multiply, (a, b))
-    if a.shape[-1] <= BLOCK:
-        return np.add.reduce(product(*operands), axis=-1)
-    return _pairwise(product, operands, np.empty(a.shape[:-1] + (BLOCK,)))
+    scratch = np.empty(a.shape[:-1] + (min(a.shape[-1], BLOCK),))
+    return _pairwise(product, operands, scratch)
 
 
 def _pairwise(product, operands, scratch: np.ndarray):

@@ -28,11 +28,12 @@ from sparsebss import (
     separate,
     source_errors,
 )
-from sparsebss import evaluation, separation
-from sparsebss.clustering import longest_runs
+from sparsebss import clustering, evaluation
+from sparsebss.clustering import cluster_tables, longest_runs
 from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, rms_metrics, run_chunk
 from sparsebss.rng import derive_seed
-from sparsebss.separation import _clustered_slots, mhc_pick
+from sparsebss.separation import mhc_pick
+from sparsebss.signals import row_norms
 from sparsebss.whitening import whiten_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -468,6 +469,12 @@ def test_pooling_leaves_out_a_set_without_a_successful_run(monkeypatch):
     assert_pooled_as_rms_metrics(report, errors, ok)
 
 
+def clustered_slots(velocities, count, alpha):
+    """The stacked global step's mask of the slots in each record's cluster."""
+    epsilon = alpha / np.maximum(count, 2)
+    return cluster_tables(np.abs(velocities / row_norms(velocities)), count, epsilon)[0].all(axis=0)
+
+
 def stable_clustered_slots(velocities, record, count, alpha):
     """The stacked cluster mask on (Q, N, width) tables sorted with a stable
     sort: ties keep slot order, the reference any tie order must match."""
@@ -509,8 +516,8 @@ def test_cluster_mask_of_tight_records_needs_no_tables(monkeypatch, n):
     def no_tables(*args):
         raise AssertionError("the stacked step built its run tables")
 
-    monkeypatch.setattr(separation, "longest_runs", no_tables)
-    mask = _clustered_slots(velocities, record, count, 1.0)
+    monkeypatch.setattr(clustering, "longest_runs", no_tables)
+    mask = clustered_slots(velocities, count, 1.0)
     assert np.array_equal(mask, expected)
     assert np.array_equal(mask.sum(axis=1), np.where(count < 2, 0, count))
 
@@ -539,7 +546,7 @@ def test_cluster_mask_does_not_depend_on_the_tie_order(n, alpha):
         expected, magnitudes = stable_clustered_slots(velocities, record, count, alpha)
         reordered += not np.array_equal(np.argsort(magnitudes, axis=-1),
                                         np.argsort(magnitudes, axis=-1, kind="stable"))
-        assert np.array_equal(_clustered_slots(velocities, record, count, alpha), expected)
+        assert np.array_equal(clustered_slots(velocities, count, alpha), expected)
     assert reordered > 50
 
 

@@ -46,6 +46,24 @@ def test_simulate_malformed_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    lambda config: [1, 2],
+    lambda config: dict(config, mixing=5),
+    lambda config: dict(config, seed=None),
+    lambda config: dict(config, sources=[1]),
+    None,  # a directory in place of the file
+], ids=["top-level-list", "mixing-number", "seed-null", "source-number", "directory"])
+def test_simulate_reports_a_malformed_config_by_path(tmp_path, capsys, change):
+    bad = tmp_path / "bad.json"
+    if change is None:
+        bad.mkdir()
+    else:
+        bad.write_text(json.dumps(change(load_preset("example1").to_dict())))
+    assert run_cli("simulate", bad, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method,vth", [("global", "0.4"), ("mhc", "0.8")])
 def test_separate_produces_estimates_and_report(simulated, tmp_path, method, vth):
     out = tmp_path / "estimates.csv"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsebss import clustering
+from sparsebss.clustering import cluster_tables, longest_runs
 from sparsebss import (
     DimensionMismatchError,
     EmptyClusterError,
@@ -369,18 +370,19 @@ def test_find_cluster_keeps_row_major_bits(monkeypatch, n):
 
     seen = []
 
-    def recording_sort(magnitudes, component):
-        seen.append(np.array(magnitudes[:, component]))
-        return sort_component(magnitudes, component)
+    def recording_kernel(magnitudes, count, epsilon):
+        seen.append(np.array(magnitudes))
+        return cluster_tables(magnitudes, count, epsilon)
 
-    monkeypatch.setattr(clustering, "sort_component", recording_sort)
+    monkeypatch.setattr(clustering, "cluster_tables", recording_kernel)
     results = []
     for table in (v, np.ascontiguousarray(v.T).T):
         seen.clear()
         results.append(find_cluster(table, gap_threshold(1.0, len(v))))
-        assert np.stack(seen, axis=1).tobytes() == expected.tobytes()
+        (magnitudes,) = seen  # (N, M) channel rows, the table the kernel sorts
+        assert magnitudes.T.tobytes() == expected.tobytes()
     (a, tables_a), (b, tables_b) = results
-    assert a.member_indices.size > 1
+    assert 1 < a.member_indices.size < len(v)  # sorted, not every heading
     assert a.member_indices.tobytes() == b.member_indices.tobytes()
     assert a.member_velocities.tobytes() == b.member_velocities.tobytes()
     assert tables_a.membership.tobytes() == tables_b.membership.tobytes()
@@ -410,17 +412,20 @@ def tight_set(k, n, seed, channel_rows):
     return np.ascontiguousarray(v.T).T if channel_rows else v
 
 
-def cluster_and_sorts(velocities, epsilon):
-    """:func:`find_cluster`'s result and how many components it sorted."""
-    sorts = []
+def cluster_and_run_tables(velocities, epsilon):
+    """:func:`find_cluster`'s result and the shapes of the run tables it scanned.
 
-    def counting_sort(magnitudes, component):
-        sorts.append(component)
-        return sort_component(magnitudes, component)
+    Each shape is (records, headings, components): the components sorted.
+    """
+    shapes = []
+
+    def recording_runs(adjacency):
+        shapes.append(adjacency.shape)
+        return longest_runs(adjacency)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(clustering, "sort_component", counting_sort)
-        return find_cluster(velocities, epsilon), len(sorts)
+        patch.setattr(clustering, "longest_runs", recording_runs)
+        return find_cluster(velocities, epsilon), shapes
 
 
 def assert_same_cluster(got, expected):
@@ -447,8 +452,8 @@ def test_tight_set_clusters_every_heading_without_sorting(k, n, alpha, seed, cha
     # the sorts can only find every heading.  The exit must return what they would.
     v = tight_set(k, n, seed, channel_rows)
     epsilon = gap_threshold(alpha, k)
-    got, sorts = cluster_and_sorts(v, epsilon)
-    assert sorts == 0
+    got, run_tables = cluster_and_run_tables(v, epsilon)
+    assert run_tables == []
     assert len(got[0]) == k
     assert_same_cluster(got, step_pipeline(v, epsilon))
 
@@ -458,6 +463,33 @@ def test_spread_equal_to_epsilon_takes_the_full_path(n):
     v = tight_set(50, n, n, channel_rows=True)
     magnitudes = np.abs(v / np.linalg.norm(np.ascontiguousarray(v), axis=1)[:, None])
     epsilon = float(np.max(magnitudes.max(axis=0) - magnitudes.min(axis=0)))
-    got, sorts = cluster_and_sorts(v, epsilon)
-    assert sorts == n
+    got, run_tables = cluster_and_run_tables(v, epsilon)
+    assert run_tables == [(1, 50, n)]
     assert_same_cluster(got, step_pipeline(v, epsilon))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    m=st.integers(2, 60),
+    n=st.integers(1, 9),
+    levels=st.integers(1, 4),
+    epsilon=st.sampled_from([0.01, 0.1, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    channel_rows=st.booleans(),
+)
+def test_find_cluster_matches_step_pipeline_on_ties(m, n, levels, epsilon, seed, channel_rows):
+    # Velocities on a coarse integer grid give magnitudes on a coarse grid:
+    # headings that differ only in sign or component order tie exactly, so
+    # runs, anchors and empty ANDs are common.
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-levels, levels + 1, (m, n)).astype(float)
+    v[~v.any(axis=1), 0] = 1.0
+    if channel_rows:
+        v = np.ascontiguousarray(v.T).T
+    try:
+        expected = step_pipeline(v, epsilon)
+    except (NoRunFoundError, EmptyClusterError) as err:
+        with pytest.raises(type(err)):
+            find_cluster(v, epsilon)
+        return
+    assert_same_cluster(find_cluster(v, epsilon), expected)

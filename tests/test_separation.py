@@ -33,7 +33,7 @@ from sparsebss import (
     source_errors,
     weighted_average_heading,
 )
-from sparsebss import separation
+from sparsebss import clustering
 from sparsebss.headings import HeadingSet
 from sparsebss.separation import _global_directions, average_directions, deflation_steps
 from sparsebss.signals import BLOCK
@@ -304,7 +304,7 @@ def test_stacked_global_step_on_tight_records_equals_find_cluster(n, alpha):
         raise AssertionError("the stacked step built its run tables")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(separation, "longest_runs", no_tables)
+        patch.setattr(clustering, "longest_runs", no_tables)
         directions, found = _global_directions(data, accepted, alpha)
     for r in range(q):
         index = np.flatnonzero(accepted[r])
