@@ -41,13 +41,40 @@ the point after any of them, the exponent, the separator.  A slot that a
 value does not use holds NUL, and the NUL-free bytes of the transposed
 matrix are the block's text.
 
-The reader finds the header with one line scan and hands the path to
-``np.loadtxt``, which then parses the rest of the file in large chunks.
+How the reader gets the doubles without strtod
+----------------------------------------------
+The header is the first non-blank line, decoded as UTF-8 without a
+byte-order mark.  If it is the file's first line, the rows are parsed in
+blocks of whole lines, about 128 kB each, into a table sized from the
+file.  A field in the writer's grammar is an optional ``-``, digits with
+at most one ``.``, and an optional ``e``, sign and 1-3 digits; fields are
+``,``-separated and each row ends in a newline.  One scan finds the bytes
+that are neither digits nor ``-``.  Their positions check the grammar and
+the row widths, and give each field's fraction digits.  Signs and points
+are dropped, each ``e`` and newline becomes a comma, and ``np.fromstring``
+reads the digits of each field, and of each exponent after it, as int64s.
+The field's value is D * 10**k, D its digits and k its exponent less its
+fraction digits.
+
+Exactness: D = D_hi + D_lo exactly, D_hi its nearest double, and
+``_scaled`` forms (D_hi + D_lo) * 10**k as hi + lo from the writer's
+tables.  For D < 10**18 and -270 <= k <= 282 every partial product is
+normal and finite, and hi + lo misses the exact product by less than
+10 * 2**-106 of it: 2**-106 from the 10**k pair, as much from the dropped
+product of D_lo and the pair's low part, the rest from four roundings.
+So hi is the correctly rounded double unless the product lies that close
+to a midpoint between two doubles.  Every field where
+hi + (lo +- 2**-100 * hi) does not round back to hi is parsed by
+``float`` itself, and so is every field outside those bounds
+(``fromstring`` saturates at 2**63 - 1).  ``float`` rounds correctly, as
+``np.loadtxt`` does.  A block outside the grammar sends the
+whole file to ``np.loadtxt``.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import warnings
 
 import numpy as np
@@ -60,6 +87,8 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |x| range of the vectorized path
 _K_MIN, _K_MAX = -270, 300  # powers of ten that range can need, 10**(16 - E)
 _TIE_BAND = 1e-6  # lo's fraction this close to 1/2 goes to '%.17g' %
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant for doubles
+_READ_BYTES = 1 << 17  # text the reader parses per block, whole lines
+_READ_TIE = 2.0**-100  # relative distance from a rounding midpoint that goes to float()
 
 # Rows of the byte matrix that holds a block's text, one column per value, in
 # the order the text reads; NUL marks a slot that a value does not use.
@@ -170,13 +199,13 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slow = (mag < _FAST_MIN) | (mag >= _FAST_MAX)
     mag[slow] = 1.0
     e = np.floor(np.log10(mag)).astype(np.intp)
-    hi, lo = _scaled(mag, e)
+    hi, lo = _scaled(mag, 16 - e)
     off = np.flatnonzero(_misplaced(hi, lo))  # log10 missed E by one
     for _ in range(2):
         if not off.size:
             break
         e[off] += np.where(hi[off] >= 1e17, 1, -1)
-        hi[off], lo[off] = _scaled(mag[off], e[off])
+        hi[off], lo[off] = _scaled(mag[off], 16 - e[off])
         off = off[_misplaced(hi[off], lo[off])]
     slow[off] = True
     whole = np.floor(lo)
@@ -218,14 +247,13 @@ def _misplaced(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return below | above
 
 
-def _scaled(mag: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``mag * 10**(16 - e)`` as a normalized double-double (hi, lo)."""
-    k = 16 - _K_MIN - e
-    t_hi, t_lo, t_hi_hi, t_hi_lo = (row.take(k) for row in _powers_of_ten())
+def _scaled(mag: np.ndarray, k: np.ndarray, mag_lo=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``(mag + mag_lo) * 10**k`` as a normalized double-double (hi, lo), k in the tables."""
+    t_hi, t_lo, t_hi_hi, t_hi_lo = (row.take(k - _K_MIN) for row in _powers_of_ten())
     p = mag * t_hi
     m_hi, m_lo = _split(mag)
     err = ((m_hi * t_hi_hi - p) + m_hi * t_hi_lo + m_lo * t_hi_hi) + m_lo * t_hi_lo
-    s = err + mag * t_lo
+    s = err + mag * t_lo + mag_lo * t_hi
     hi = p + s
     return hi, s - (hi - p)
 
@@ -260,20 +288,103 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a channels-as-columns CSV back into (names, (N, L) matrix)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for n_lines, header in enumerate(fh, 1):
             if header.strip():
                 break
         else:
             raise ValueError(f"{path}: empty file")
     names = [c.strip() for c in header.split(",")]
-    try:
-        with warnings.catch_warnings():
-            # a header-only file is reported below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=n_lines)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    data = _read_rows(path, len(names)) if n_lines == 1 else None
+    if data is None:
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=n_lines, encoding="utf-8")
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
     if data.shape[0] == 0 or data.shape[1] != len(names):
         raise ValueError(f"{path}: ragged or empty table")
     return names, data.T
+
+
+def _read_rows(path, n_cols: int) -> np.ndarray | None:
+    """The (rows, n_cols) table below the first line, or None if any of it
+    leaves the writer's grammar or there is none."""
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():  # a text-mode read ends the header there
+            return None
+        size = os.fstat(fh.fileno()).st_size
+        table = np.empty((0, n_cols))
+        filled = 0
+        while text := fh.read(_READ_BYTES):
+            text += fh.readline()
+            rows = _parse_rows(text, n_cols)
+            if rows is None:
+                return None
+            end = filled + len(rows)
+            if end > len(table):  # room for the rest of the file at this block's density
+                more = max(size - fh.tell(), 0) * len(rows) // len(text)
+                table.resize((end + more + more // 64 + 1, n_cols), refcheck=False)
+            table[filled:end] = rows
+            filled = end
+    table.resize((filled, n_cols), refcheck=False)
+    return table if filled else None
+
+
+def _parse_rows(text: bytes, n_cols: int) -> np.ndarray | None:
+    """The values of whole lines in the writer's grammar as (rows, n_cols), else None."""
+    if not text.endswith(b"\n"):
+        return None
+    b = np.frombuffer(text, np.uint8)
+    marks = np.flatnonzero(((b < 48) & (b != 45)) | (b > 57))  # every byte but digits and "-"
+    kind = b[marks]
+    minus = 0  # the "-" of exponents
+    if has_exp := b"e" in text:  # an "e" and its "+" leave the marks
+        e_at = np.flatnonzero(kind == 101)
+        e_pos = marks[e_at]
+        plus = (kind[e_at + 1] == 43) & (marks[e_at + 1] == e_pos + 1)
+        after = marks[e_at + 1 + plus]  # the exponent's end, its field's separator if valid
+        keep = np.ones(len(marks), bool)
+        keep[e_at] = keep[e_at[plus] + 1] = False
+        marks, kind = marks[keep], kind[keep]
+        exp_neg = b[e_pos + 1] == 45
+        n_exp = after - e_pos - 1 - (plus | exp_neg)  # its digits
+        minus = np.count_nonzero(exp_neg)
+    at = np.flatnonzero(kind != 46)  # the marks that end a field
+    seps = marks[at]
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    neg = b[starts] == 45
+    dots = np.diff(at, prepend=-1) - 1  # points in each field
+    stop = seps  # where each field's digits end
+    if has_exp:
+        fields = np.searchsorted(seps, e_pos)
+        if (after != seps[fields]).any() or (n_exp < 1).any() or (n_exp > 3).any():
+            return None
+        stop = seps.copy()
+        stop[fields] = e_pos
+    row_end = np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)
+    if (len(seps) % n_cols or (kind[at].reshape(-1, n_cols) != row_end).any() or (dots > 1).any()
+            or np.count_nonzero(b == 45) != np.count_nonzero(neg) + minus
+            or (stop - starts - neg - dots < 1).any()):
+        return None
+    # each field's digits, and each exponent's after its field's, as integers
+    digits = np.fromstring(text.translate(bytes.maketrans(b"\ne", b",,"), b".-+"), np.int64, sep=",")
+    k = np.where(dots, marks[at - 1] + 1 - stop, 0)  # minus the fraction digits
+    if has_exp:
+        exp_at = fields + np.arange(1, len(fields) + 1)
+        k[fields] += np.where(exp_neg, -digits[exp_at], digits[exp_at])
+        digits = np.delete(digits, exp_at)
+    del marks, kind, at, dots, stop  # the scaling below holds a dozen arrays of this size
+    # D < 10**18 keeps D * 10**k below 1e300 and every partial product normal
+    slow = (digits >= 10**18) | (k < _K_MIN) | (k > _K_MAX - 18)
+    digits[slow] = k[slow] = 0
+    d_hi = digits.astype(float)
+    hi, lo = _scaled(d_hi, k, (digits - d_hi.astype(np.int64)).astype(float))
+    tie = hi * _READ_TIE
+    slow |= (hi + (lo + tie) != hi) | (hi + (lo - tie) != hi)
+    np.copysign(hi, 0.5 - neg, out=hi)
+    for j in np.flatnonzero(slow).tolist():
+        hi[j] = float(text[starts[j] : seps[j]])
+    return hi.reshape(-1, n_cols)

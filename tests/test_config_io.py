@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -46,6 +49,10 @@ def line_reader_reference(path):
     if data.shape[0] == 0 or data.shape[1] != len(names):
         raise ValueError(f"{path}: ragged or empty table")
     return names, data.T
+
+
+def loadtxt_refused(*args, **kwargs):
+    raise AssertionError("np.loadtxt reached")
 
 
 def read_outcome(read, path):
@@ -312,12 +319,15 @@ class TestCsv:
     @pytest.mark.parametrize(
         "n_samples", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
     )
-    def test_bytes_equal_savetxt_across_block_edges(self, tmp_path, n_channels, n_samples):
+    def test_bytes_equal_savetxt_across_block_edges(
+        self, tmp_path, monkeypatch, n_channels, n_samples
+    ):
         data = spread_record(n_channels, n_samples, seed=1000 * n_channels + n_samples)
         names = [f"ch{i}" for i in range(n_channels)]
         write_csv(tmp_path / "new.csv", data, names)
         savetxt_reference(tmp_path / "ref.csv", data, names)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
         back_names, back = read_csv(tmp_path / "new.csv")
         assert back_names == names
         assert same_bits(back, data)
@@ -331,21 +341,24 @@ class TestCsv:
             )
         )
     )
-    def test_any_finite_record_matches_savetxt_and_reads_back(self, tmp_path, rows):
+    def test_any_finite_record_matches_savetxt_and_reads_back(self, tmp_path, monkeypatch, rows):
         data = np.array(rows, dtype=float).T
         names = [f"c{i}" for i in range(data.shape[0])]
         write_csv(tmp_path / "new.csv", data, names)
         savetxt_reference(tmp_path / "ref.csv", data, names)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert same_bits(read_csv(tmp_path / "new.csv")[1], data)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "loadtxt", loadtxt_refused)
+            assert same_bits(read_csv(tmp_path / "new.csv")[1], data)
 
-    def test_hard_values_match_per_value_format_and_read_back(self, tmp_path):
+    def test_hard_values_match_per_value_format_and_read_back(self, tmp_path, monkeypatch):
         values = hard_to_print(seed=19)
         assert values.size >= 200_000
         data = values[: values.size // 4 * 4].reshape(-1, 4).T  # 4 channels
         names = ["w", "x", "y", "z"]
         write_csv(tmp_path / "hard.csv", data, names)
         assert (tmp_path / "hard.csv").read_bytes() == g17_reference(data, names)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
         back_names, back = read_csv(tmp_path / "hard.csv")
         assert back_names == names
         assert same_bits(back, data)
@@ -372,6 +385,92 @@ class TestCsv:
             tracemalloc.stop()
         assert peak < 2e6
         assert same_bits(read_csv(tmp_path / "wide.csv")[1], data)
+
+    @pytest.mark.parametrize(
+        "raw, parsed",
+        [
+            (b"a,b\n-0,1.5e-07\n0.001,-1e+20\n-0.5,12e5\n", True),
+            (b"a,b\n1.,.5\n-1.,-.5\n-0,007\n", True),
+            (b"a,b\n12345678901234567890,-0.12345678901234567890123\n-0,99999999999999999999e-5\n",
+             True),
+            (b"a,b\n9007199254740993,2.4703282292062328e-324\n-9007199254740993,-0\n", True),
+            # decimals that lie closest to a midpoint between doubles (Paxson, 1991)
+            (b"a\n46202199371337e-072\n231010996856685e-073\n272104041512242479e200\n"
+             b"609610927149051e-255\n3743626360493413e-165\n-0\n", True),
+            (b"a,b\n5e-324,-2.2250738585072009e-308\n4.9406564584124654e-324,-0\n", True),
+            (b"a,b\n1.7976931348623157e308,-1.7976931348623157e+308\n1e309,-1e309\n", True),
+            (b"a,b\r\n1,-0\r\n2,3\r\n", False),
+            (b"a,b\n# note\n1,-0\n", False),
+            (b"a,b\n1,-0\n\n2,3\n", False),
+            (b"a,b\n1, -0\n", False),
+            (b"a,b\n+1,-0\n", False),
+            (b"a,b\n1E5,-0\n", False),
+            (b"a,b\ninf,-nan\n-inf,nan\n", False),
+            (b"a,b\n1e0005,-0\n", False),
+            (b"a,b\n1,-0\n2,3", False),
+            (b"a,b\n" + b"0.5,-0\n" * 20_000 + b"nan,1\n", False),
+            (b"a,b\n1,\n", False),
+            (b"a,b\n1-2,3\n", False),
+            (b"a,b\n1.2.3,4\n", False),
+            (b"a,b\ne5,1\n", False),
+            (b"a,b\n1e+,1\n", False),
+            (b"a,b\n-,1\n", False),
+            (b"a,b\n1,2\n3\n", False),
+            (b"a,b\n1,2,3\n", False),
+        ],
+        ids=["writer-forms", "bare-points", "20-digits", "binary-midpoints", "near-midpoints",
+             "subnormals", "extremes-and-overflow", "crlf", "comment", "blank-line", "space",
+             "plus", "upper-e", "inf-nan", "four-exponent-digits", "no-final-newline",
+             "nan-after-a-block", "empty-field", "inner-minus", "two-points", "no-mantissa",
+             "no-exponent-digits", "bare-minus", "ragged", "wide"],
+    )
+    def test_reads_as_loadtxt_inside_and_outside_the_writer_grammar(
+        self, tmp_path, monkeypatch, raw, parsed
+    ):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        calls = []
+        loadtxt = np.loadtxt
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+            outcome = read_outcome(read_csv, path)
+        assert outcome == read_outcome(line_reader_reference, path)
+        assert (not calls) == parsed
+
+    @pytest.mark.parametrize("shape", [(2, 99_000), (64, 12_000)])
+    def test_reader_peak_memory_is_the_table_and_one_block(self, tmp_path, shape):
+        data = np.random.default_rng(7).normal(size=shape)
+        write_csv(tmp_path / "data.csv", data)
+        tracemalloc.start()
+        try:
+            back = read_csv(tmp_path / "data.csv")[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(back, data)
+        assert peak < back.nbytes + 2e6  # np.loadtxt needs up to 1.4 MB beyond the table here
+
+    @pytest.mark.parametrize("raw", [b"\xef\xbb\xbfa,b\n1,2\n", b"\xef\xbb\xbfa,b\r\n1,2\r\n"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, raw):
+        path = tmp_path / "exported.csv"
+        path.write_bytes(raw)
+        names, data = read_csv(path)
+        assert names == ["a", "b"]
+        assert same_bits(data, np.array([[1.0], [2.0]]))
+
+    def test_names_are_utf8_whatever_the_locale(self, tmp_path):
+        code = (
+            "import sys, numpy as np; from sparsebss.io import read_csv, write_csv; "
+            "write_csv(sys.argv[1], np.ones((2, 3)), ['d\\xe9bit', '\\u03b2']); "
+            "print(ascii(read_csv(sys.argv[1])[0]))"
+        )
+        src = str(Path(sparsebss.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUTF8="0", LC_ALL="C")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "names.csv")],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ascii(["d\xe9bit", "\u03b2"])
 
     @pytest.mark.parametrize(
         "names,bad",

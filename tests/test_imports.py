@@ -58,14 +58,26 @@ def test_no_private_name_imported_from_another_module():
     assert found - PRIVATE_IMPORTS == set()
 
 
-def test_cli_import_leaves_process_pools_unloaded():
-    code = (
-        "import sys, sparsebss.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
-    )
+def run_fresh(code):
+    """Stdout of ``code`` run by a fresh interpreter that imports this package."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    code = (
+        "import sys, sparsebss.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    assert run_fresh(code) == "[]"
+
+
+def test_cli_import_builds_no_csv_table():
+    # The tables of powers of ten are built on the first read or write, so
+    # every start of the command line pays nothing for them.
+    code = "import sparsebss.cli, sparsebss.io as io; print(io._powers_of_ten.cache_info().currsize)"
+    assert run_fresh(code) == "0"
