@@ -6,8 +6,10 @@ estimated sources), ``evaluate`` (estimates against known sources),
 ``plotdata`` (phase-plot and sorted-heading diagnostic CSVs).
 
 Each report is built once as a JSON record, written next to the
-requested path (``.json`` suffix), and rendered from that record as the
-human-readable text file at the requested path.
+requested path (``.json`` suffix) on one compact line, and rendered from
+that record as the human-readable text file at the requested path.
+An input or output path that cannot be read or written ends the command
+with ``error: ...`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _write_report(path: Path, lines: list[str], record: dict) -> None:
     text_path = path if path != json_path else path.with_suffix(".txt")
     text_path.parent.mkdir(parents=True, exist_ok=True)
     text_path.write_text("\n".join(lines) + "\n")
-    json_path.write_text(json.dumps(record, indent=2, default=_jsonify) + "\n")
+    json_path.write_text(json.dumps(record, default=_jsonify) + "\n")
 
 
 def _jsonify(obj):
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     except ClusterFormationFailedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (SparseBssError, ValueError, FileNotFoundError) as err:
+    except (SparseBssError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

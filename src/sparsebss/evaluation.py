@@ -98,9 +98,9 @@ def associate(actual, estimates) -> Association:
 
 
 def _associate(actual, estimates) -> tuple[Association, np.ndarray, np.ndarray]:
-    """:func:`associate`, with the checked (S, L) source and estimate arrays."""
-    s = np.atleast_2d(as_real_finite(actual))
-    e = np.atleast_2d(as_real_finite(estimates))
+    """:func:`associate`, with the checked (S, L) source and estimate arrays, C-contiguous."""
+    s = np.ascontiguousarray(np.atleast_2d(as_real_finite(actual)))
+    e = np.ascontiguousarray(np.atleast_2d(as_real_finite(estimates)))
     if s.shape[0] != e.shape[0]:
         raise DimensionMismatchError(
             f"{s.shape[0]} sources vs {e.shape[0]} estimates"
@@ -199,9 +199,10 @@ def rms_metrics(errors):
     ``errors`` is a (Q, L) array of one source's error sequences over Q
     runs, or a (Q, S, L) stack of S sources' sequences.  Returns
     ``(rms_per_sample, rms_tot, rms_max)``: shapes (L,), (), () for one
-    source and (S, L), (S,), (S,) for a stack.
+    source and (S, L), (S,), (S,) for a stack.  The errors are summed in a
+    C-contiguous array, so any layout of ``errors`` gives the same bits.
     """
-    err = np.atleast_2d(as_real_finite(errors))
+    err = np.ascontiguousarray(np.atleast_2d(as_real_finite(errors)))
     return _rms_figures(np.mean(np.square(err), axis=0))
 
 

@@ -45,9 +45,15 @@ How the reader gets the doubles without strtod
 ----------------------------------------------
 The header is the first non-blank line, decoded as UTF-8 without a
 byte-order mark.  If it is the file's first line, the rows are parsed in
-blocks of whole lines, about 128 kB each, into a table sized from the
-file.  A field in the writer's grammar is an optional ``-``, digits with
-at most one ``.``, and an optional ``e``, sign and 1-3 digits; fields are
+blocks of whole lines, about 128 kB each.  Each block's values go
+straight into a channel-major (channels, samples) table, one contiguous
+row per channel, which is what ``read_csv`` returns.  The table is sized
+from the file at the first block's density.  When the file holds more
+rows than that, or fewer, the table is resized in place: its buffer is
+grown or cut with ``ndarray.resize``, and each channel row moves within
+it to its new start, so no second table is made.  A field in the
+writer's grammar is an optional ``-``, digits with at most one ``.``,
+and an optional ``e``, sign and 1-3 digits; fields are
 ``,``-separated and each row ends in a newline.  One scan finds the bytes
 that are neither digits nor ``-``.  Their positions check the grammar and
 the row widths, and give each field's fraction digits.  Signs and points
@@ -68,7 +74,8 @@ hi + (lo +- 2**-100 * hi) does not round back to hi is parsed by
 ``float`` itself, and so is every field outside those bounds
 (``fromstring`` saturates at 2**63 - 1).  ``float`` rounds correctly, as
 ``np.loadtxt`` does.  A block outside the grammar sends the
-whole file to ``np.loadtxt``.
+whole file to ``np.loadtxt``, whose (rows, channels) table is copied
+into the channel-major layout.
 """
 
 from __future__ import annotations
@@ -102,6 +109,9 @@ _WIDTH = _SEP + 1
 
 def write_csv(path, data, names: list[str] | None = None) -> None:
     """Write an (n_channels, n_samples) matrix as columns under ``names``.
+
+    A matrix in any layout but C order is first copied into it, as
+    :func:`~sparsebss.signals.as_signal_matrix` does for every input.
 
     Raises ``ValueError`` before the file is opened when the names do not
     match the channels or could not be read back: a header that is blank,
@@ -287,7 +297,12 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a channels-as-columns CSV back into (names, (N, L) matrix)."""
+    """Read a channels-as-columns CSV back into (names, (N, L) matrix).
+
+    The matrix is C-contiguous and owns its data, the layout every
+    function of the package computes on: each channel is one contiguous
+    row, as in an array built in memory.
+    """
     with open(path, encoding="utf-8-sig") as fh:
         for n_lines, header in enumerate(fh, 1):
             if header.strip():
@@ -301,22 +316,23 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
             with warnings.catch_warnings():
                 # a header-only file is reported below, not warned about
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=n_lines, encoding="utf-8")
+                rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=n_lines, encoding="utf-8")
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
-    if data.shape[0] == 0 or data.shape[1] != len(names):
-        raise ValueError(f"{path}: ragged or empty table")
-    return names, data.T
+        if rows.shape[0] == 0 or rows.shape[1] != len(names):
+            raise ValueError(f"{path}: ragged or empty table")
+        data = rows.T.copy()
+    return names, data
 
 
 def _read_rows(path, n_cols: int) -> np.ndarray | None:
-    """The (rows, n_cols) table below the first line, or None if any of it
+    """The (n_cols, rows) table below the first line, or None if any of it
     leaves the writer's grammar or there is none."""
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():  # a text-mode read ends the header there
             return None
         size = os.fstat(fh.fileno()).st_size
-        table = np.empty((0, n_cols))
+        table = np.empty((n_cols, 0))
         filled = 0
         while text := fh.read(_READ_BYTES):
             text += fh.readline()
@@ -324,13 +340,33 @@ def _read_rows(path, n_cols: int) -> np.ndarray | None:
             if rows is None:
                 return None
             end = filled + len(rows)
-            if end > len(table):  # room for the rest of the file at this block's density
+            if end > table.shape[1]:  # room for the rest of the file at this block's density
                 more = max(size - fh.tell(), 0) * len(rows) // len(text)
-                table.resize((end + more + more // 64 + 1, n_cols), refcheck=False)
-            table[filled:end] = rows
+                _set_width(table, filled, end + more + more // 64 + 1)
+            table[:, filled:end] = rows.T
             filled = end
-    table.resize((filled, n_cols), refcheck=False)
+    _set_width(table, filled, filled)
     return table if filled else None
+
+
+def _set_width(table: np.ndarray, filled: int, width: int) -> None:
+    """Resize the (n_cols, capacity) ``table`` to (n_cols, ``width``) in place,
+    keeping the first ``filled`` values of each channel row.
+
+    The rows move within the one buffer, so no second table is made.
+    """
+    n_cols, capacity = table.shape
+    if width == capacity:
+        return
+    if width > capacity:
+        table.resize((n_cols, width), refcheck=False)
+    flat = table.reshape(-1)
+    # rows move right from the last when the table widens, left from the second when it narrows
+    for i in range(n_cols - 1, 0, -1) if width > capacity else range(1, n_cols):
+        flat[i * width : i * width + filled] = flat[i * capacity : i * capacity + filled]
+    del flat
+    if width < capacity:
+        table.resize((n_cols, width), refcheck=False)
 
 
 def _parse_rows(text: bytes, n_cols: int) -> np.ndarray | None:

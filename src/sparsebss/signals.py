@@ -30,6 +30,11 @@ _SCALE_FLOOR = 2.0**-511
 def as_signal_matrix(data) -> np.ndarray:
     """Coerce ``data`` to a validated (n_channels, n_samples) float array.
 
+    The array is C-contiguous, each channel one contiguous row: a
+    C-contiguous float input is returned as it is, any other layout is
+    copied.  Every pass along the samples then runs on one layout, so a
+    result has the same bits whatever the caller's layout.
+
     Raises
     ------
     SparseBssError
@@ -39,7 +44,7 @@ def as_signal_matrix(data) -> np.ndarray:
     TooShortError
         If there are fewer than 2 samples per channel.
     """
-    x = np.atleast_2d(as_real_finite(data))
+    x = np.ascontiguousarray(np.atleast_2d(as_real_finite(data)))
     if x.ndim != 2 or x.shape[0] < 1:
         raise TooShortError(f"expected a 2-D channels x samples array, got shape {x.shape}")
     if x.shape[1] < 2:
@@ -51,6 +56,8 @@ def as_real_finite(data, name: str = "signal") -> np.ndarray:
     """``data`` as a float array of any shape; complex or non-finite data raise.
 
     ``name`` says what ``data`` is in the :class:`NonFiniteError` message.
+    The array keeps the layout of ``data``: views of channel rows, such as
+    the (K, N) velocities of a cluster, are not copied.
     """
     x = np.asarray(data)
     if np.iscomplexobj(x):

@@ -5,8 +5,10 @@ import pytest
 
 from sparsebss import MethodParams, load_preset, separate
 from sparsebss.cli import build_parser, main
-from sparsebss.separation import METHODS
+from sparsebss.evaluation import rms_metrics, source_errors
 from sparsebss.io import read_csv, write_csv
+from sparsebss.separation import METHODS
+from sparsebss.signals import normalize_unit_norm
 
 
 def run_cli(*args):
@@ -77,11 +79,63 @@ def test_separate_produces_estimates_and_report(simulated, tmp_path, method, vth
     assert estimates.shape == (2, 50)
     # bit for bit what separate returns in memory for the same input
     _, mixtures = read_csv(simulated / "mixtures.csv")
-    expected = separate(mixtures, MethodParams(method=method, v_th=float(vth), alpha=1.0)).estimates
-    assert np.array_equal(estimates.view(np.int64), expected.view(np.int64))
+    expected = separate(mixtures, MethodParams(method=method, v_th=float(vth), alpha=1.0))
+    assert np.array_equal(estimates.view(np.int64), expected.estimates.view(np.int64))
     report = json.loads((tmp_path / "estimates_report.json").read_text())
-    assert len(report["directions"]) == 2
+    assert report["directions"] == [d.unit_vector.tolist() for d in expected.directions]
+    assert len(report["iterations"]) == len(expected.iterations) == 2
+    for written, diag in zip(report["iterations"], expected.iterations):
+        assert written["member_indices"] == diag.member_indices.tolist()
+        assert written["accepted_count"] == diag.accepted_count
+        assert written["epsilon"] == diag.epsilon
+        assert written["residual_energy"] == diag.residual_energy
     assert (tmp_path / "estimates_report.txt").exists()
+
+
+@pytest.mark.parametrize("method,vth", [("global", "0.4"), ("mhc", "0.5")])
+def test_round_trip_of_three_channels_equals_the_library(tmp_path, method, vth):
+    # Sources active in disjoint 50-sample bursts, three mixtures with a little noise.
+    rng = np.random.default_rng(23)
+    owner = rng.integers(-1, 3, 200).repeat(50)
+    sources = np.where(owner == np.arange(3)[:, None], rng.uniform(-1.0, 1.0, owner.size), 0.0)
+    mixtures = rng.standard_normal((3, 3)) @ sources
+    mixtures += 1e-4 * rng.standard_normal(mixtures.shape)
+    write_csv(tmp_path / "sources.csv", sources)
+    write_csv(tmp_path / "mixtures.csv", mixtures)
+    out = tmp_path / "estimates.csv"
+    args = ("--method", method, "--vth", vth)
+    assert run_cli("separate", tmp_path / "mixtures.csv", out, *args) == 0
+    estimates = separate(mixtures, MethodParams(method=method, v_th=float(vth))).estimates
+    assert read_csv(out)[1].tobytes() == estimates.tobytes()
+    assert run_cli("evaluate", tmp_path / "sources.csv", out, tmp_path / "eval.txt") == 0
+    report = json.loads((tmp_path / "eval.json").read_text())["association"]
+    assoc, errors = source_errors(normalize_unit_norm(sources), normalize_unit_norm(estimates))
+    _, rms_tot, rms_max = rms_metrics(errors[None])
+    assert [r["correlation"] for r in report] == assoc.correlations.tolist()
+    assert [r["rms_tot"] for r in report] == rms_tot.tolist()
+    assert [r["rms_max"] for r in report] == rms_max.tolist()
+
+
+@pytest.mark.parametrize("folder_is", ["input", "output"])
+@pytest.mark.parametrize("command", ["separate", "evaluate", "plotdata"])
+def test_a_directory_in_place_of_a_file_is_an_error(
+    simulated, tmp_path, capsys, command, folder_is
+):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    mixtures = simulated / "mixtures.csv"
+    inputs, output, options = {
+        "separate": ([mixtures], tmp_path / "estimates.csv", []),
+        "evaluate": ([simulated / "sources.csv", mixtures], tmp_path / "eval.txt", []),
+        "plotdata": ([mixtures], tmp_path / "phase.csv", ["--kind", "phase"]),
+    }[command]
+    if folder_is == "input":
+        inputs[0] = folder
+    else:
+        output = folder
+    assert run_cli(command, *inputs, output, *options) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
 
 
 def test_separate_rejects_single_channel(tmp_path, capsys):

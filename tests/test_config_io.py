@@ -285,6 +285,7 @@ class TestCsv:
         names, data = read_csv(path)
         assert names == ["a", "b"]
         assert same_bits(data, np.array([[1.0, 3.0], [2.0, 4.0]]))
+        assert data.flags.c_contiguous and data.flags.owndata  # np.loadtxt's table, copied
         assert read_outcome(read_csv, path) == read_outcome(line_reader_reference, path)
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "\r\n \r\n"])
@@ -331,6 +332,7 @@ class TestCsv:
         back_names, back = read_csv(tmp_path / "new.csv")
         assert back_names == names
         assert same_bits(back, data)
+        assert back.flags.c_contiguous and back.flags.owndata
 
     @PROPERTY
     @given(
@@ -449,6 +451,22 @@ class TestCsv:
             tracemalloc.stop()
         assert same_bits(back, data)
         assert peak < back.nbytes + 2e6  # np.loadtxt needs up to 1.4 MB beyond the table here
+
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_table_grows_in_place_when_later_rows_are_shorter(
+        self, tmp_path, monkeypatch, n_channels
+    ):
+        # The first block's long values size the table for about a tenth of the rows.
+        rng = np.random.default_rng(8)
+        data = np.concatenate(
+            [rng.normal(size=(n_channels, 20_000)), rng.integers(-9, 10, (n_channels, 200_000))],
+            axis=1,
+        )
+        write_csv(tmp_path / "data.csv", data)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_refused)
+        back = read_csv(tmp_path / "data.csv")[1]
+        assert same_bits(back, data)
+        assert back.flags.c_contiguous and back.flags.owndata
 
     @pytest.mark.parametrize("raw", [b"\xef\xbb\xbfa,b\n1,2\n", b"\xef\xbb\xbfa,b\r\n1,2\r\n"])
     def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, raw):
