@@ -233,40 +233,69 @@ def run_chunk(
     Returns the (runs, sources, samples) signed errors and the (runs,)
     success mask; the errors of failed runs are meaningless.
 
-    The deflation loop projects each source straight into the chunk's
-    (runs, sources, samples) estimates.  Every step reduces along the sample
-    axis and multiplies in the one-run shapes, so each run gives the bits
-    that ``separate``, ``normalize_unit_norm`` and ``source_errors`` give it
-    alone, and fails exactly where that path raises a ``SparseBssError``.
-    Each failure is flagged once: whitening flags a zero, rank-deficient or
-    out-of-scale channel (a non-finite one has an rms out of range), the
-    loop a missing direction, the norms an estimate out of scale, and
-    association a constant row.
+    A run leaves the chunk at the first stage that fails it: the deflation
+    loop starts from the runs that whitening accepted and drops each run
+    whose direction step finds nothing (:func:`deflation_steps`), and the
+    norms, the association and the signed errors are taken over the runs
+    that came through the loop, whose errors are then scattered into the
+    chunk's array.  A chunk in which no run survives a stage stops there.
+    Every step reduces along the sample axis and multiplies in the one-run
+    shapes, so each run gives the bits that ``separate``,
+    ``normalize_unit_norm`` and ``source_errors`` give it alone, and fails
+    exactly where that path raises a ``SparseBssError``.  Each failure is
+    flagged once: whitening flags a zero, rank-deficient or out-of-scale
+    channel (a non-finite one has an rms out of range), the loop a missing
+    direction, the norms an estimate out of scale, and association a
+    constant row.
 
     The chunk makes no throwaway copy of its records: the noise is drawn
     into the array it is added in (:func:`~sparsebss.rng.normal_grid`), the
     estimates are divided by their norms where they lie, association
     centres its one concatenation in place, and the errors are formed in
-    the gathered matched rows (:func:`signed_errors`).  The whitened data is
-    freed once the loop ends.
+    the gathered matched rows (:func:`signed_errors`).  The loop drops runs
+    by copying only the survivors and freeing the array they leave; after
+    it, the survivors' estimates are moved to the leading rows of their
+    array, which then takes the chunk's errors.  The whitened data is freed
+    when the loop ends.
     """
     # Noise that overflows gives a non-finite record, which whitening flags.
     with np.errstate(over="ignore"):
         noisy = noisy_stack(clean, noise_sd, seeds)
+    ok = np.zeros(len(noisy), dtype=bool)
+    shape = (ok.size, *actual.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         data, _, failed = whiten_stack(noisy)
         del noisy
-        ok = failed < 0
-        estimates = np.empty_like(data)
-        for _, found, _, _ in deflation_steps(data, params, estimates):
-            ok &= found
-        del data
+        runs = np.flatnonzero(failed < 0)
+        if runs.size < ok.size:
+            data = data[runs]
+        buffer = np.empty_like(data)
+        separated = np.zeros(runs.size, dtype=bool)
+        if runs.size:
+            steps = deflation_steps(data, params, buffer)
+            del data
+            # The last mask holds the runs that found a direction at every iteration.
+            for _, separated, _, _ in steps:
+                pass
+        if not separated.any():
+            return np.zeros(shape), ok
+        # The survivors' estimates move to the leading rows of their buffer.
+        runs = runs[separated]
+        estimates = buffer[: runs.size]
+        if runs.size < len(buffer):
+            estimates[...] = buffer[separated]
         scale = np.linalg.norm(estimates, axis=-1)
-        ok &= in_scale_range(scale).all(axis=-1)
+        ok[runs] = in_scale_range(scale).all(axis=-1)
         estimates /= scale[..., None]
         permutation, signs, _, constant = associate_stack(actual, estimates)
-    ok &= ~constant
-    return signed_errors(actual, estimates, permutation, signs), ok
+    ok[runs] &= ~constant
+    signed = signed_errors(actual, estimates, permutation, signs)
+    if runs.size == ok.size:
+        return signed, ok
+    # The estimates are spent: a buffer with a row per run takes the errors.
+    errors = buffer if buffer.shape == shape else np.empty(shape)
+    errors[runs] = signed
+    return errors, ok
 
 
 def monte_carlo(
@@ -299,8 +328,9 @@ def monte_carlo(
     that array, whose ``where`` is the success mask, divided by the count of
     successful runs.  numpy adds the runs of such a sum in order, as it does
     for the boolean-index copy of the successful runs that
-    :func:`rms_metrics` would take, so the figures keep that call's bits.  A
-    successful run's errors are finite (:func:`run_chunk` requires a
+    :func:`rms_metrics` would take, so the figures keep that call's bits.
+    With one set, the pooled sum is that set's, which is not taken twice.
+    A successful run's errors are finite (:func:`run_chunk` requires a
     whitening, hence finite noise, a direction and a scale in range), so
     they need no second check; a failed run's may be anything, and the mask
     skips them.
@@ -357,7 +387,10 @@ def monte_carlo(
     per_set = kept > 0
     set_sums = np.add.reduce(squares, axis=1, where=mask, initial=0.0)[per_set]
     _, set_rms_tot, set_rms_max = _rms_figures(set_sums / kept[per_set, None, None])
-    pooled = np.add.reduce(squares, axis=(0, 1), where=mask, initial=0.0)
+    if sets == 1:
+        pooled = set_sums[0]
+    else:
+        pooled = np.add.reduce(squares, axis=(0, 1), where=mask, initial=0.0)
     rms_per_sample, rms_tot, rms_max = _rms_figures(pooled / (total_runs - failures))
     ddof = 1 if len(set_rms_tot) > 1 else 0
     return EvalReport(

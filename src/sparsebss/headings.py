@@ -16,8 +16,9 @@ from the data in one pass, a block of :data:`~sparsebss.signals.BLOCK`
 samples at a time in a block-sized scratch, and keeps only each block's
 speeds and component magnitudes, taken while it is in cache; the direction
 steps form again the few velocities they read.  The public helpers here take
-and return the time-major (L-1, N) view of the same values and compute with
-``np.linalg.norm`` on it; both apply one rule, :func:`_threshold`.
+and return the time-major (L-1, N) view of the same values, in any layout,
+and sum each velocity's squares in channel order as the loop does
+(:func:`_speeds`); both apply one rule, :func:`_threshold`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
         True at indices whose velocity is exactly zero.
     """
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speeds = np.linalg.norm(v, axis=-1)
+    speeds = _speeds(v)
     return _unit_headings(v, speeds), speeds == 0.0
 
 
@@ -84,7 +85,18 @@ def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
     """
     _check_v_th(v_th)
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    return _threshold(np.linalg.norm(v, axis=-1), np.max(np.abs(v), axis=-1), v_th)[0]
+    return _threshold(_speeds(v), np.max(np.abs(v), axis=-1), v_th)[0]
+
+
+def _speeds(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the (..., M, N) velocity rows ``v``, summed in channel order.
+
+    ``np.linalg.norm`` would sum a contiguous row pairwise but a strided one
+    in order, so from 8 channels on its bits would depend on the layout of
+    ``v``.  :func:`_row_speeds` adds one channel at a time, the loop's order.
+    """
+    channels = v.swapaxes(-1, -2)
+    return _row_speeds(channels, np.empty(v.shape[:-1]), out=np.empty(v.shape[:-1]))
 
 
 def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
@@ -150,7 +162,7 @@ def compute_headings(whitened, v_th: float) -> HeadingSet:
     """Full velocity/heading/threshold pass over one (possibly deflated) record."""
     _check_v_th(v_th)
     v = compute_velocities(whitened)
-    speeds = np.linalg.norm(v, axis=-1)
+    speeds = _speeds(v)
     accepted, v_max = _threshold(speeds, np.max(np.abs(v), axis=-1), v_th)
     return HeadingSet(
         velocities=v,

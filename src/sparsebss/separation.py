@@ -11,9 +11,10 @@ The loop is written once, in :func:`deflation_steps`, for a stack of
 whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
 (:func:`sparsebss.evaluation.run_chunk`) runs it on a chunk of noisy
-records.  Each iteration projects straight into the caller's (Q, N, L)
-estimates, so the loop holds no record-sized array besides the data and the
-estimates.  No velocity buffer is kept either: the velocity-and-threshold
+records, from which a record leaves as soon as its direction step fails.
+Each iteration projects straight into the caller's (Q, N, L) estimates, so
+the loop holds no record-sized array besides the data and the estimates.
+No velocity buffer is kept either: the velocity-and-threshold
 pass forms the velocities one block of :data:`~sparsebss.signals.BLOCK`
 samples at a time and keeps only their speeds and the mask, and each
 direction step forms again, from the samples on either side, only the
@@ -356,15 +357,26 @@ def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> n
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
     """The deflation loop over a (Q, N, L) stack of whitened records, in place.
 
-    Iteration ``i`` projects the records onto their directions straight into
+    Iteration ``i`` projects the records onto their directions into
     ``estimates[:, i]``, a (Q, N, L) array the caller owns, and yields the
-    (Q, N) directions, which records found one (the others get a zero
-    direction), the (Q, L-1) acceptance masks, and, for the global method on
+    directions, a (Q,) mask of the records that have found one at every
+    iteration so far, the acceptance masks, and, for the global method on
     one record, :func:`_global_direction`'s cluster or error (else None).
     One record clusters through :func:`find_cluster` and many through
     :func:`_global_directions`, both by one rule with the same bits: the
     benchmark's span test requires one :func:`find_cluster` call per global
-    iteration of :func:`separate`.
+    iteration of :func:`separate`.  The caller's Q makes that choice once.
+
+    A record whose direction step finds nothing leaves the loop at once:
+    the stack is compacted to the records still alive before the
+    projection, so no later pass reads it, and the loop ends when none is
+    left.  From then on ``data`` is no longer the caller's array, and each
+    projection is written into the survivors' rows of ``estimates``; a
+    record's rows are meaningful only while it is alive.  The directions
+    and acceptance masks have one row per record that ran the iteration,
+    those alive after the one before, in the caller's order; a record that
+    finds nothing gets a zero direction.  Every pass works record by record,
+    so a record keeps the bits it has alone.
 
     No velocity outlives the pass that reads it.  The velocity-and-threshold
     pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
@@ -376,7 +388,9 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     was built.
     """
     q, n, length = data.shape
-    records = np.arange(q)
+    stacked = q > 1
+    # The caller's row of each record still in ``data``, and the same as a (Q,) mask.
+    survivors, alive = np.arange(q), np.ones(q, dtype=bool)
     step = max(1, BLOCK // n)
 
     def pair_velocities(record, later):
@@ -392,23 +406,35 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
         cluster = None
         if params.method == "mhc":
             best, found = mhc_pick(pair_velocities, speeds, accepted)
+            records = np.arange(survivors.size)
             speed = np.where(found, speeds[records, best], np.inf)
             del speeds
             directions = (data[records, :, best + 1] - data[records, :, best]) / speed[:, None]
         else:
             # The global steps never read the speeds: free them before they gather.
             del speeds
-            if q > 1:
+            if stacked:
                 directions, found = _global_directions(data, accepted, params.alpha)
             else:
                 directions, found, cluster = _global_direction(
                     data, accepted, params.alpha, iteration
                 )
-        row = estimates[:, iteration:iteration + 1]
-        np.matmul(directions[:, None, :], data, out=row)
+        projected = directions
+        if not found.all():
+            alive[survivors[~found]] = False
+            survivors = survivors[found]
+            data, projected = data[found], directions[found]
+        if survivors.size == q:
+            row = estimates[:, iteration:iteration + 1]
+            np.matmul(projected[:, None, :], data, out=row)
+        else:
+            row = np.matmul(projected[:, None, :], data)
+            estimates[survivors, iteration] = row[:, 0]
         for lo in range(0, length, step):
-            data[..., lo:lo + step] -= directions[..., None] * row[..., lo:lo + step]
-        yield directions, found, accepted, cluster
+            data[..., lo:lo + step] -= projected[..., None] * row[..., lo:lo + step]
+        yield directions, alive.copy(), accepted, cluster
+        if not survivors.size:
+            return
 
 
 def separate(mixtures, params: MethodParams) -> SeparationResult:

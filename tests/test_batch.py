@@ -89,20 +89,55 @@ def test_result_independent_of_worker_count():
         assert other.failures == reports[0].failures
 
 
-@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7), ("global", 0.9)])
-def test_run_alone_equals_run_inside_a_full_chunk(method, v_th):
-    sources, clean = noisy_example1(0.005).generate()
+@pytest.mark.parametrize(
+    "method, v_th, noise_sd",
+    [
+        pytest.param("global", 0.4, 0.005, id="global-0.4"),
+        pytest.param("mhc", 0.7, 0.005, id="mhc-0.7"),
+        pytest.param("global", 0.9, 0.005, id="global-0.9"),
+        # Most runs leave the chunk at iteration 0.
+        pytest.param("mhc", 0.8, 0.01, id="mhc-0.8-0.01"),
+        # Overflowing noise: whitening rejects 225 of the 250 runs.
+        pytest.param("global", 0.4, 2e153, id="global-0.4-2e+153"),
+        pytest.param("mhc", 0.7, 2e153, id="mhc-0.7-2e+153"),
+    ],
+)
+def test_run_alone_equals_run_inside_a_full_chunk(method, v_th, noise_sd):
+    sources, clean = noisy_example1(noise_sd).generate()
     actual = normalize_unit_norm(sources)
     params = MethodParams(method, v_th, 1.0)
     seeds = [derive_seed(31, q) for q in range(CHUNK_RUNS)]
-    errors, ok = run_chunk(clean, actual, params, 0.005, seeds)
+    errors, ok = run_chunk(clean, actual, params, noise_sd, seeds)
     assert 0 < ok.sum()
-    first_failed = np.flatnonzero(~ok)[:1]
-    for q in (0, 1, 117, CHUNK_RUNS - 1, *first_failed):
-        alone, alone_ok = run_chunk(clean, actual, params, 0.005, seeds[q : q + 1])
+    assert method == "global" or not ok.all()
+    passed, failed = np.flatnonzero(ok), np.flatnonzero(~ok)
+    for q in {0, 1, 117, CHUNK_RUNS - 1, *passed[:2], *passed[-1:], *failed[:2]}:
+        alone, alone_ok = run_chunk(clean, actual, params, noise_sd, seeds[q : q + 1])
         assert alone_ok[0] == ok[q]
         if ok[q]:
             np.testing.assert_array_equal(alone[0], errors[q])
+
+
+@pytest.mark.parametrize(
+    "method, v_th, noise_sd, runs",
+    [
+        ("mhc", 0.99, 0.1, CHUNK_RUNS),  # every run leaves the loop
+        ("global", 0.999, 0.01, CHUNK_RUNS),
+        ("mhc", 0.99, 0.1, 1),
+        ("global", 0.4, 3e153, CHUNK_RUNS),  # whitening rejects every run
+        ("mhc", 0.7, 3e153, 1),
+    ],
+)
+def test_chunk_without_a_survivor_skips_the_association(monkeypatch, method, v_th, noise_sd, runs):
+    def no_association(*args):
+        raise AssertionError("a chunk without a survivor reached the association")
+
+    monkeypatch.setattr(evaluation, "associate_stack", no_association)
+    sources, clean = noisy_example1(noise_sd).generate()
+    seeds = [derive_seed(31, q) for q in range(runs)]
+    errors, ok = run_chunk(clean, normalize_unit_norm(sources), MethodParams(method, v_th), noise_sd, seeds)
+    assert ok.shape == (runs,) and not ok.any()
+    assert errors.shape == (runs, *sources.shape)
 
 
 def test_chunks_stay_small():

@@ -125,3 +125,30 @@ def test_channel_row_kernel_keeps_the_helpers_bits(n):
     idx = np.flatnonzero(accepted[0])
     rows = np.take(e, idx + 1, axis=1) - np.take(e, idx, axis=1)
     assert rows.T.tobytes() == expected.velocities[idx].tobytes()
+
+
+def test_heading_helpers_do_not_depend_on_the_layout():
+    # From 8 channels on, np.linalg.norm sums a contiguous row pairwise and a
+    # strided one in order.  The helpers sum in channel order, as the loop's
+    # kernel does, so C and Fortran velocities give the same bits.  The last
+    # velocity's largest component is v_th times the smaller of the two
+    # possible v_max, so a layout-dependent v_max would flip its acceptance.
+    n, v_th = 9, 0.5
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((40, n))
+    in_order = np.sqrt(sum(np.square(v[:, i]) for i in range(n)))
+    # A velocity whose two sums differ, scaled by a power of two to be the fastest.
+    fastest = np.flatnonzero(in_order != np.linalg.norm(v, axis=1))[0]
+    v[fastest] *= 8.0
+    in_order, pairwise = 8.0 * in_order[fastest], np.linalg.norm(v[fastest])
+    assert in_order == np.sqrt(sum(np.square(v[fastest])))
+    edge = np.zeros(n)
+    edge[0] = v_th * min(in_order, pairwise)
+    v = np.vstack([v, edge])
+    assert np.argmax(np.linalg.norm(v, axis=1)) == fastest
+    layouts = [np.ascontiguousarray(v), np.asfortranarray(v)]
+    headings = [normalize_headings(x)[0] for x in layouts]
+    assert headings[0].tobytes() == np.ascontiguousarray(headings[1]).tobytes()
+    masks = [apply_velocity_threshold(x, v_th) for x in layouts]
+    np.testing.assert_array_equal(masks[0], masks[1])
+    assert masks[0][-1] == (in_order <= pairwise)
