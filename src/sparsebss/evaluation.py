@@ -230,15 +230,15 @@ def run_chunk(
     Run ``q`` separates record ``q`` of ``noisy_stack(clean, noise_sd,
     seeds)``, the noise draw of ``add_noise``, scales its estimates to unit
     norm, and pairs them with the unit-norm ``actual`` sources.
-    Returns the (runs, sources, samples) signed errors and the (runs,)
-    success mask; the errors of failed runs are meaningless.
+    Returns the (successes, sources, samples) signed errors of the
+    successful runs, in run order, and the (runs,) success mask.
 
     A run leaves the chunk at the first stage that fails it: the deflation
     loop starts from the runs that whitening accepted and drops each run
     whose direction step finds nothing (:func:`deflation_steps`), and the
     norms, the association and the signed errors are taken over the runs
-    that came through the loop, whose errors are then scattered into the
-    chunk's array.  A chunk in which no run survives a stage stops there.
+    that came through the loop, in the leading rows of the loop's
+    estimates.  A chunk in which no run survives a stage stops there.
     Every step reduces along the sample axis and multiplies in the one-run
     shapes, so each run gives the bits that ``separate``,
     ``normalize_unit_norm`` and ``source_errors`` give it alone, and fails
@@ -252,50 +252,40 @@ def run_chunk(
     into the array it is added in (:func:`~sparsebss.rng.normal_grid`), the
     estimates are divided by their norms where they lie, association
     centres its one concatenation in place, and the errors are formed in
-    the gathered matched rows (:func:`signed_errors`).  The loop drops runs
-    by copying only the survivors and freeing the array they leave; after
-    it, the survivors' estimates are moved to the leading rows of their
-    array, which then takes the chunk's errors.  The whitened data is freed
-    when the loop ends.
+    the gathered matched rows (:func:`signed_errors`), which are copied
+    only when the norms or the association fail a run.  The loop drops runs
+    by copying only the survivors and freeing the array they leave, and the
+    whitened data is freed when the loop ends.
     """
     # Noise that overflows gives a non-finite record, which whitening flags.
     with np.errstate(over="ignore"):
         noisy = noisy_stack(clean, noise_sd, seeds)
     ok = np.zeros(len(noisy), dtype=bool)
-    shape = (ok.size, *actual.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         data, _, failed = whiten_stack(noisy)
         del noisy
         runs = np.flatnonzero(failed < 0)
         if runs.size < ok.size:
             data = data[runs]
-        buffer = np.empty_like(data)
-        separated = np.zeros(runs.size, dtype=bool)
+        estimates = np.empty_like(data)
         if runs.size:
-            steps = deflation_steps(data, params, buffer)
+            steps = deflation_steps(data, params, estimates)
             del data
-            # The last mask holds the runs that found a direction at every iteration.
-            for _, separated, _, _ in steps:
+            # The last step names the runs that found a direction at every iteration.
+            for _, survivors, _, _ in steps:
                 pass
-        if not separated.any():
-            return np.zeros(shape), ok
-        # The survivors' estimates move to the leading rows of their buffer.
-        runs = runs[separated]
-        estimates = buffer[: runs.size]
-        if runs.size < len(buffer):
-            estimates[...] = buffer[separated]
+            runs = runs[survivors]
+        if not runs.size:
+            return np.empty((0, *actual.shape)), ok
+        estimates = estimates[: runs.size]
         scale = np.linalg.norm(estimates, axis=-1)
         ok[runs] = in_scale_range(scale).all(axis=-1)
         estimates /= scale[..., None]
         permutation, signs, _, constant = associate_stack(actual, estimates)
     ok[runs] &= ~constant
-    signed = signed_errors(actual, estimates, permutation, signs)
-    if runs.size == ok.size:
-        return signed, ok
-    # The estimates are spent: a buffer with a row per run takes the errors.
-    errors = buffer if buffer.shape == shape else np.empty(shape)
-    errors[runs] = signed
-    return errors, ok
+    errors = signed_errors(actual, estimates, permutation, signs)
+    kept = ok[runs]
+    return (errors if kept.all() else errors[kept]), ok
 
 
 def monte_carlo(
@@ -323,17 +313,15 @@ def monte_carlo(
     for any worker count.  The seeds are one uint64 array, ``master_seed``
     modulo 2**64 plus each run's index, wrapping as :func:`derive_seed` does.
 
-    The chunks' errors are pooled from their one concatenation, squared in
-    place once.  The per-set and pooled mean squares are masked sums over
-    that array, whose ``where`` is the success mask, divided by the count of
-    successful runs.  numpy adds the runs of such a sum in order, as it does
-    for the boolean-index copy of the successful runs that
-    :func:`rms_metrics` would take, so the figures keep that call's bits.
-    With one set, the pooled sum is that set's, which is not taken twice.
-    A successful run's errors are finite (:func:`run_chunk` requires a
-    whitening, hence finite noise, a direction and a scale in range), so
-    they need no second check; a failed run's may be anything, and the mask
-    skips them.
+    The chunks hold the errors of their successful runs only, so their one
+    concatenation, squared in place once, holds each set's successful runs
+    in consecutive rows.  Each set's sum runs over its rows and the pooled
+    sum over all of them, each divided by its count of runs.  numpy adds
+    the rows of such a sum in order, as :func:`rms_metrics` does, so the
+    figures keep that call's bits.  With one set, the pooled sum is that
+    set's, which is not taken twice.  A successful run's errors are finite
+    and at most 2 in magnitude (unit-norm sources and estimates), so they
+    need no second check and their squares cannot overflow.
 
     Raises
     ------
@@ -377,20 +365,14 @@ def monte_carlo(
             f"v_th={params.v_th})"
         )
 
-    # The errors of failed runs may overflow when squared; the masks skip them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.square(squares, out=squares)
-    squares = squares.reshape(sets, runs_per_set, *sources.shape)
-    ok = ok.reshape(sets, runs_per_set)
-    kept = np.count_nonzero(ok, axis=1)
-    mask = ok[..., None, None]
-    per_set = kept > 0
-    set_sums = np.add.reduce(squares, axis=1, where=mask, initial=0.0)[per_set]
-    _, set_rms_tot, set_rms_max = _rms_figures(set_sums / kept[per_set, None, None])
-    if sets == 1:
-        pooled = set_sums[0]
-    else:
-        pooled = np.add.reduce(squares, axis=(0, 1), where=mask, initial=0.0)
+    np.square(squares, out=squares)
+    # The successful runs of each set with one, and where its rows end.
+    kept = np.count_nonzero(ok.reshape(sets, runs_per_set), axis=1)
+    kept = kept[kept > 0]
+    ends = np.cumsum(kept)
+    set_sums = np.stack([np.add.reduce(squares[hi - k : hi], axis=0) for k, hi in zip(kept, ends)])
+    _, set_rms_tot, set_rms_max = _rms_figures(set_sums / kept[:, None, None])
+    pooled = set_sums[0] if sets == 1 else np.add.reduce(squares, axis=0)
     rms_per_sample, rms_tot, rms_max = _rms_figures(pooled / (total_runs - failures))
     ddof = 1 if len(set_rms_tot) > 1 else 0
     return EvalReport(

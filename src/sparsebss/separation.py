@@ -125,7 +125,7 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
         If the members' squared lengths overflow float64.
     """
     members = np.atleast_2d(as_real_finite(cluster.member_velocities, "velocities"))
-    unit, length, moving = average_directions(members[None])
+    unit, length, moving = average_directions(members[None], np.array([len(members)]))
     if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
     if not 0.0 < length[0] < np.inf:
@@ -134,17 +134,17 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
 
 
 def average_directions(
-    members: np.ndarray, size: np.ndarray | None = None
+    members: np.ndarray, size: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`weighted_average_heading` for a (B, K, N) stack of clusters.
 
-    Cluster ``b`` holds ``size[b]`` members (all K if ``size`` is None),
-    followed by zero rows; ``size`` must not decrease.  Returns ``(unit,
-    length, moving)``: the unit directions (B, N), the lengths of the
-    averages before scaling, and whether any member moves.  Every aligned
-    member has a nonnegative projection on the strongest one, which itself
-    contributes m_max**2 / sum(m**2) >= 1/k to the average's projection on
-    its direction, so a moving cluster's length is at least 1/k.
+    Cluster ``b`` holds ``size[b]`` members followed by zero rows; ``size``
+    must not decrease.  Returns ``(unit, length, moving)``: the unit
+    directions (B, N), the lengths of the averages before scaling, and
+    whether any member moves.  Every aligned member has a nonnegative
+    projection on the strongest one, which itself contributes m_max**2 /
+    sum(m**2) >= 1/k to the average's projection on its direction, so a
+    moving cluster's length is at least 1/k.
 
     Each cluster averages exactly as it would alone.  Only three steps
     depend on the member count k: the sign test against the strongest
@@ -162,10 +162,8 @@ def average_directions(
     NaN or zero, without a warning.
     """
     count, width, n = members.shape
-    groups = [(width, 0, count)]
-    if size is not None:
-        edges = (np.flatnonzero(np.diff(size)) + 1).tolist()
-        groups = list(zip(size[[0, *edges]].tolist(), [0, *edges], [*edges, count]))
+    edges = (np.flatnonzero(np.diff(size)) + 1).tolist()
+    groups = list(zip(size[[0, *edges]].tolist(), [0, *edges], [*edges, count]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         magnitudes = row_norms(members.swapaxes(-1, -2))
         moving = np.any(magnitudes > 0.0, axis=-1)
@@ -267,17 +265,16 @@ def _global_direction(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | ClusterFormationFailedError]:
     """The global direction step for a (1, N, L) record, via :func:`find_cluster`.
 
-    Only the accepted velocities are formed, from the samples on either side
-    of each, as contiguous (N, K) channel rows handed over as their (K, N)
-    view.  Returns the (1, N) unit direction (zero on failure), whether it
-    was found, and the cluster's ``(member indices, epsilon)`` or the error.
+    Only the accepted velocities are formed, by :func:`_velocity_rows` as
+    the stacked step forms them, into contiguous (N, K) channel rows handed
+    over as their (K, N) view.  Returns the (1, N) unit direction (zero on
+    failure), whether it was found, and the cluster's ``(member indices,
+    epsilon)`` or the error.
     """
     accepted_idx = np.flatnonzero(accepted[0])
     try:
         epsilon = gap_threshold(alpha, accepted_idx.size)
-        rows = np.take(data[0], accepted_idx + 1, axis=1)
-        rows -= np.take(data[0], accepted_idx, axis=1)
-        cluster, _ = find_cluster(rows.T, epsilon)
+        cluster, _ = find_cluster(_velocity_rows(data, 0, accepted_idx).T, epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
         failed = ClusterFormationFailedError(iteration, cause)
@@ -357,26 +354,28 @@ def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> n
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
     """The deflation loop over a (Q, N, L) stack of whitened records, in place.
 
-    Iteration ``i`` projects the records onto their directions into
-    ``estimates[:, i]``, a (Q, N, L) array the caller owns, and yields the
-    directions, a (Q,) mask of the records that have found one at every
-    iteration so far, the acceptance masks, and, for the global method on
-    one record, :func:`_global_direction`'s cluster or error (else None).
+    Iteration ``i`` projects the k records still in the loop onto their
+    directions into ``estimates[:k, i]``, where ``estimates`` is a (Q, N, L)
+    array the caller owns, and yields the directions, the caller's rows of
+    those k records in order, the acceptance masks, and, for the global
+    method on one record, :func:`_global_direction`'s cluster or error
+    (else None).
     One record clusters through :func:`find_cluster` and many through
     :func:`_global_directions`, both by one rule with the same bits: the
     benchmark's span test requires one :func:`find_cluster` call per global
     iteration of :func:`separate`.  The caller's Q makes that choice once.
 
     A record whose direction step finds nothing leaves the loop at once:
-    the stack is compacted to the records still alive before the
-    projection, so no later pass reads it, and the loop ends when none is
-    left.  From then on ``data`` is no longer the caller's array, and each
-    projection is written into the survivors' rows of ``estimates``; a
-    record's rows are meaningful only while it is alive.  The directions
-    and acceptance masks have one row per record that ran the iteration,
-    those alive after the one before, in the caller's order; a record that
-    finds nothing gets a zero direction.  Every pass works record by record,
-    so a record keeps the bits it has alone.
+    before the projection, the stack is compacted to the records still in
+    it, and their earlier estimates are copied into the leading rows of
+    ``estimates``.  So row j of ``data`` and of ``estimates`` always holds
+    the j-th survivor, no later pass reads a record that left, and the loop
+    ends when none is left.  From then on ``data`` is no longer the
+    caller's array.  The directions and acceptance masks have one row per
+    record that ran the iteration, those still in the loop after the one
+    before, in the caller's order; a record that finds nothing gets a zero
+    direction.  Every pass works record by record, so a record keeps the
+    bits it has alone.
 
     No velocity outlives the pass that reads it.  The velocity-and-threshold
     pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
@@ -389,8 +388,8 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     """
     q, n, length = data.shape
     stacked = q > 1
-    # The caller's row of each record still in ``data``, and the same as a (Q,) mask.
-    survivors, alive = np.arange(q), np.ones(q, dtype=bool)
+    # Row j of ``data`` and of ``estimates`` holds the caller's record survivors[j].
+    survivors = np.arange(q)
     step = max(1, BLOCK // n)
 
     def pair_velocities(record, later):
@@ -421,18 +420,14 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
                 )
         projected = directions
         if not found.all():
-            alive[survivors[~found]] = False
-            survivors = survivors[found]
-            data, projected = data[found], directions[found]
-        if survivors.size == q:
-            row = estimates[:, iteration:iteration + 1]
-            np.matmul(projected[:, None, :], data, out=row)
-        else:
-            row = np.matmul(projected[:, None, :], data)
-            estimates[survivors, iteration] = row[:, 0]
+            kept = np.flatnonzero(found)
+            survivors, data, projected = survivors[kept], data[kept], directions[kept]
+            estimates[: kept.size, :iteration] = estimates[kept, :iteration]
+        row = estimates[: survivors.size, iteration:iteration + 1]
+        np.matmul(projected[:, None, :], data, out=row)
         for lo in range(0, length, step):
             data[..., lo:lo + step] -= projected[..., None] * row[..., lo:lo + step]
-        yield directions, alive.copy(), accepted, cluster
+        yield directions, survivors, accepted, cluster
         if not survivors.size:
             return
 
@@ -461,10 +456,10 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
     directions: list[EstimatedDirection] = []
     iterations: list[IterationDiagnostics] = []
     steps = deflation_steps(data, params, estimates)
-    for iteration, (units, found, accepted, cluster) in enumerate(steps):
+    for iteration, (units, survivors, accepted, cluster) in enumerate(steps):
         if isinstance(cluster, ClusterFormationFailedError):
             raise cluster from cluster.cause
-        if not found[0]:
+        if not survivors.size:
             raise NoConsecutivePairError(
                 f"no consecutive pair of accepted headings at iteration {iteration}",
                 iteration=iteration,

@@ -71,14 +71,20 @@ def generate_shifted_uniform_sources(length: int, shift: int, seed: int) -> np.n
     return sources
 
 
-def mix(sources, mixing_matrix) -> np.ndarray:
-    """Linear mixtures ``A @ s``."""
+def _sources_and_mixing(sources, mixing_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Both as 2-D float arrays, with one mixing column per source."""
     s = np.atleast_2d(np.asarray(sources, dtype=float))
     a = np.atleast_2d(np.asarray(mixing_matrix, dtype=float))
     if a.shape[1] != s.shape[0]:
         raise DimensionMismatchError(
             f"mixing matrix has {a.shape[1]} columns, {s.shape[0]} sources given"
         )
+    return s, a
+
+
+def mix(sources, mixing_matrix) -> np.ndarray:
+    """Linear mixtures ``A @ s``."""
+    s, a = _sources_and_mixing(sources, mixing_matrix)
     return a @ s
 
 
@@ -97,12 +103,7 @@ def min_peak_contribution(sources, mixing_matrix) -> float:
     Passing the amplitudes as one-sample sources, an (n_sources, 1)
     matrix, gives the nominal figure.
     """
-    s = np.atleast_2d(np.asarray(sources, dtype=float))
-    a = np.atleast_2d(np.asarray(mixing_matrix, dtype=float))
-    if a.shape[1] != s.shape[0]:
-        raise DimensionMismatchError(
-            f"mixing matrix has {a.shape[1]} columns, {s.shape[0]} sources given"
-        )
+    s, a = _sources_and_mixing(sources, mixing_matrix)
     peaks = np.max(np.abs(s), axis=1)  # per-source peak
     return float(np.min(np.abs(a) * peaks[None, :]))
 

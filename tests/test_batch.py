@@ -62,6 +62,15 @@ def per_run(clean, actual, params, noise_sd, seed):
         return None
 
 
+def by_run(chunks):
+    """The chunks' success-order errors as one (runs, S, L) array, NaN on
+    failed runs, and their success mask."""
+    ok = np.concatenate([k for _, k in chunks])
+    errors = np.full((ok.size, *chunks[0][0].shape[1:]), np.nan)
+    errors[ok] = np.concatenate([e for e, _ in chunks])
+    return errors, ok
+
+
 @pytest.mark.parametrize("noise_sd, method, v_th", GATE_ROWS)
 def test_batched_matches_per_run_on_gate_rows(noise_sd, method, v_th):
     sources, clean = noisy_example1(noise_sd).generate()
@@ -70,8 +79,7 @@ def test_batched_matches_per_run_on_gate_rows(noise_sd, method, v_th):
     seeds = [derive_seed(20240707, q) for q in range(320)]
     chunks = [run_chunk(clean, actual, params, noise_sd, seeds[i : i + CHUNK_RUNS])
               for i in range(0, len(seeds), CHUNK_RUNS)]
-    errors = np.concatenate([e for e, _ in chunks])
-    ok = np.concatenate([k for _, k in chunks])
+    errors, ok = by_run(chunks)
     reference = [per_run(clean, actual, params, noise_sd, s) for s in seeds]
     assert list(ok) == [r is not None for r in reference]
     for q in np.flatnonzero(ok):
@@ -107,7 +115,7 @@ def test_run_alone_equals_run_inside_a_full_chunk(method, v_th, noise_sd):
     actual = normalize_unit_norm(sources)
     params = MethodParams(method, v_th, 1.0)
     seeds = [derive_seed(31, q) for q in range(CHUNK_RUNS)]
-    errors, ok = run_chunk(clean, actual, params, noise_sd, seeds)
+    errors, ok = by_run([run_chunk(clean, actual, params, noise_sd, seeds)])
     assert 0 < ok.sum()
     assert method == "global" or not ok.all()
     passed, failed = np.flatnonzero(ok), np.flatnonzero(~ok)
@@ -137,7 +145,66 @@ def test_chunk_without_a_survivor_skips_the_association(monkeypatch, method, v_t
     seeds = [derive_seed(31, q) for q in range(runs)]
     errors, ok = run_chunk(clean, normalize_unit_norm(sources), MethodParams(method, v_th), noise_sd, seeds)
     assert ok.shape == (runs,) and not ok.any()
-    assert errors.shape == (runs, *sources.shape)
+    assert errors.shape == (0, *sources.shape)
+
+
+def flag_runs_after_the_loop(monkeypatch):
+    """Make the norms fail every fifth run that clears the deflation loop, and
+    the association every third, counted by row of the loop's survivors."""
+    in_scale_range, associate_stack = evaluation.in_scale_range, evaluation.associate_stack
+
+    def norms_flag_every_fifth(scale):
+        in_range = in_scale_range(scale)
+        in_range[2::5] = False
+        return in_range
+
+    def association_flags_every_third(actual, estimates):
+        *outputs, constant = associate_stack(actual, estimates)
+        constant[1::3] = True
+        return *outputs, constant
+
+    monkeypatch.setattr(evaluation, "in_scale_range", norms_flag_every_fifth)
+    monkeypatch.setattr(evaluation, "associate_stack", association_flags_every_third)
+
+
+def test_runs_failing_after_the_loop_carry_no_rows(monkeypatch):
+    # MHC 0.80 @ 0.01: most runs leave the chunk in the loop, and the norms
+    # and the association fail some of those that clear it.
+    sources, clean = noisy_example1(0.01).generate()
+    actual = normalize_unit_norm(sources)
+    params = MethodParams("mhc", 0.8)
+    seeds = [derive_seed(5, q) for q in range(CHUNK_RUNS)]
+    cleared_errors, cleared = run_chunk(clean, actual, params, 0.01, seeds)
+    flag_runs_after_the_loop(monkeypatch)
+    errors, ok = run_chunk(clean, actual, params, 0.01, seeds)
+    row = np.arange(cleared.sum())
+    expected = np.zeros_like(cleared)
+    expected[cleared] = (row % 5 != 2) & (row % 3 != 1)
+    assert list(ok) == list(expected)
+    assert ok.any() and (cleared & ~ok).any() and not cleared.all()
+    assert errors.shape == (ok.sum(), *sources.shape)
+    assert errors.tobytes() == cleared_errors[ok[cleared]].tobytes()
+    monkeypatch.undo()
+    for row, q in enumerate(np.flatnonzero(ok)):
+        alone, alone_ok = run_chunk(clean, actual, params, 0.01, seeds[q : q + 1])
+        assert alone_ok[0] and alone[0].tobytes() == errors[row].tobytes()
+
+
+def test_pooling_skips_runs_failing_after_the_loop(monkeypatch):
+    config = noisy_example1(0.01)
+    params = MethodParams("mhc", 0.8)
+    sets, runs = 3, 200
+    flag_runs_after_the_loop(monkeypatch)
+    report = monte_carlo(config, params, sets, runs, master_seed=777)
+    sources, clean = config.generate()
+    seeds = [derive_seed(777, q) for q in range(sets * runs)]
+    chunks = [run_chunk(clean, normalize_unit_norm(sources), params, 0.01, seeds[i : i + CHUNK_RUNS])
+              for i in range(0, len(seeds), CHUNK_RUNS)]
+    errors, ok = by_run(chunks)
+    errors, ok = errors.reshape(sets, runs, *sources.shape), ok.reshape(sets, runs)
+    assert_pooled_as_rms_metrics(report, errors, ok)
+    monkeypatch.undo()
+    assert report.failures > monte_carlo(config, params, sets, runs, master_seed=777).failures
 
 
 def test_chunks_stay_small():
@@ -146,9 +213,10 @@ def test_chunks_stay_small():
     assert chunk_runs(4, 10**6) == 1
 
 
-#: Bound on one chunk's traced peak, in multiples of its error array: every
-#: method measured at most 5.26 (noise, association and signed errors
-#: written in place), and 6.42 with chunk-sized throwaway arrays.
+#: Bound on one chunk's traced peak, in multiples of a (runs, sources,
+#: samples) error array: every method measured at most 5.26 (noise,
+#: association and signed errors written in place), and 6.42 with
+#: chunk-sized throwaway arrays.
 CHUNK_PEAK_ERROR_ARRAYS = 5.5
 
 
@@ -161,11 +229,11 @@ def test_chunk_peak(method, v_th):
     run_chunk(clean, actual, params, 0.005, seeds)  # first-call imports stay out of the peak
     tracemalloc.start()
     try:
-        errors, _ = run_chunk(clean, actual, params, 0.005, seeds)
+        run_chunk(clean, actual, params, 0.005, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= CHUNK_PEAK_ERROR_ARRAYS * errors.nbytes
+    assert peak <= CHUNK_PEAK_ERROR_ARRAYS * len(seeds) * sources.nbytes
 
 
 def test_rank_deficient_scenario_fails_every_run():
@@ -479,8 +547,8 @@ def test_pooling_keeps_the_bits_of_rms_metrics(method, v_th, sets, runs, master_
     seeds = [derive_seed(master_seed, q) for q in range(sets * runs)]
     chunks = [run_chunk(clean, normalize_unit_norm(sources), params, 0.01, seeds[i : i + CHUNK_RUNS])
               for i in range(0, len(seeds), CHUNK_RUNS)]
-    errors = np.concatenate([e for e, _ in chunks]).reshape(sets, runs, *sources.shape)
-    ok = np.concatenate([k for _, k in chunks]).reshape(sets, runs)
+    errors, ok = by_run(chunks)
+    errors, ok = errors.reshape(sets, runs, *sources.shape), ok.reshape(sets, runs)
     assert ok.any()
     assert_pooled_as_rms_metrics(report, errors, ok)
 
@@ -491,14 +559,16 @@ def test_pooling_leaves_out_a_set_without_a_successful_run(monkeypatch):
 
     def run_chunk_failing_set_1(clean, actual, params, noise_sd, seeds):
         errors, ok = run_chunk(clean, actual, params, noise_sd, seeds)
-        ok &= (np.asarray(seeds) // runs != 1) & (np.asarray(seeds) % 7 != 3)
+        keep = (np.asarray(seeds) // runs != 1) & (np.asarray(seeds) % 7 != 3)
+        errors = errors[keep[ok]]
+        ok &= keep
         returned.append((errors.copy(), ok.copy()))
         return errors, ok
 
     monkeypatch.setattr(evaluation, "run_chunk", run_chunk_failing_set_1)
     report = monte_carlo(noisy_example1(0.005), MethodParams("global", 0.4), sets, runs, master_seed=0)
-    errors = np.concatenate([e for e, _ in returned]).reshape(sets, runs, 2, -1)
-    ok = np.concatenate([k for _, k in returned]).reshape(sets, runs)
+    errors, ok = by_run(returned)
+    errors, ok = errors.reshape(sets, runs, 2, -1), ok.reshape(sets, runs)
     assert not ok[1].any() and ok[0].any() and ok[2].any()
     assert report.set_rms_tot.shape == report.set_rms_max.shape == (2, 2)
     assert_pooled_as_rms_metrics(report, errors, ok)

@@ -128,7 +128,7 @@ class TestWeightedAverageHeading:
         members[rng.random(k) < 0.25] *= -1.0
         if k > 1:
             members[1] = -members[0] * rng.uniform(0.5, 1.0)
-        _, length, moving = average_directions(members[None])
+        _, length, moving = average_directions(members[None], np.array([k]))
         if moving[0]:
             assert length[0] * k >= 1.0 - 1e-12
 
@@ -266,7 +266,7 @@ def test_one_stacked_average_equals_one_call_per_cluster(n):
     unit, length, moving = average_directions(stack, size)
     assert moving.sum() == len(clusters) - 1
     for b, members in enumerate(clusters):
-        alone = average_directions(members[None])
+        alone = average_directions(members[None], np.array([len(members)]))
         assert unit[b].tobytes() == alone[0][0].tobytes()
         assert length[b].tobytes() == alone[1][0].tobytes()
         assert moving[b] == alone[2][0]
@@ -279,8 +279,8 @@ def test_stacked_global_step_on_one_long_record_keeps_its_bits(seed):
     data = gram_schmidt_whiten(sparse_record(seed, 4, 200_000, 1e-3, burst=50)).components[None]
     before = data.copy()
     steps = deflation_steps(data, MethodParams("global", 0.4), np.empty_like(data))
-    for directions, found, accepted, cluster in steps:
-        assert found[0] and cluster is not None
+    for directions, survivors, accepted, cluster in steps:
+        assert survivors.tolist() == [0] and cluster is not None
         stacked, stacked_found = _global_directions(before, accepted, 1.0)
         assert stacked_found[0]
         assert stacked.tobytes() == directions.tobytes()
@@ -331,8 +331,8 @@ def test_stacked_global_step_is_quiet_under_any_errstate():
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         steps = deflation_steps(data, MethodParams("global", 0.4), np.empty_like(data))
-        found = [step[1] for step in steps]
-    assert np.all(found)
+        survivors = [step[1] for step in steps]
+    assert all(s.tolist() == [0, 1, 2] for s in survivors)
 
 
 @pytest.mark.parametrize("length", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 13])
