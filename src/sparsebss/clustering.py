@@ -98,21 +98,14 @@ def gap_threshold(alpha: float, n_headings: int) -> float:
 def sort_component(magnitudes: np.ndarray, component: int) -> SortedComponent:
     """Sort one column of the (M, N) heading-magnitude matrix ascending.
 
-    Ties are broken by ascending heading index (stable sort), which keeps
-    the result deterministic.  numpy's default sort runs first: when its
-    sorted values rise strictly, no two values tie and its order is the
-    only ascending one, hence the stable one.  Otherwise (a tie, or a NaN)
-    the column is sorted again with ``kind="stable"``.
+    Ties are broken by ascending heading index (one stable sort), which
+    keeps the result deterministic.
     """
     if magnitudes.shape[0] < 2:
         raise TooFewHeadingsError("need at least 2 headings to sort")
     column = magnitudes[:, component]
-    order = np.argsort(column)
-    values = column[order]
-    if not np.all(values[1:] > values[:-1]):
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-    return SortedComponent(values=values, index_map=order)
+    order = np.argsort(column, kind="stable")
+    return SortedComponent(values=column[order], index_map=order)
 
 
 def build_adjacency(sorted_component: SortedComponent, epsilon: float) -> np.ndarray:

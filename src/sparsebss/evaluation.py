@@ -20,7 +20,6 @@ deflation loop and association as one array pass by :func:`run_chunk`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -350,11 +349,10 @@ def monte_carlo(
         # Imported only here: loading multiprocessing would slow every CLI start.
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, chunks))
     else:
-        executor = nullcontext()
-    with executor as pool:
-        results = list(pool.map(run, chunks) if pool else map(run, chunks))
+        results = list(map(run, chunks))
     squares = np.concatenate([e for e, _ in results])
     ok = np.concatenate([k for _, k in results])
 

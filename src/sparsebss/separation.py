@@ -18,7 +18,10 @@ No velocity buffer is kept either: the velocity-and-threshold
 pass forms the velocities one block of :data:`~sparsebss.signals.BLOCK`
 samples at a time and keeps only their speeds and the mask, and each
 direction step forms again, from the samples on either side, only the
-velocities it reads, as (N, K) channel rows.  Every heading length is taken
+velocities it reads, as (N, K) channel rows, through one gather,
+:func:`_velocity_rows`; MHC's step returns the heading it scored, so no
+velocity is formed twice.  Every array the loop yields has one row per
+record still in it.  Every heading length is taken
 on those rows with :func:`~sparsebss.signals.row_norms`, which keeps the
 bits of ``np.linalg.norm`` on (..., K, N) velocity rows without making
 them.  The other full passes also run a block at a time, with no temporary
@@ -29,6 +32,7 @@ energy through :func:`~sparsebss.signals.sum_of_products`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -191,50 +195,62 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
     The change between headings ``n-1`` and ``n`` is measured up to sign,
     ``min(|r[n] - r[n-1]|, |r[n] + r[n-1]|)``, since a source line may be
     traversed in alternating directions.  The most recent heading of the
-    winning pair is returned; ties go to the smallest index.  Headings are
-    formed from the set's velocities and speeds.
+    winning pair is returned, as :func:`mhc_pick` scored it; ties go to the
+    smallest index.  Headings are formed from the set's velocities and
+    speeds, by :func:`mhc_pick` alone.
 
     Raises
     ------
     NoConsecutivePairError
         If no two consecutive headings are both accepted.
     """
-    v, speeds = heading_set.velocities, heading_set.speeds
-    best, found = mhc_pick(
-        lambda _, later: (v[later].T, v[later - 1].T), speeds[None], heading_set.accepted[None]
+    v = heading_set.velocities
+    _, found, headings = mhc_pick(
+        lambda _, index: v[index].T, heading_set.speeds[None], heading_set.accepted[None]
     )
     if not found[0]:
         raise NoConsecutivePairError("no consecutive pair of accepted headings")
-    return EstimatedDirection(unit_vector=v[best[0]] / speeds[best[0]], support_size=1)
+    return EstimatedDirection(unit_vector=headings[0], support_size=1)
 
 
 def mhc_pick(
-    pair_velocities, speeds: np.ndarray, accepted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`mhc_find_direction`'s winning index for each of Q records.
+    velocity_rows, speeds: np.ndarray, accepted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mhc_find_direction`'s winner for each of Q records.
 
     ``speeds`` and ``accepted`` are (Q, M).  The headings ``v / |v|`` are
     formed and compared only at consecutive accepted pairs, whose speeds are
-    positive.  ``pair_velocities(records, later)`` returns the velocities of
-    each pair as two (N, pairs) channel rows: record ``records[p]``'s at
-    ``later[p]`` and at ``later[p] - 1``.  The lengths of the headings'
-    differences and sums are taken by :func:`~sparsebss.signals.row_norms`,
-    with the bits ``np.linalg.norm`` gives (pairs, N) rows.  Each change is
-    written at the pair's later index in a (Q, M) table of +inf.  Returns
-    the first ``argmin`` of each record, its smallest change at the lowest
-    index, and whether that change is finite (index 0 if it is not).
+    positive.  ``velocity_rows(records, index)`` returns record
+    ``records[p]``'s velocity ``index[p]`` for each p, as a new (N, pairs)
+    channel rows array, which is divided by its speeds in place.  It is
+    called once at each pair's later index and once at the index before.
+    The lengths of the headings' differences and sums are taken by
+    :func:`~sparsebss.signals.row_norms`, with the bits ``np.linalg.norm``
+    gives (pairs, N) rows.  Each change is written at the pair's later index
+    in a (Q, M) table of +inf.
+
+    Returns ``(best, found, headings)``: the first ``argmin`` of each
+    record, its smallest change at the lowest index (index 0 if no change is
+    finite); whether that change is finite; and the (Q, N) heading that won,
+    the later one of its pair as it was scored, or zeros where none was
+    found.
     """
     q, m = accepted.shape
     pair = np.zeros((q, m), dtype=bool)
     np.logical_and(accepted[:, 1:], accepted[:, :-1], out=pair[:, 1:])
     later = np.flatnonzero(pair)
-    here, before = pair_velocities(*np.divmod(later, m))
-    here = here / np.take(speeds, later)
-    before = before / np.take(speeds, later - 1)
+    record, index = np.divmod(later, m)
+    here = velocity_rows(record, index)
+    here /= np.take(speeds, later)
+    before = velocity_rows(record, index - 1)
+    before /= np.take(speeds, later - 1)
     change = np.full((q, m), np.inf)
     np.put(change, later, np.minimum(row_norms(here - before), row_norms(here + before)))
     best = np.argmin(change, axis=1)
-    return best, change[np.arange(len(best)), best] < np.inf
+    found = change[np.arange(q), best] < np.inf
+    headings = np.zeros((q, here.shape[0]))
+    headings[found] = here[:, np.searchsorted(later, np.flatnonzero(found) * m + best[found])].T
+    return best, found, headings
 
 
 def project_source(data, direction: EstimatedDirection) -> np.ndarray:
@@ -330,21 +346,16 @@ def _global_directions(
     return directions, found
 
 
-def _sample_index(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Flat indices of samples ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) rows.
-
-    Sample j of channel i of record r sits at ``(r * N + i) * L + j``.
-    """
-    _, n, length = data.shape
-    return (record * (n * length) + index) + (np.arange(n) * length)[:, None]
-
-
 def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Velocities ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
 
-    Velocity j is sample j + 1 minus sample j; j is at most L - 2.
+    Velocity j is sample j + 1 minus sample j; j is at most L - 2.  Both
+    samples are read by flat ``np.take``: sample j of channel i of record r
+    sits at ``(r * N + i) * L + j``.  This is the one place where the
+    deflation loop forms a velocity from samples.
     """
-    take = _sample_index(data, record, index)
+    _, n, length = data.shape
+    take = (record * (n * length) + index) + (np.arange(n) * length)[:, None]
     flat = data.reshape(-1)
     rows = np.take(flat, take + 1)
     rows -= np.take(flat, take)
@@ -356,59 +367,45 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
 
     Iteration ``i`` projects the k records still in the loop onto their
     directions into ``estimates[:k, i]``, where ``estimates`` is a (Q, N, L)
-    array the caller owns, and yields the directions, the caller's rows of
-    those k records in order, the acceptance masks, and, for the global
-    method on one record, :func:`_global_direction`'s cluster or error
-    (else None).
+    array the caller owns, and yields the (k, N) directions, the caller's
+    rows of those k records in order, their (k, L - 1) acceptance masks,
+    and, for the global method on one record, :func:`_global_direction`'s
+    cluster or error (else None).
     One record clusters through :func:`find_cluster` and many through
     :func:`_global_directions`, both by one rule with the same bits: the
     benchmark's span test requires one :func:`find_cluster` call per global
     iteration of :func:`separate`.  The caller's Q makes that choice once.
 
     A record whose direction step finds nothing leaves the loop at once:
-    before the projection, the stack is compacted to the records still in
-    it, and their earlier estimates are copied into the leading rows of
-    ``estimates``.  So row j of ``data`` and of ``estimates`` always holds
-    the j-th survivor, no later pass reads a record that left, and the loop
-    ends when none is left.  From then on ``data`` is no longer the
-    caller's array.  The directions and acceptance masks have one row per
-    record that ran the iteration, those still in the loop after the one
-    before, in the caller's order; a record that finds nothing gets a zero
-    direction.  Every pass works record by record, so a record keeps the
-    bits it has alone.
+    before the projection, the data, the directions and the acceptance
+    masks are compacted to the records still in it, and their earlier
+    estimates are copied into the leading rows of ``estimates``.  So row j
+    of every array the loop holds or yields belongs to the j-th survivor,
+    no later pass reads a record that left, and the loop ends when none is
+    left, with an empty yield.  From then on ``data`` is no longer the
+    caller's array.  Every pass works record by record, so a record keeps
+    the bits it has alone.
 
     No velocity outlives the pass that reads it.  The velocity-and-threshold
     pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
-    a time, and each direction step forms again, from the samples on either
-    side, only the velocities it reads: the accepted ones, or MHC's
-    consecutive accepted pairs, each pair from its three samples by flat
-    ``np.take``.  The deflation subtracts in place, over all channels at
-    once, ``BLOCK // N`` samples a step.  ``params`` was validated when it
-    was built.
+    a time, and each direction step forms again only the velocities it
+    reads, through :func:`_velocity_rows`: the accepted ones, or, for MHC,
+    the two velocities of each consecutive accepted pair, gathered by
+    :func:`mhc_pick`, which also returns the winning headings.  The
+    deflation subtracts in place, over all channels at once, ``BLOCK // N``
+    samples a step.  ``params`` was validated when it was built.
     """
     q, n, length = data.shape
     stacked = q > 1
-    # Row j of ``data`` and of ``estimates`` holds the caller's record survivors[j].
+    # Row j of every array the loop holds or yields belongs to the caller's record survivors[j].
     survivors = np.arange(q)
     step = max(1, BLOCK // n)
-
-    def pair_velocities(record, later):
-        take = _sample_index(data, record, later)
-        flat = data.reshape(-1)
-        now = np.take(flat, take)
-        here = np.take(flat, take + 1)
-        here -= now
-        return here, np.subtract(now, np.take(flat, take - 1), out=now)
-
     for iteration in range(n):
         speeds, accepted, _ = _accept(data, params.v_th)
         cluster = None
         if params.method == "mhc":
-            best, found = mhc_pick(pair_velocities, speeds, accepted)
-            records = np.arange(survivors.size)
-            speed = np.where(found, speeds[records, best], np.inf)
+            _, found, directions = mhc_pick(partial(_velocity_rows, data), speeds, accepted)
             del speeds
-            directions = (data[records, :, best + 1] - data[records, :, best]) / speed[:, None]
         else:
             # The global steps never read the speeds: free them before they gather.
             del speeds
@@ -418,15 +415,15 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
                 directions, found, cluster = _global_direction(
                     data, accepted, params.alpha, iteration
                 )
-        projected = directions
         if not found.all():
             kept = np.flatnonzero(found)
-            survivors, data, projected = survivors[kept], data[kept], directions[kept]
+            survivors, data = survivors[kept], data[kept]
+            directions, accepted = directions[kept], accepted[kept]
             estimates[: kept.size, :iteration] = estimates[kept, :iteration]
         row = estimates[: survivors.size, iteration:iteration + 1]
-        np.matmul(projected[:, None, :], data, out=row)
+        np.matmul(directions[:, None, :], data, out=row)
         for lo in range(0, length, step):
-            data[..., lo:lo + step] -= projected[..., None] * row[..., lo:lo + step]
+            data[..., lo:lo + step] -= directions[..., None] * row[..., lo:lo + step]
         yield directions, survivors, accepted, cluster
         if not survivors.size:
             return

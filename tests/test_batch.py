@@ -32,8 +32,9 @@ from sparsebss import clustering, evaluation
 from sparsebss.clustering import cluster_tables, longest_runs
 from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, rms_metrics, run_chunk
 from sparsebss.rng import derive_seed
-from sparsebss.separation import mhc_pick
+from sparsebss.separation import deflation_steps, mhc_pick
 from sparsebss.signals import row_norms
+from sparsebss.simulate import noisy_stack
 from sparsebss.whitening import whiten_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -413,13 +414,13 @@ def test_mhc_find_direction_matches_loop_reference(record):
     else:
         np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
         speeds = np.ones((1, len(headings)))
-        best, found = mhc_pick(stack_pairs(headings.T[None]), speeds, accepted[None])
+        best, found, _ = mhc_pick(stack_velocities(headings.T[None]), speeds, accepted[None])
         assert found[0] and best[0] == expected
 
 
-def stack_pairs(v):
-    """``mhc_pick``'s pair gather on a (Q, N, M) velocity stack."""
-    return lambda record, later: (v[record, :, later].T, v[record, :, later - 1].T)
+def stack_velocities(v):
+    """``mhc_pick``'s velocity gather on a (Q, N, M) velocity stack: a new array each call."""
+    return lambda record, index: v[record, :, index].T
 
 
 @st.composite
@@ -467,24 +468,62 @@ def velocity_stacks(draw):
 def test_mhc_pick_matches_loop_reference_per_record(stack):
     v, accepted = stack
     speeds = np.linalg.norm(v, axis=1)
-    best, found = mhc_pick(stack_pairs(v), speeds, accepted)
+    before = v.copy()
+    best, found, headings = mhc_pick(stack_velocities(v), speeds, accepted)
+    np.testing.assert_array_equal(v, before)  # the gather's copies are divided, not v
     for q in range(len(v)):
         expected = loop_mhc_index((v[q] / speeds[q]).T, accepted[q])
         if expected is None:
             assert best[q] == 0 and not found[q]
+            assert headings[q].tobytes() == np.zeros(v.shape[1]).tobytes()
         else:
             assert found[q] and best[q] == expected
+            # The winner's heading as it was scored, with the bits of one division.
+            assert headings[q].tobytes() == (v[q, :, best[q]] / speeds[q, best[q]]).tobytes()
 
 
 def test_mhc_pick_on_one_velocity_finds_nothing():
     # Two samples make one velocity and no consecutive pair.  Nothing may
     # divide by a record's M - 1 = 0 pairs: a warning would raise here.
     v = np.arange(1.0, 7.0).reshape(3, 2, 1)
-    best, found = mhc_pick(stack_pairs(v), np.linalg.norm(v, axis=1), np.ones((3, 1), dtype=bool))
+    best, found, headings = mhc_pick(
+        stack_velocities(v), np.linalg.norm(v, axis=1), np.ones((3, 1), dtype=bool)
+    )
     np.testing.assert_array_equal(best, [0, 0, 0])
     assert not found.any()
+    assert headings.tobytes() == np.zeros((3, 2)).tobytes()
     with pytest.raises(NoConsecutivePairError, match="iteration 0"):
         separate([[1.0, 2.0], [3.0, -1.0]], MethodParams(method="mhc", v_th=0.5))
+
+
+@pytest.mark.parametrize("method, v_th", [("mhc", 0.80), ("global", 0.40), ("global", 0.80)])
+def test_every_yielded_row_belongs_to_a_survivor(method, v_th):
+    # At MHC 0.80 @ 0.01 most records find no pair at iteration 0, and at
+    # global 0.80 some find no cluster.  Whatever leaves, the directions and
+    # acceptance masks of each iteration hold one row per survivor, in the
+    # caller's order, each with the bits of that record run alone.
+    _, clean = noisy_example1(0.01).generate()
+    data, _, failed = whiten_stack(noisy_stack(clean, 0.01, [derive_seed(41, q) for q in range(60)]))
+    assert (failed < 0).all()
+    params = MethodParams(method, v_th)
+    alone = [
+        list(deflation_steps(data[q : q + 1].copy(), params, np.empty((1, *data.shape[1:]))))
+        for q in range(len(data))
+    ]
+    steps = list(deflation_steps(data.copy(), params, np.empty_like(data)))
+    assert v_th == 0.40 or steps[0][1].size < len(data)
+    for iteration, (directions, survivors, accepted, _) in enumerate(steps):
+        assert directions.shape == (survivors.size, data.shape[1])
+        assert accepted.shape == (survivors.size, data.shape[2] - 1)
+        for row, q in enumerate(survivors):
+            units, kept, mask, _ = alone[q][iteration]
+            assert kept.tolist() == [0]
+            assert directions[row].tobytes() == units[0].tobytes()
+            np.testing.assert_array_equal(accepted[row], mask[0])
+        ran = [q for q in range(len(data)) if len(alone[q]) > iteration]
+        prior = steps[iteration - 1][1] if iteration else np.arange(len(data))
+        assert ran == prior.tolist()
+        assert survivors.tolist() == [q for q in ran if alone[q][iteration][1].size]
 
 
 #: Bound on one 1 x 1000 ``monte_carlo`` call's traced peak, in multiples of
