@@ -16,17 +16,19 @@ Each iteration projects straight into the caller's (Q, N, L) estimates, so
 the loop holds no record-sized array besides the data and the estimates.
 No velocity buffer is kept either: the velocity-and-threshold
 pass forms the velocities one block of :data:`~sparsebss.signals.BLOCK`
-samples at a time and keeps only their speeds and the mask, and each
-direction step forms again, from the samples on either side, only the
+samples at a time and keeps only their component maxima and the mask, and
+each direction step forms again, from the samples on either side, only the
 velocities it reads, as (N, K) channel rows, through one gather,
-:func:`_velocity_rows`; MHC's step returns the heading it scored, so no
-velocity is formed twice.  Every array the loop yields has one row per
-record still in it.  Every heading length is taken
-on those rows with :func:`~sparsebss.signals.row_norms`, which keeps the
-bits of ``np.linalg.norm`` on (..., K, N) velocity rows without making
-them.  The other full passes also run a block at a time, with no temporary
-larger than a block per record: the deflation in place, and the residual
-energy through :func:`~sparsebss.signals.sum_of_products`.
+:func:`_velocity_rows`.  MHC's step reads them as unit headings
+(:func:`_heading_rows`), divided by lengths taken by the threshold pass's
+rule, :func:`~sparsebss.signals.ordered_row_norms`, and returns the heading
+it scored, so no velocity is formed twice.  Every array the loop yields has
+one row per record still in it.  The other heading lengths, and MHC's
+changes, are taken on channel rows with :func:`~sparsebss.signals.row_norms`,
+which keeps the bits of ``np.linalg.norm`` on (..., K, N) velocity rows
+without making them.  The other full passes also run a block at a time,
+with no temporary larger than a block per record: the deflation in place,
+and the residual energy through :func:`~sparsebss.signals.sum_of_products`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     SparseBssError,
 )
 from .headings import HeadingSet, _accept
-from .signals import BLOCK, as_real_finite, row_norms, sum_of_products
+from .signals import BLOCK, as_real_finite, ordered_row_norms, row_norms, sum_of_products
 from .whitening import gram_schmidt_whiten
 
 
@@ -196,60 +198,62 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
     ``min(|r[n] - r[n-1]|, |r[n] + r[n-1]|)``, since a source line may be
     traversed in alternating directions.  The most recent heading of the
     winning pair is returned, as :func:`mhc_pick` scored it; ties go to the
-    smallest index.  Headings are formed from the set's velocities and
-    speeds, by :func:`mhc_pick` alone.
+    smallest index.  :func:`mhc_pick` gathers the headings of its pairs
+    alone, each the set's velocity divided by its speed.
 
     Raises
     ------
     NoConsecutivePairError
         If no two consecutive headings are both accepted.
     """
-    v = heading_set.velocities
-    _, found, headings = mhc_pick(
-        lambda _, index: v[index].T, heading_set.speeds[None], heading_set.accepted[None]
-    )
+    v, speeds = heading_set.velocities, heading_set.speeds
+    _, found, headings = mhc_pick(lambda _, i: v[i].T / speeds[i], heading_set.accepted[None])
     if not found[0]:
         raise NoConsecutivePairError("no consecutive pair of accepted headings")
     return EstimatedDirection(unit_vector=headings[0], support_size=1)
 
 
-def mhc_pick(
-    velocity_rows, speeds: np.ndarray, accepted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mhc_pick(heading_rows, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`mhc_find_direction`'s winner for each of Q records.
 
-    ``speeds`` and ``accepted`` are (Q, M).  The headings ``v / |v|`` are
-    formed and compared only at consecutive accepted pairs, whose speeds are
-    positive.  ``velocity_rows(records, index)`` returns record
-    ``records[p]``'s velocity ``index[p]`` for each p, as a new (N, pairs)
-    channel rows array, which is divided by its speeds in place.  It is
-    called once at each pair's later index and once at the index before.
-    The lengths of the headings' differences and sums are taken by
+    ``accepted`` is (Q, M).  Headings are formed and compared only at
+    consecutive accepted pairs, whose speeds are positive.
+    ``heading_rows(records, index)`` returns record ``records[p]``'s unit
+    heading ``index[p]`` for each p, as a new (N, pairs) channel rows array.
+    It is called once at each pair's later index and once at the index
+    before.  The lengths of the headings' differences and sums are taken by
     :func:`~sparsebss.signals.row_norms`, with the bits ``np.linalg.norm``
-    gives (pairs, N) rows.  Each change is written at the pair's later index
-    in a (Q, M) table of +inf.
+    gives (pairs, N) rows.
 
-    Returns ``(best, found, headings)``: the first ``argmin`` of each
-    record, its smallest change at the lowest index (index 0 if no change is
-    finite); whether that change is finite; and the (Q, N) heading that won,
-    the later one of its pair as it was scored, or zeros where none was
-    found.
+    The changes go into a (Q, P) table of +inf, where P is the largest pair
+    count of any record, and at least 1.  Slot j of record r holds its j-th
+    pair in index order, so the first ``argmin`` of a row is its smallest
+    change at the lowest index, and a record without a pair has no finite
+    change.  Returns ``(best, found, headings)``: the later index of each
+    record's winning pair (0 if no change is finite); whether that change is
+    finite; and the (Q, N) heading that won, the later one of its pair as it
+    was scored, or zeros where none was found.
     """
     q, m = accepted.shape
-    pair = np.zeros((q, m), dtype=bool)
-    np.logical_and(accepted[:, 1:], accepted[:, :-1], out=pair[:, 1:])
-    later = np.flatnonzero(pair)
-    record, index = np.divmod(later, m)
-    here = velocity_rows(record, index)
-    here /= np.take(speeds, later)
-    before = velocity_rows(record, index - 1)
-    before /= np.take(speeds, later - 1)
-    change = np.full((q, m), np.inf)
-    np.put(change, later, np.minimum(row_norms(here - before), row_norms(here + before)))
-    best = np.argmin(change, axis=1)
-    found = change[np.arange(q), best] < np.inf
+    # flatnonzero lists the pairs record by record, in index order; a 2-D
+    # nonzero took four times as long on the 4 x 10**6 benchmark record.
+    record, index = np.divmod(np.flatnonzero(accepted[:, 1:] & accepted[:, :-1]), m - 1)
+    index += 1
+    count = np.bincount(record, minlength=q)
+    first = np.cumsum(count) - count
+    here = heading_rows(record, index)
+    before = heading_rows(record, index - 1)
+    change = np.full((q, max(1, count.max(initial=0))), np.inf)
+    change[record, np.arange(record.size) - first[record]] = np.minimum(
+        row_norms(here - before), row_norms(here + before)
+    )
+    pick = np.argmin(change, axis=1)
+    found = change[np.arange(q), pick] < np.inf
+    winner = first[found] + pick[found]
+    best = np.zeros(q, dtype=np.intp)
+    best[found] = index[winner]
     headings = np.zeros((q, here.shape[0]))
-    headings[found] = here[:, np.searchsorted(later, np.flatnonzero(found) * m + best[found])].T
+    headings[found] = here[:, winner].T
     return best, found, headings
 
 
@@ -362,6 +366,18 @@ def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> n
     return rows
 
 
+def _heading_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Unit headings ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
+
+    :func:`_velocity_rows` divided in place by the lengths of its rows,
+    taken by :func:`~sparsebss.signals.ordered_row_norms`: elementwise the
+    speeds :func:`~sparsebss.headings._accept` computed, with their bits.
+    """
+    rows = _velocity_rows(data, record, index)
+    rows /= ordered_row_norms(rows, np.empty(index.size), np.empty(index.size))
+    return rows
+
+
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
     """The deflation loop over a (Q, N, L) stack of whitened records, in place.
 
@@ -386,12 +402,15 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     caller's array.  Every pass works record by record, so a record keeps
     the bits it has alone.
 
-    No velocity outlives the pass that reads it.  The velocity-and-threshold
-    pass forms them one block of :data:`~sparsebss.signals.BLOCK` samples at
-    a time, and each direction step forms again only the velocities it
-    reads, through :func:`_velocity_rows`: the accepted ones, or, for MHC,
-    the two velocities of each consecutive accepted pair, gathered by
-    :func:`mhc_pick`, which also returns the winning headings.  The
+    No velocity or speed outlives the pass that reads it.  The
+    velocity-and-threshold pass forms them one block of
+    :data:`~sparsebss.signals.BLOCK` samples at a time and keeps only the
+    component maxima, and each direction step forms again only the
+    velocities it reads, through :func:`_velocity_rows`: the accepted ones,
+    or, for MHC, the two unit headings of each consecutive accepted pair,
+    gathered by :func:`mhc_pick` through :func:`_heading_rows`, which also
+    returns the winning headings.  So beyond the data and the estimates the
+    MHC iteration holds only the maxima and pair-sized arrays.  The
     deflation subtracts in place, over all channels at once, ``BLOCK // N``
     samples a step.  ``params`` was validated when it was built.
     """
@@ -401,20 +420,14 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     survivors = np.arange(q)
     step = max(1, BLOCK // n)
     for iteration in range(n):
-        speeds, accepted, _ = _accept(data, params.v_th)
+        accepted, _ = _accept(data, params.v_th)
         cluster = None
         if params.method == "mhc":
-            _, found, directions = mhc_pick(partial(_velocity_rows, data), speeds, accepted)
-            del speeds
+            _, found, directions = mhc_pick(partial(_heading_rows, data), accepted)
+        elif stacked:
+            directions, found = _global_directions(data, accepted, params.alpha)
         else:
-            # The global steps never read the speeds: free them before they gather.
-            del speeds
-            if stacked:
-                directions, found = _global_directions(data, accepted, params.alpha)
-            else:
-                directions, found, cluster = _global_direction(
-                    data, accepted, params.alpha, iteration
-                )
+            directions, found, cluster = _global_direction(data, accepted, params.alpha, iteration)
         if not found.all():
             kept = np.flatnonzero(found)
             survivors, data = survivors[kept], data[kept]

@@ -113,10 +113,29 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     Component i of vector m is ``rows[..., i, m]``.  The lengths have the
     bits of ``np.linalg.norm(v, axis=-1)`` on the contiguous (..., M, N)
     layout ``v`` of the same vectors, without making it: numpy sums each
-    vector's N squares pairwise, and here every step of that rule adds
-    whole channel rows of squares (:func:`_add_rows`).
+    contiguous row of N squares pairwise, and here every step of that rule
+    adds whole channel rows of squares (:func:`_add_rows`).  From 8
+    channels on this differs from :func:`ordered_row_norms`, which keeps the
+    bits of the strided layout.
     """
     return np.sqrt(_add_rows(np.square(rows)))
+
+
+def ordered_row_norms(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the vectors held in (..., N, M) channel rows, summed in channel order.
+
+    Component i of vector m is ``rows[..., i, m]``.  Squares are added one
+    channel row at a time, in channel order, the order ``np.linalg.norm``
+    sums a velocity whose components lie one row apart: the lengths have its
+    bits on the strided (..., M, N) view of channel rows.  This is the
+    deflation loop's length rule, from its velocity-and-threshold pass to
+    the headings it gathers.  ``scratch`` takes each row's squares; ``out``
+    receives the lengths.
+    """
+    lengths = np.square(rows[..., 0, :], out=out)
+    for i in range(1, rows.shape[-2]):
+        lengths += np.square(rows[..., i, :], out=scratch)
+    return np.sqrt(lengths, out=lengths)
 
 
 def _add_rows(squares: np.ndarray) -> np.ndarray:

@@ -414,13 +414,16 @@ def test_mhc_find_direction_matches_loop_reference(record):
     else:
         np.testing.assert_array_equal(mhc_find_direction(heading_set).unit_vector, headings[expected])
         speeds = np.ones((1, len(headings)))
-        best, found, _ = mhc_pick(stack_velocities(headings.T[None]), speeds, accepted[None])
+        best, found, _ = mhc_pick(stack_headings(headings.T[None], speeds), accepted[None])
         assert found[0] and best[0] == expected
 
 
-def stack_velocities(v):
-    """``mhc_pick``'s velocity gather on a (Q, N, M) velocity stack: a new array each call."""
-    return lambda record, index: v[record, :, index].T
+def stack_headings(v, speeds):
+    """``mhc_pick``'s heading gather on a (Q, N, M) velocity stack and its (Q, M) speeds.
+
+    Each call returns a new (N, K) array: the velocities divided by their speeds.
+    """
+    return lambda record, index: v[record, :, index].T / speeds[record, index]
 
 
 @st.composite
@@ -432,10 +435,12 @@ def velocity_stacks(draw):
     scaled by a power of two or negated, which ties their changes exactly,
     or with their channels permuted, which ties them up to the order of each
     change's sum of squares.  The pick then rests on that order: from N = 8
-    on, numpy sums a vector's squares with eight running sums.
+    on, numpy sums a vector's squares with eight running sums.  Some stacks
+    are long, up to 2,000 velocities, and their records may hold only a few
+    far-apart pairs, so a record's pairs sit in slots far from their indices.
     """
     q = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 30))
+    m = draw(st.one_of(st.integers(1, 30), st.integers(1000, 2000)))
     n = draw(st.sampled_from(range(2, 11)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.standard_normal((q, n, 1)) + 0.1 * rng.standard_normal((q, n, m))
@@ -453,9 +458,12 @@ def velocity_stacks(draw):
             record[:, start:start + width] = stretch[:, : m - start]
     accepted = np.zeros((q, m), dtype=bool)
     for record in accepted:
-        kind = draw(st.sampled_from(["none", "alternate", "random", "all"]))
+        kind = draw(st.sampled_from(["none", "alternate", "random", "all", "far"]))
         if kind == "alternate":
             record[rng.integers(0, 2)::2] = True
+        elif kind == "far" and m > 1:
+            later = rng.choice(np.arange(1, m), size=min(m - 1, int(rng.integers(1, 4))))
+            record[later] = record[later - 1] = True
         elif kind == "random":
             record[:] = rng.random(m) < draw(st.sampled_from([0.3, 0.7, 1.0]))
         elif kind == "all":
@@ -469,7 +477,7 @@ def test_mhc_pick_matches_loop_reference_per_record(stack):
     v, accepted = stack
     speeds = np.linalg.norm(v, axis=1)
     before = v.copy()
-    best, found, headings = mhc_pick(stack_velocities(v), speeds, accepted)
+    best, found, headings = mhc_pick(stack_headings(v, speeds), accepted)
     np.testing.assert_array_equal(v, before)  # the gather's copies are divided, not v
     for q in range(len(v)):
         expected = loop_mhc_index((v[q] / speeds[q]).T, accepted[q])
@@ -487,7 +495,7 @@ def test_mhc_pick_on_one_velocity_finds_nothing():
     # divide by a record's M - 1 = 0 pairs: a warning would raise here.
     v = np.arange(1.0, 7.0).reshape(3, 2, 1)
     best, found, headings = mhc_pick(
-        stack_velocities(v), np.linalg.norm(v, axis=1), np.ones((3, 1), dtype=bool)
+        stack_headings(v, np.linalg.norm(v, axis=1)), np.ones((3, 1), dtype=bool)
     )
     np.testing.assert_array_equal(best, [0, 0, 0])
     assert not found.any()

@@ -9,7 +9,8 @@ from sparsebss import (
     normalize_headings,
 )
 from sparsebss.headings import _accept
-from sparsebss.signals import BLOCK
+from sparsebss.separation import _heading_rows, _velocity_rows
+from sparsebss.signals import BLOCK, ordered_row_norms
 
 
 def test_velocities_are_consecutive_differences():
@@ -112,19 +113,51 @@ def test_threshold_on_a_stack_matches_each_record():
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_channel_row_kernel_keeps_the_helpers_bits(n):
-    # The deflation loop's kernel forms (N, L-1) channel rows in blocks; the
-    # public helpers apply np.linalg.norm to the (L-1, N) view.  Speeds and
-    # masks agree bit for bit on both sides of eight channels, across blocks,
-    # and so do the velocities a direction step forms again from the samples.
+    # The deflation loop's kernel forms (N, L-1) channel rows in blocks and
+    # keeps no speeds; the public helpers apply the same rule to the (L-1, N)
+    # view.  Masks and v_max agree bit for bit on both sides of eight
+    # channels, across blocks, and so do the velocities a direction step
+    # forms again from the samples, their lengths and the headings it divides.
     e = np.random.default_rng(n).standard_normal((n, 2 * BLOCK + 7))
     expected = compute_headings(e, 0.3)
-    speeds, accepted, v_max = _accept(e[None], 0.3)
-    assert speeds[0].tobytes() == expected.speeds.tobytes()
+    accepted, v_max = _accept(e[None], 0.3)
     np.testing.assert_array_equal(accepted[0], expected.accepted)
     assert v_max[0] == expected.v_max
     idx = np.flatnonzero(accepted[0])
-    rows = np.take(e, idx + 1, axis=1) - np.take(e, idx, axis=1)
+    rows = _velocity_rows(e[None], np.zeros_like(idx), idx)
     assert rows.T.tobytes() == expected.velocities[idx].tobytes()
+    lengths = ordered_row_norms(rows, np.empty(idx.size), np.empty(idx.size))
+    assert lengths.tobytes() == expected.speeds[idx].tobytes()
+    headings = _heading_rows(e[None], np.zeros_like(idx), idx)
+    assert headings.tobytes() == (expected.velocities[idx].T / expected.speeds[idx]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_zero_speeds_are_never_accepted(n):
+    # Record 0 repeats samples inside a block and across the first BLOCK
+    # edge (velocity BLOCK - 1 ends one block, velocity BLOCK starts the
+    # next).  Record 1 is constant and record 2 moves by steps whose squares
+    # underflow: both have v_max = 0, and only the speeds, not the component
+    # maxima, tell record 2's velocities have no direction.
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal((3, n, 2 * BLOCK + 7))
+    e[0, :, 100:110] = e[0, :, 100:101]
+    e[0, :, BLOCK - 3:BLOCK + 4] = e[0, :, BLOCK - 3:BLOCK - 2]
+    e[1] = 1.5
+    e[2] = 1e-170 * np.round(e[2])
+    accepted, v_max = _accept(e, 0.3)
+    for q in range(3):
+        velocities = compute_velocities(e[q])
+        expected = compute_headings(e[q], 0.3)
+        np.testing.assert_array_equal(accepted[q], apply_velocity_threshold(velocities, 0.3))
+        np.testing.assert_array_equal(accepted[q], expected.accepted)
+        assert v_max[q].tobytes() == np.float64(expected.v_max).tobytes()
+        assert not np.any(accepted[q] & ~expected.nonzero)
+    still = np.r_[100:109, BLOCK - 3:BLOCK + 3]
+    assert np.all(np.abs(compute_velocities(e[0])[still]) == 0.0) and not accepted[0, still].any()
+    assert accepted[0].any() and v_max[0] > 0.0
+    assert np.all(v_max[1:] == 0.0) and not accepted[1:].any()
+    assert np.abs(compute_velocities(e[2])).max(axis=1).any()  # nonzero components, zero speeds
 
 
 def test_heading_helpers_do_not_depend_on_the_layout():

@@ -841,9 +841,9 @@ class TestMemory:
     @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
     def test_separate_peak(self, method, v_th):
         # The whitened data and the estimates are one record each; the
-        # velocity pass adds speeds and component maxima, a quarter each at
-        # N = 4, and the direction steps the velocities they read: 3.01
-        # records (global) and 2.79 (MHC).  A (Q, N, L-1) velocity buffer
+        # velocity pass adds the component maxima, a quarter at N = 4, and
+        # the direction steps the velocities they read: 2.83 records
+        # (global) and 2.51 (MHC).  A (Q, N, L-1) velocity buffer
         # reads 3.41-3.45, and a record-sized square for the residual energy
         # raises it again.
         mixtures = sparse_record(0, 4, 250_000, 1e-3, burst=50)
@@ -860,8 +860,8 @@ class TestMemory:
     @pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.5)])
     def test_loop_peak(self, method, v_th):
         # Beyond the data it deflates and the estimates it fills, the loop
-        # holds only row-sized or heading-sized arrays: 1.00 records (global)
-        # and 0.79 (MHC) here.  A (Q, N, L-1) velocity buffer takes it to
+        # holds only row-sized or heading-sized arrays: 0.83 records (global)
+        # and 0.51 (MHC) here.  A (Q, N, L-1) velocity buffer takes it to
         # 1.9-2.3, and a (Q, N, L) deflation product raises it again.
         data = gram_schmidt_whiten(sparse_record(0, 4, 250_000, 1e-3, burst=50)).components[None]
         steps = deflation_steps(data, MethodParams(method=method, v_th=v_th), np.empty_like(data))
@@ -871,3 +871,21 @@ class TestMemory:
                 pass
 
         assert self.peak_per_record_byte(run, data) <= 1.05
+
+    def test_mhc_keeps_no_record_length_speeds(self):
+        # The threshold pass keeps its speeds one block at a time, and MHC's
+        # change table has one slot per pair: beyond the component maxima (a
+        # quarter record at N = 4) the loop holds only pair- and block-sized
+        # arrays, 0.51 records, and separate 2.51.  Record-length speeds and a
+        # record-length change table read 0.79 and 2.79.
+        mixtures = sparse_record(0, 4, 250_000, 1e-3, burst=50)
+        params = MethodParams(method="mhc", v_th=0.5)
+        data = gram_schmidt_whiten(mixtures).components[None]
+        steps = deflation_steps(data, params, np.empty_like(data))
+
+        def run():
+            for _ in steps:
+                pass
+
+        assert self.peak_per_record_byte(run, data) <= 0.6
+        assert self.peak_per_record_byte(lambda: separate(mixtures, params), mixtures) <= 2.6
