@@ -14,8 +14,9 @@ the heading list handed to :func:`find_cluster`.  The tables are indexed
 (M, N), heading by component, but :func:`cluster_tables` holds them as
 (N, M) channel rows, so each component that is sorted, scanned or
 scattered is one contiguous row.  The heading lengths are taken on the
-same rows, with :func:`~sparsebss.signals.row_norms`, so the velocities
-are never copied into (M, N) rows.
+same rows by the package's one length rule,
+:func:`~sparsebss.signals.ordered_row_norms`, so the velocities are never
+copied into (M, N) rows and the magnitudes do not depend on their layout.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     SparseBssError,
     TooFewHeadingsError,
 )
-from .signals import as_real_finite, row_norms
+from .signals import as_real_finite, ordered_row_norms
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def sort_component(magnitudes: np.ndarray, component: int) -> SortedComponent:
 
 def build_adjacency(sorted_component: SortedComponent, epsilon: float) -> np.ndarray:
     """Boolean column marking sorted positions within epsilon of their predecessor."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     values = sorted_component.values
     column = np.zeros(len(values), dtype=bool)
@@ -297,6 +298,10 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     and must be positive.  Returns the cluster, whose member indices are
     positions into ``velocities``, and transposed views of the tables of
     :func:`cluster_tables`, run on the magnitudes' channel rows as one record.
+    The headings are the velocities divided by their lengths, taken by the
+    package's one length rule, :func:`~sparsebss.signals.ordered_row_norms`
+    on a contiguous copy of the channel rows: the magnitudes, and so the
+    cluster, do not depend on the layout of ``velocities``.
     A NaN or infinite entry raises ``NonFiniteError``, a length that
     overflows float64 ``SparseBssError``, no sorted gap below epsilon
     ``NoRunFoundError``, and no heading left by the AND ``EmptyClusterError``.
@@ -306,13 +311,13 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
         raise TooFewHeadingsError(f"need at least 2 headings, got {v.shape[0]}")
     rows = np.ascontiguousarray(v.T)
     with np.errstate(over="ignore"):
-        speeds = row_norms(rows)
+        speeds = ordered_row_norms(rows)
     if np.any(speeds == 0.0):
         raise ValueError("zero-velocity rows must be filtered out before clustering")
     if np.any(speeds == np.inf):
         i = int(np.argmax(speeds))
         raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     membership, adjacency = cluster_tables(
         np.abs(rows / speeds), np.array([len(v)]), np.array([epsilon])

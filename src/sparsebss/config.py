@@ -4,7 +4,10 @@ A scenario is stored as a flat JSON object with typed keys, one set per
 kind, listed in file order by :data:`SCENARIO_KEYS`: ``gaussian`` (truncated
 pulses, ``sources`` a list of ``{amplitude, center_s, width_s}`` objects)
 and ``shifted_uniform``.  ``mixing`` is a list of rows.  A key outside its
-kind's set is an error.
+kind's set is an error, and so is a value that cannot make a dataset: a
+non-finite number, a rate, duration or width that is not positive, or a
+``seed``, ``length`` or ``shift`` that is not an integer.  Each is rejected
+by name when the config is built.
 
 Floats survive the JSON round trip exactly (shortest-repr encoding), so a
 config regenerates its dataset bit-identically.  Bundled presets:
@@ -57,12 +60,24 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in SCENARIO_KEYS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+        for key in ("seed", "length", "shift"):
+            if type(getattr(self, key)) is not int:  # neither a bool nor a float int() truncates
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if not all(math.isfinite(x) for row in self.mixing for x in row):
+            raise ValueError(f"mixing must hold finite numbers, got {self.mixing}")
+        if not 0.0 <= self.noise_sd < math.inf:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
-        if self.kind == "gaussian" and not self.sources:
-            raise ValueError("gaussian scenario needs at least one source spec")
-        if self.kind == "shifted_uniform" and self.length < 1:
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        if self.kind == "gaussian":
+            if not self.sources:
+                raise ValueError("gaussian scenario needs at least one source spec")
+            if not 0.0 < self.duration_s < math.inf:
+                raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        elif self.length < 1:
             raise ValueError("shifted_uniform scenario needs length >= 1")
+        elif not 0 <= self.shift <= self.length:
+            raise ValueError(f"shift must lie in [0, length], got {self.shift}")
 
     @property
     def mixing_matrix(self) -> np.ndarray:
@@ -100,13 +115,13 @@ class ScenarioConfig:
                 kind=kind,
                 mixing=mixing,
                 noise_sd=float(data.get("noise_sd", 0.0)),
-                seed=int(data.get("seed", 0)),
+                seed=data.get("seed", 0),
                 sample_rate_hz=float(data.get("sample_rate_hz", 1.0)),
             )
             if kind == "gaussian":
                 sources = tuple(_pulse(spec) for spec in data["sources"])
                 return cls(sources=sources, duration_s=float(data["duration_s"]), **common)
-            return cls(length=int(data["length"]), shift=int(data["shift"]), **common)
+            return cls(length=data["length"], shift=data["shift"], **common)
         except KeyError as missing:
             raise ValueError(f"scenario config is missing key {missing}") from missing
         except TypeError as err:

@@ -26,7 +26,8 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import AllRunsFailedError, DimensionMismatchError, ZeroChannelError
+from .errors import AllRunsFailedError, DimensionMismatchError, SparseBssError
+from .errors import TooShortError, ZeroChannelError
 from .rng import derive_seed
 from .separation import MethodParams, deflation_steps
 from .signals import as_real_finite, in_scale_range, normalize_unit_norm
@@ -90,8 +91,9 @@ def associate(actual, estimates) -> Association:
     """Greedily pair sources with estimates by largest |Pearson correlation|.
 
     Exact ties go to the lowest (source, estimate) pair in row-major
-    order.  Inputs must be real and finite with equal channel counts, and
-    no row may be constant (its correlation would be undefined).
+    order.  Inputs must be real and finite with equal channel counts and at
+    least two samples, and no row may be constant (its correlation would be
+    undefined).
     """
     return _associate(actual, estimates)[0]
 
@@ -108,6 +110,8 @@ def _associate(actual, estimates) -> tuple[Association, np.ndarray, np.ndarray]:
         raise DimensionMismatchError(
             f"sources have {s.shape[1]} samples, estimates {e.shape[1]}"
         )
+    if s.shape[1] < 2:
+        raise TooShortError(f"need at least 2 samples to correlate, got {s.shape[1]}")
     permutation, signs, correlations, constant = associate_stack(s, e[None])
     if constant[0]:
         raise ZeroChannelError("a source or estimate is constant; correlation undefined")
@@ -200,8 +204,12 @@ def rms_metrics(errors):
     ``(rms_per_sample, rms_tot, rms_max)``: shapes (L,), (), () for one
     source and (S, L), (S,), (S,) for a stack.  The errors are summed in a
     C-contiguous array, so any layout of ``errors`` gives the same bits.
+    Without a run or a sample there is no figure, and ``SparseBssError`` is
+    raised.
     """
     err = np.ascontiguousarray(np.atleast_2d(as_real_finite(errors)))
+    if err.shape[0] == 0 or err.shape[-1] == 0:
+        raise SparseBssError(f"need at least one run of at least one sample, got shape {err.shape}")
     return _rms_figures(np.mean(np.square(err), axis=0))
 
 

@@ -20,9 +20,10 @@ so no threshold accepts them.  The component maxima are the only
 record-length float array the pass keeps; the direction steps form again
 the few velocities they read, and their lengths by the same rule.  The
 public helpers here take and return the time-major (L-1, N) view of the
-same values, in any layout, sum each velocity's squares in channel order as
-the loop does (:func:`~sparsebss.signals.ordered_row_norms`), and mark the
-maxima the same way; both apply one rule, :func:`_threshold`.
+same values, in any layout, take each velocity's length by the package's
+one rule, a sum of squares in channel order
+(:func:`~sparsebss.signals.ordered_row_norms`), and mark the maxima the
+same way; both apply one threshold rule, :func:`_threshold`.
 """
 
 from __future__ import annotations
@@ -95,13 +96,10 @@ def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
 def _speeds(v: np.ndarray) -> np.ndarray:
     """Euclidean lengths of the (..., M, N) velocity rows ``v``, summed in channel order.
 
-    ``np.linalg.norm`` would sum a contiguous row pairwise but a strided one
-    in order, so from 8 channels on its bits would depend on the layout of
-    ``v``.  :func:`~sparsebss.signals.ordered_row_norms` adds one channel at
-    a time, the loop's order.
+    :func:`~sparsebss.signals.ordered_row_norms` on the channel-rows view of
+    ``v``, so the bits do not depend on the layout of ``v``.
     """
-    channels = v.swapaxes(-1, -2)
-    return ordered_row_norms(channels, np.empty(v.shape[:-1]), out=np.empty(v.shape[:-1]))
+    return ordered_row_norms(v.swapaxes(-1, -2))
 
 
 def _threshold_rows(

@@ -21,12 +21,11 @@ each direction step forms again, from the samples on either side, only the
 velocities it reads, as (N, K) channel rows, through one gather,
 :func:`_velocity_rows`.  MHC's step reads them as unit headings
 (:func:`_heading_rows`), divided by lengths taken by the threshold pass's
-rule, :func:`~sparsebss.signals.ordered_row_norms`, and returns the heading
-it scored, so no velocity is formed twice.  Every array the loop yields has
-one row per record still in it.  The other heading lengths, and MHC's
-changes, are taken on channel rows with :func:`~sparsebss.signals.row_norms`,
-which keeps the bits of ``np.linalg.norm`` on (..., K, N) velocity rows
-without making them.  The other full passes also run a block at a time,
+rule, and returns the heading it scored, so no velocity is formed twice.
+Every array the loop yields has one row per record still in it.  Every
+velocity, heading and change length is taken on channel rows by that one
+rule, :func:`~sparsebss.signals.ordered_row_norms`, a sum of squares in
+channel order.  The other full passes also run a block at a time,
 with no temporary larger than a block per record: the deflation in place,
 and the residual energy through :func:`~sparsebss.signals.sum_of_products`.
 """
@@ -47,7 +46,7 @@ from .errors import (
     SparseBssError,
 )
 from .headings import HeadingSet, _accept
-from .signals import BLOCK, as_real_finite, ordered_row_norms, row_norms, sum_of_products
+from .signals import BLOCK, as_real_finite, ordered_row_norms, sum_of_products
 from .whitening import gram_schmidt_whiten
 
 
@@ -152,7 +151,10 @@ def average_directions(
     sum(m**2) >= 1/k to the average's projection on its direction, so a
     moving cluster's length is at least 1/k.
 
-    Each cluster averages exactly as it would alone.  Only three steps
+    Each cluster averages exactly as it would alone.  The member
+    magnitudes are velocity lengths, taken by the package's one rule,
+    :func:`~sparsebss.signals.ordered_row_norms`, which sums each member's
+    squares in channel order and so does not depend on k.  Only three steps
     depend on the member count k: the sign test against the strongest
     member and the weighted sum, which are ``matmul`` products, and the sum
     of squared magnitudes, which numpy adds pairwise over k.  They run once
@@ -161,17 +163,17 @@ def average_directions(
     each (k, N) item of that slice to BLAS as it would a lone cluster.  The
     rest runs once on the padded stack, where the zero rows come after the
     members and change nothing: the magnitudes, the strongest member (the
-    first maximum), whether any moves, the signs, the length and the
-    division.  A member against the strongest one enters the weighted sum
-    with its magnitude negated rather than its velocity, which gives the
-    same products.  Members whose squares overflow leave a length that is
-    NaN or zero, without a warning.
+    first maximum), whether any moves, the signs, the length of the average
+    (a ``matmul`` dot product) and the division.  A member against the
+    strongest one enters the weighted sum with its magnitude negated rather
+    than its velocity, which gives the same products.  Members whose squares
+    overflow leave a length that is NaN or zero, without a warning.
     """
     count, width, n = members.shape
     edges = (np.flatnonzero(np.diff(size)) + 1).tolist()
     groups = list(zip(size[[0, *edges]].tolist(), [0, *edges], [*edges, count]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        magnitudes = row_norms(members.swapaxes(-1, -2))
+        magnitudes = ordered_row_norms(members.swapaxes(-1, -2))
         moving = np.any(magnitudes > 0.0, axis=-1)
         strongest = np.arange(count) * width + np.argmax(magnitudes, axis=-1)
         reference = members.reshape(-1, n)[strongest, :, None]
@@ -222,8 +224,9 @@ def mhc_pick(heading_rows, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray
     heading ``index[p]`` for each p, as a new (N, pairs) channel rows array.
     It is called once at each pair's later index and once at the index
     before.  The lengths of the headings' differences and sums are taken by
-    :func:`~sparsebss.signals.row_norms`, with the bits ``np.linalg.norm``
-    gives (pairs, N) rows.
+    the package's one length rule,
+    :func:`~sparsebss.signals.ordered_row_norms`, a sum of squares in
+    channel order, as are the speeds the headings were divided by.
 
     The changes go into a (Q, P) table of +inf, where P is the largest pair
     count of any record, and at least 1.  Slot j of record r holds its j-th
@@ -245,7 +248,7 @@ def mhc_pick(heading_rows, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray
     before = heading_rows(record, index - 1)
     change = np.full((q, max(1, count.max(initial=0))), np.inf)
     change[record, np.arange(record.size) - first[record]] = np.minimum(
-        row_norms(here - before), row_norms(here + before)
+        ordered_row_norms(here - before), ordered_row_norms(here + before)
     )
     pick = np.argmin(change, axis=1)
     found = change[np.arange(q), pick] < np.inf
@@ -333,7 +336,8 @@ def _global_directions(
     velocities = _velocity_rows(data, record, index)
     # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
     epsilon = alpha / np.maximum(count, 2)
-    member = cluster_tables(np.abs(velocities / row_norms(velocities)), count, epsilon)[0].all(0)
+    magnitudes = np.abs(velocities / ordered_row_norms(velocities))
+    member = cluster_tables(magnitudes, count, epsilon)[0].all(0)
     size = member.sum(axis=-1)
     found &= size > 0
     runs = np.flatnonzero(found)
@@ -374,7 +378,7 @@ def _heading_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np
     speeds :func:`~sparsebss.headings._accept` computed, with their bits.
     """
     rows = _velocity_rows(data, record, index)
-    rows /= ordered_row_norms(rows, np.empty(index.size), np.empty(index.size))
+    rows /= ordered_row_norms(rows)
     return rows
 
 

@@ -1,9 +1,14 @@
-"""Signal-matrix conventions and per-channel normalization.
+"""Signal-matrix conventions, per-channel normalization, and the length rule.
 
 A signal matrix is a plain 2-D ``float64`` ndarray of shape
 ``(n_channels, n_samples)``: one row per channel, one column per time
 sample.  Every function in this package that takes or returns multichannel
 data uses this layout.
+
+Velocities and headings are held the same way, as (..., N, M) channel
+rows, and their lengths have one rule, :func:`ordered_row_norms`: each
+vector's squares added in channel order.  So a length has the same bits
+whatever the layout, and every step that divides by one agrees.
 """
 
 from __future__ import annotations
@@ -96,76 +101,30 @@ def _pairwise(product, operands, scratch: np.ndarray):
     n = operands[0].shape[-1]
     if n <= BLOCK:
         return np.add.reduce(product(*operands, out=scratch[..., :n]), axis=-1)
-    half = _pairwise_half(n)
+    half = n // 2 - n // 2 % 8
     head = _pairwise(product, [x[..., :half] for x in operands], scratch)
     return head + _pairwise(product, [x[..., half:] for x in operands], scratch)
 
 
-def _pairwise_half(n: int) -> int:
-    """Where numpy's pairwise sum splits a contiguous row of ``n`` values: ``n // 2``, down to a multiple of 8."""
-    half = n // 2
-    return half - half % 8
-
-
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the vectors held in (..., N, M) channel rows.
-
-    Component i of vector m is ``rows[..., i, m]``.  The lengths have the
-    bits of ``np.linalg.norm(v, axis=-1)`` on the contiguous (..., M, N)
-    layout ``v`` of the same vectors, without making it: numpy sums each
-    contiguous row of N squares pairwise, and here every step of that rule
-    adds whole channel rows of squares (:func:`_add_rows`).  From 8
-    channels on this differs from :func:`ordered_row_norms`, which keeps the
-    bits of the strided layout.
-    """
-    return np.sqrt(_add_rows(np.square(rows)))
-
-
-def ordered_row_norms(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+def ordered_row_norms(rows: np.ndarray, scratch=None, out=None) -> np.ndarray:
     """Euclidean lengths of the vectors held in (..., N, M) channel rows, summed in channel order.
 
     Component i of vector m is ``rows[..., i, m]``.  Squares are added one
     channel row at a time, in channel order, the order ``np.linalg.norm``
     sums a velocity whose components lie one row apart: the lengths have its
-    bits on the strided (..., M, N) view of channel rows.  This is the
-    deflation loop's length rule, from its velocity-and-threshold pass to
-    the headings it gathers.  ``scratch`` takes each row's squares; ``out``
-    receives the lengths.
+    bits on the strided (..., M, N) view of channel rows, whatever the
+    layout of ``rows``.  This is the package's one length rule for a
+    velocity or a heading, from the deflation loop's velocity-and-threshold
+    pass to the clustering, the cluster averages and MHC's changes.  Below 8
+    channels it also gives the bits of ``np.linalg.norm`` on contiguous
+    (..., M, N) rows, which numpy sums in order up to 8 values and pairwise
+    from there.  ``scratch`` takes each row's squares and ``out`` receives
+    the lengths; numpy allocates what is not given.
     """
     lengths = np.square(rows[..., 0, :], out=out)
     for i in range(1, rows.shape[-2]):
         lengths += np.square(rows[..., i, :], out=scratch)
     return np.sqrt(lengths, out=lengths)
-
-
-def _add_rows(squares: np.ndarray) -> np.ndarray:
-    """The sum over the N channel rows of (..., N, M) ``squares``, on numpy's pairwise rule.
-
-    numpy sums a contiguous row of fewer than 8 values in order.  From 8
-    to 128 values it keeps eight running sums, of values 0, 8, 16, ...,
-    of values 1, 9, 17, ... and so on, combines them as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
-    last ``n % 8`` values in order.  A longer row is split at
-    :func:`_pairwise_half` and its halves summed alone.  numpy starts each
-    sum from 0, which adds nothing to a square.
-    """
-    n = squares.shape[-2]
-    if n > 128:
-        half = _pairwise_half(n)
-        return _add_rows(squares[..., :half, :]) + _add_rows(squares[..., half:, :])
-    if n < 8:
-        total, rest = squares[..., 0, :].copy(), 1
-    else:
-        rest = n - n % 8
-        sums = squares[..., :8, :].copy()
-        for lo in range(8, rest, 8):
-            sums += squares[..., lo:lo + 8, :]
-        pairs = sums[..., 0::2, :] + sums[..., 1::2, :]
-        total = pairs[..., 0, :] + pairs[..., 1, :]
-        total += pairs[..., 2, :] + pairs[..., 3, :]
-    for i in range(rest, n):
-        total += squares[..., i, :]
-    return total
 
 
 def normalize_rms(signal) -> np.ndarray:

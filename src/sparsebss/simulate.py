@@ -20,7 +20,8 @@ from .errors import DimensionMismatchError, NonFiniteError
 class GaussianPulseSpec:
     """One truncated-Gaussian source: amplitude, center (s), and width (s).
 
-    The pulse is exactly zero beyond four widths from its center.
+    The pulse is exactly zero beyond four widths from its center.  Every
+    field must be finite, and the width positive.
     """
 
     amplitude: float
@@ -28,8 +29,11 @@ class GaussianPulseSpec:
     width_s: float
 
     def __post_init__(self):
-        if self.width_s <= 0.0:
-            raise ValueError(f"width_s must be positive, got {self.width_s}")
+        for key in ("amplitude", "center_s"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        if not 0.0 < self.width_s < math.inf:
+            raise ValueError(f"width_s must be finite and positive, got {self.width_s}")
 
 
 def generate_gaussian_sources(

@@ -33,7 +33,7 @@ from sparsebss.clustering import cluster_tables, longest_runs
 from sparsebss.evaluation import CHUNK_RUNS, associate_stack, chunk_runs, rms_metrics, run_chunk
 from sparsebss.rng import derive_seed
 from sparsebss.separation import deflation_steps, mhc_pick
-from sparsebss.signals import row_norms
+from sparsebss.signals import ordered_row_norms
 from sparsebss.simulate import noisy_stack
 from sparsebss.whitening import whiten_stack
 
@@ -375,12 +375,15 @@ def test_longest_runs_matches_loop_reference_per_table(stack):
 
 
 def loop_mhc_index(headings, accepted):
-    """Reference minimum-change search: a loop over consecutive pairs."""
+    """Reference minimum-change search: a loop over consecutive pairs.
+
+    Each change's length adds its squares in channel order.
+    """
     best_change, best_index = np.inf, None
     for n in range(1, len(accepted)):
         if accepted[n] and accepted[n - 1]:
             pair = np.array([headings[n] - headings[n - 1], headings[n] + headings[n - 1]])
-            change = np.linalg.norm(pair, axis=-1).min()
+            change = np.sqrt(sum(np.square(pair[:, i]) for i in range(pair.shape[1]))).min()
             if change < best_change:
                 best_change, best_index = change, n
     return best_index
@@ -434,8 +437,9 @@ def velocity_stacks(draw):
     records the first two or three come back over and over: as they were,
     scaled by a power of two or negated, which ties their changes exactly,
     or with their channels permuted, which ties them up to the order of each
-    change's sum of squares.  The pick then rests on that order: from N = 8
-    on, numpy sums a vector's squares with eight running sums.  Some stacks
+    change's sum of squares.  The pick then rests on that order, channel by
+    channel, where numpy's own norm would use eight running sums from N = 8
+    on.  Some stacks
     are long, up to 2,000 velocities, and their records may hold only a few
     far-apart pairs, so a record's pairs sit in slots far from their indices.
     """
@@ -624,7 +628,8 @@ def test_pooling_leaves_out_a_set_without_a_successful_run(monkeypatch):
 def clustered_slots(velocities, count, alpha):
     """The stacked global step's mask of the slots in each record's cluster."""
     epsilon = alpha / np.maximum(count, 2)
-    return cluster_tables(np.abs(velocities / row_norms(velocities)), count, epsilon)[0].all(axis=0)
+    magnitudes = np.abs(velocities / ordered_row_norms(velocities))
+    return cluster_tables(magnitudes, count, epsilon)[0].all(axis=0)
 
 
 def stable_clustered_slots(velocities, record, count, alpha):

@@ -236,11 +236,18 @@ def test_extract_cluster_dimension_mismatch(worked_velocities):
         extract_cluster(tables, worked_velocities[:-1])
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.01])
+@pytest.mark.parametrize("epsilon", [0.0, -0.01, float("nan")])
 def test_build_adjacency_needs_positive_epsilon(worked_velocities, epsilon):
     sorted_component = sort_component(magnitudes_of(worked_velocities), 0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         build_adjacency(sorted_component, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.01, float("nan")])
+def test_find_cluster_needs_positive_epsilon(worked_velocities, epsilon):
+    # NaN passes an `epsilon <= 0` test and would be reported as no run.
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        find_cluster(worked_velocities, epsilon)
 
 
 def test_find_cluster_needs_two_headings():
@@ -354,19 +361,24 @@ def test_cross_check_matches_loop_reference(m, n, levels, epsilon, seed):
     np.testing.assert_array_equal(tables.survivors, expected.all(axis=1))
 
 
+def channel_order_norms(v):
+    """Lengths of (M, N) velocity rows: each row's squares added in channel order."""
+    return np.sqrt(sum(np.square(v[:, i]) for i in range(v.shape[1])))
+
+
 @pytest.mark.parametrize("n", [4, 8, 9, 17])
-def test_find_cluster_keeps_row_major_bits(monkeypatch, n):
+def test_find_cluster_keeps_channel_order_bits(monkeypatch, n):
     # numpy sums the components of a contiguous row pairwise from eight on,
     # and those of a strided row in order.  The magnitudes handed to the
-    # sorts must be those of the row-major formula, on both sides of eight
-    # components, whether the caller passes (M, N) rows or a view of
+    # sorts must be those of the channel-order formula, on both sides of
+    # eight components, whether the caller passes (M, N) rows or a view of
     # (N, M) channel rows, and the clusters must not depend on the layout.
     rng = np.random.default_rng(n)
     columns = rng.standard_normal((n, n))
     owner = rng.integers(0, n, 600)
     v = columns[:, owner].T * rng.uniform(0.5, 1.5, (600, 1))
     v += 1e-4 * rng.standard_normal(v.shape)
-    expected = np.abs(v / np.linalg.norm(v, axis=1)[:, None])
+    expected = np.abs(v / channel_order_norms(v)[:, None])
 
     seen = []
 
@@ -391,7 +403,7 @@ def test_find_cluster_keeps_row_major_bits(monkeypatch, n):
 def step_pipeline(velocities, epsilon):
     """:func:`find_cluster` through its step helpers, always sorting."""
     v = np.asarray(velocities)
-    magnitudes = np.abs(v / np.linalg.norm(np.ascontiguousarray(v), axis=1)[:, None])
+    magnitudes = np.abs(v / channel_order_norms(v)[:, None])
     sorted_components = [sort_component(magnitudes, i) for i in range(v.shape[1])]
     adjacency = np.column_stack([build_adjacency(sc, epsilon) for sc in sorted_components])
     run = find_largest_run(adjacency)
@@ -461,7 +473,7 @@ def test_tight_set_clusters_every_heading_without_sorting(k, n, alpha, seed, cha
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_spread_equal_to_epsilon_takes_the_full_path(n):
     v = tight_set(50, n, n, channel_rows=True)
-    magnitudes = np.abs(v / np.linalg.norm(np.ascontiguousarray(v), axis=1)[:, None])
+    magnitudes = np.abs(v / channel_order_norms(v)[:, None])
     epsilon = float(np.max(magnitudes.max(axis=0) - magnitudes.min(axis=0)))
     got, run_tables = cluster_and_run_tables(v, epsilon)
     assert run_tables == [(1, 50, n)]

@@ -144,6 +144,29 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ScenarioConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("example1", "mixing", [[1.3, float("nan")], [1.0, 2.85]]),
+            ("example1", "duration_s", -0.2),
+            ("example1", "sample_rate_hz", float("nan")),
+            ("example1", "width_s", float("nan")),
+            ("example1", "amplitude", float("inf")),
+            ("section2iii", "seed", 3.9),
+            ("section2iii", "seed", True),
+            ("section2iii", "length", 100.5),
+            ("section2iii", "shift", 2.5),
+            ("section2iii", "shift", -1),
+        ],
+    )
+    def test_value_that_cannot_make_a_dataset_rejected_by_name(self, name, key, value):
+        # Each of these loaded and failed later, or was silently truncated by int().
+        data = load_preset(name).to_dict()
+        pulse = key in ("amplitude", "center_s", "width_s")
+        (data["sources"][0] if pulse else data)[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ScenarioConfig.from_dict(data)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario kind 'nope'"):
             ScenarioConfig.from_dict({"kind": "nope", "mixing": [[1.0]]})

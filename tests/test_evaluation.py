@@ -14,6 +14,7 @@ from sparsebss import (
     NonFiniteError,
     ScenarioConfig,
     SparseBssError,
+    TooShortError,
     ZeroChannelError,
     associate,
     load_preset,
@@ -166,6 +167,16 @@ class TestAssociate:
         assoc = associate(rng.normal(size=(3, 30)), rng.normal(size=(3, 30)))
         assert np.all(np.abs(assoc.correlations) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("length", [0, 1])
+    @pytest.mark.parametrize("metric", [associate, source_errors])
+    def test_fewer_than_two_samples_are_too_short(self, metric, length):
+        # Refused before the correlation divides by length - 1 or by zero variances.
+        rows = np.arange(2.0 * length).reshape(2, length)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooShortError, match=f"got {length}"):
+                metric(rows, rows)
+
 
 class TestPointwiseError:
     def test_equal_signals_zero_error(self):
@@ -238,6 +249,13 @@ class TestRmsMetrics:
         rng = np.random.default_rng(75)
         _, rms_tot, rms_max = rms_metrics(rng.normal(size=(7, 33)))
         assert rms_max >= rms_tot >= 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 2, 5), (3, 0)])
+    def test_rms_of_no_run_or_no_sample_is_refused(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SparseBssError, match="at least one run"):
+                rms_metrics(np.zeros(shape))
 
 
 #: Each metric called on its first argument, with a well-formed partner.

@@ -1,8 +1,11 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsebss
 from sparsebss import (
     NonFiniteError,
     SparseBssError,
@@ -13,7 +16,7 @@ from sparsebss import (
     rms,
 )
 from sparsebss.io import write_csv
-from sparsebss.signals import BLOCK, as_signal_matrix, row_norms, sum_of_products
+from sparsebss.signals import BLOCK, as_signal_matrix, ordered_row_norms, sum_of_products
 
 
 def test_normalize_rms_two_sample_channel():
@@ -142,16 +145,46 @@ def test_blocked_sum_keeps_numpys_bits(length):
                 assert mean_square.tobytes() == np.mean(np.square(a), axis=-1).tobytes()
 
 
+def channel_order_norms(rows):
+    """Lengths of the vectors in (..., N, M) channel rows: squares added in channel order."""
+    return np.sqrt(sum(np.square(rows[..., i, :]) for i in range(rows.shape[-2])))
+
+
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 127, 128, 129, 200, 257])
 def test_row_norms_keep_numpys_bits(n):
-    # row_norms repeats, on channel rows, numpy's pairwise sum of a
-    # contiguous row: in order below 8, eight running sums up to 128, split
-    # in halves above.  A numpy whose norm sums another way fails here by name.
+    # The one length rule adds each vector's squares in channel order, the
+    # order np.linalg.norm adds a strided row (numpy sums a contiguous row
+    # in order below 8 values and pairwise from there).  The lengths must
+    # not depend on the layout of the rows, nor on given scratch arrays.
     pool = np.random.default_rng(n).standard_normal(3 * n * 41)
     for scale in (1e-150, 1.0, 1e150):
         for q in (1, 3):
             rows = scale * pool[: q * n * 41].reshape(q, n, 41)
             rows[:, :, 7] = 0.0
-            expected = np.linalg.norm(np.ascontiguousarray(rows.swapaxes(-1, -2)), axis=-1)
-            assert row_norms(rows).tobytes() == expected.tobytes()
-            assert row_norms(rows[0]).tobytes() == expected[0].tobytes()
+            expected = channel_order_norms(rows)
+            assert expected.tobytes() == np.linalg.norm(rows.swapaxes(-1, -2), axis=-1).tobytes()
+            if n < 8:
+                contiguous = np.ascontiguousarray(rows.swapaxes(-1, -2))
+                assert expected.tobytes() == np.linalg.norm(contiguous, axis=-1).tobytes()
+            assert ordered_row_norms(rows).tobytes() == expected.tobytes()
+            assert ordered_row_norms(rows[0]).tobytes() == expected[0].tobytes()
+            other = np.ascontiguousarray(rows.swapaxes(-1, -2)).swapaxes(-1, -2)
+            assert ordered_row_norms(other).tobytes() == expected.tobytes()
+            out = np.empty((q, 41))
+            got = ordered_row_norms(rows, np.empty((q, 41)), out)
+            assert got is out and out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("module", ["clustering.py", "headings.py", "separation.py"])
+def test_heading_lengths_have_one_rule(module):
+    # np.linalg.norm sums a contiguous row pairwise from 8 values on and a
+    # strided one in order, so a length taken with it would bring back a
+    # second rule beside ordered_row_norms.
+    tree = ast.parse((Path(sparsebss.__file__).parent / module).read_text())
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "norm"
+        or isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+    ]
+    assert uses == [], f"{module} takes a length with np.linalg.norm at lines {uses}"
