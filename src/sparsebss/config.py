@@ -5,9 +5,10 @@ kind, listed in file order by :data:`SCENARIO_KEYS`: ``gaussian`` (truncated
 pulses, ``sources`` a list of ``{amplitude, center_s, width_s}`` objects)
 and ``shifted_uniform``.  ``mixing`` is a list of rows.  A key outside its
 kind's set is an error, and so is a value that cannot make a dataset: a
-non-finite number, a rate, duration or width that is not positive, or a
-``seed``, ``length`` or ``shift`` that is not an integer.  Each is rejected
-by name when the config is built.
+string or boolean where a number is read, a non-finite number, a rate,
+duration or width that is not positive, or a ``seed``, ``length`` or
+``shift`` that is not an integer.  Each is rejected by name when the config
+is built.
 
 Floats survive the JSON round trip exactly (shortest-repr encoding), so a
 config regenerates its dataset bit-identically.  Bundled presets:
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -110,17 +112,18 @@ class ScenarioConfig:
             if kind not in SCENARIO_KEYS:
                 raise ValueError(f"unknown scenario kind {kind!r}")
             _reject_unknown(data, SCENARIO_KEYS[kind], f"{kind} scenario")
-            mixing = tuple(tuple(float(x) for x in row) for row in data["mixing"])
+            mixing = tuple(tuple(_number(x, "mixing") for x in row) for row in data["mixing"])
             common = dict(
                 kind=kind,
                 mixing=mixing,
-                noise_sd=float(data.get("noise_sd", 0.0)),
+                noise_sd=_number(data.get("noise_sd", 0.0), "noise_sd"),
                 seed=data.get("seed", 0),
-                sample_rate_hz=float(data.get("sample_rate_hz", 1.0)),
+                sample_rate_hz=_number(data.get("sample_rate_hz", 1.0), "sample_rate_hz"),
             )
             if kind == "gaussian":
                 sources = tuple(_pulse(spec) for spec in data["sources"])
-                return cls(sources=sources, duration_s=float(data["duration_s"]), **common)
+                duration_s = _number(data["duration_s"], "duration_s")
+                return cls(sources=sources, duration_s=duration_s, **common)
             return cls(length=data["length"], shift=data["shift"], **common)
         except KeyError as missing:
             raise ValueError(f"scenario config is missing key {missing}") from missing
@@ -138,7 +141,21 @@ class ScenarioConfig:
 def _pulse(spec: dict) -> GaussianPulseSpec:
     """One ``sources`` entry of a gaussian scenario as a pulse spec."""
     _reject_unknown(spec, _PULSE_KEYS, "pulse spec")
-    return GaussianPulseSpec(**{key: float(spec[key]) for key in _PULSE_KEYS})
+    return GaussianPulseSpec(**{key: _number(spec[key], key) for key in _PULSE_KEYS})
+
+
+def _number(value, key: str) -> float:
+    """``value`` read as a float for ``key``.
+
+    A string or a boolean, which ``float()`` would read as a number, and an
+    integer beyond float64's range are refused by name.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be within float64 range, got an integer too large") from None
 
 
 def _reject_unknown(data: dict, known: tuple[str, ...], what: str) -> None:

@@ -102,16 +102,6 @@ def _associate(actual, estimates) -> tuple[Association, np.ndarray, np.ndarray]:
     """:func:`associate`, with the checked (S, L) source and estimate arrays, C-contiguous."""
     s = np.ascontiguousarray(np.atleast_2d(as_real_finite(actual)))
     e = np.ascontiguousarray(np.atleast_2d(as_real_finite(estimates)))
-    if s.shape[0] != e.shape[0]:
-        raise DimensionMismatchError(
-            f"{s.shape[0]} sources vs {e.shape[0]} estimates"
-        )
-    if s.shape[1] != e.shape[1]:
-        raise DimensionMismatchError(
-            f"sources have {s.shape[1]} samples, estimates {e.shape[1]}"
-        )
-    if s.shape[1] < 2:
-        raise TooShortError(f"need at least 2 samples to correlate, got {s.shape[1]}")
     permutation, signs, correlations, constant = associate_stack(s, e[None])
     if constant[0]:
         raise ZeroChannelError("a source or estimate is constant; correlation undefined")
@@ -130,14 +120,27 @@ def associate_stack(actual: np.ndarray, estimates: np.ndarray):
     its exact bits.  The sources and estimates are concatenated once, and
     that copy is centred in place by its ``mean``, which is what
     ``np.average`` takes without weights; neither input is written.
+
+    Raises
+    ------
+    DimensionMismatchError
+        Unless ``actual`` is (S, L) and ``estimates`` (Q, S, L).
+    TooShortError
+        If L < 2: a correlation needs two samples.
     """
-    q, n, _ = estimates.shape
+    if estimates.ndim != 3 or actual.shape != estimates.shape[1:]:
+        raise DimensionMismatchError(
+            f"sources of shape {actual.shape} do not match estimates of shape {estimates.shape}"
+        )
+    q, n, length = estimates.shape
+    if length < 2:
+        raise TooShortError(f"need at least 2 samples to correlate, got {length}")
     constant = (estimates == estimates[..., :1]).all(axis=-1).any(axis=-1)
     constant |= (actual == actual[..., :1]).all(axis=-1).any()
     rows = np.concatenate([np.broadcast_to(actual, estimates.shape), estimates], axis=1)
     rows -= rows.mean(axis=-1, keepdims=True)
     cov = rows @ rows.swapaxes(-1, -2)
-    cov *= np.true_divide(1, rows.shape[-1] - 1)
+    cov *= np.true_divide(1, length - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         stddev = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
         cov /= stddev[:, :, None]
@@ -162,10 +165,12 @@ def pointwise_error(actual_row, estimate_row, sign: float) -> np.ndarray:
 
     ``actual - estimate`` for a positive correlation, ``actual + estimate``
     for a negative one (the estimate came out inverted).  ``source_errors``
-    computes this for every source at once.
+    computes this for every source at once.  Both rows must have one shape.
     """
     s = as_real_finite(actual_row)
     e = as_real_finite(estimate_row)
+    if s.shape != e.shape:
+        raise DimensionMismatchError(f"actual row has shape {s.shape}, estimate row {e.shape}")
     return s - e if sign >= 0.0 else s + e
 
 

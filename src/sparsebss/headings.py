@@ -10,20 +10,25 @@ A velocity is *accepted* when its largest component magnitude reaches
 record.  The mixed norms (componentwise max on the left, Euclidean norm
 on the right) are intentional and kept as defined.
 
-The deflation loop forms velocities channel-major, one row per channel, as
-``np.diff`` along the sample axis makes them.  :func:`_accept` forms them
-from the data in one pass, a block of :data:`~sparsebss.signals.BLOCK`
-samples at a time in a block-sized scratch.  Each block's speeds live only
-while the block is in cache: they feed the running largest speed and mark
-the block's zero-speed velocities, whose component maxima become ``-inf``
-so no threshold accepts them.  The component maxima are the only
-record-length float array the pass keeps; the direction steps form again
-the few velocities they read, and their lengths by the same rule.  The
-public helpers here take and return the time-major (L-1, N) view of the
-same values, in any layout, take each velocity's length by the package's
-one rule, a sum of squares in channel order
-(:func:`~sparsebss.signals.ordered_row_norms`), and mark the maxima the
-same way; both apply one threshold rule, :func:`_threshold`.
+This module is the one place where a velocity or a heading is formed
+from samples.  Velocities are held as (..., N, M) channel rows, one row per
+channel, as ``np.diff`` along the sample axis makes them.  One kernel,
+:func:`_maxima`, takes their lengths by the package's one rule, a sum of
+squares in channel order (:func:`~sparsebss.signals.ordered_row_norms`),
+and their component maxima, which become ``-inf`` at zero speed so no
+threshold accepts them; one rule, :func:`_threshold`, compares them.
+
+The deflation loop's threshold pass, :func:`accept_stack`, forms the
+velocities of a record stack one block of :data:`~sparsebss.signals.BLOCK`
+samples at a time in a block-sized scratch and runs the kernel on each
+block while it is in cache, so the component maxima are the only
+record-length float array it keeps.  The loop's direction steps form again
+the few velocities they read, from the samples on either side, through
+:func:`velocity_rows`, or as unit headings through :func:`heading_rows`,
+divided by lengths taken by the same rule.  The public helpers take and
+return the time-major (L-1, N) view of the same values, in any layout, and
+run the kernel on its channel-rows view, so they agree with the loop bit
+for bit.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
         True at indices whose velocity is exactly zero.
     """
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speeds = _speeds(v)
+    speeds = ordered_row_norms(v.swapaxes(-1, -2))
     return _unit_headings(v, speeds), speeds == 0.0
 
 
@@ -90,49 +95,41 @@ def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
     """
     _check_v_th(v_th)
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    return _threshold_rows(v, _speeds(v), v_th)[0]
+    speeds, maxima = _maxima(v.swapaxes(-1, -2))
+    return _threshold(maxima, speeds.max(axis=-1, initial=0.0), v_th)
 
 
-def _speeds(v: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the (..., M, N) velocity rows ``v``, summed in channel order.
-
-    :func:`~sparsebss.signals.ordered_row_norms` on the channel-rows view of
-    ``v``, so the bits do not depend on the layout of ``v``.
-    """
-    return ordered_row_norms(v.swapaxes(-1, -2))
-
-
-def _threshold_rows(
-    v: np.ndarray, speeds: np.ndarray, v_th: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance mask and largest speed of (..., M, N) velocity rows with their ``speeds``."""
-    component_max = _mark_still(np.max(np.abs(v), axis=-1), speeds)
-    v_max = speeds.max(axis=-1, initial=0.0)
-    return _threshold(component_max, v_max, v_th), v_max
+def compute_headings(whitened, v_th: float) -> HeadingSet:
+    """Full velocity/heading/threshold pass over one (possibly deflated) record."""
+    _check_v_th(v_th)
+    v = compute_velocities(whitened)
+    speeds, maxima = _maxima(v.T)
+    v_max = speeds.max(initial=0.0)
+    return HeadingSet(
+        velocities=v,
+        headings=_unit_headings(v, speeds),
+        speeds=speeds,
+        nonzero=speeds != 0.0,
+        accepted=_threshold(maxima, v_max, v_th),
+        v_max=float(v_max),
+    )
 
 
-def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """``v / |v|`` row by row, with zero rows where the speed is zero."""
-    live = speeds != 0.0
-    return np.divide(v, speeds[..., None], out=np.zeros_like(v), where=live[..., None])
-
-
-def _accept(data: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance mask and largest speed of the velocities of (..., N, L) records.
+def accept_stack(data: np.ndarray, v_th: float) -> np.ndarray:
+    """Acceptance mask of the velocities of (..., N, L) records.
 
     The velocities are formed one block of :data:`BLOCK` at a time in a
-    block-sized scratch, and each block's speeds and component magnitudes
-    are taken while it is in cache.  The speeds go into a block-sized
-    scratch too: they mark the block's zero-speed maxima and raise each
-    record's running maximum, which starts from 0 as ``max(initial=0.0)``
-    does and, a maximum being exact, keeps its bits.  So no float array
-    outlives its block but the component maxima, and no velocity or speed
-    does.  ``v_th`` is not checked here: the public helpers and
-    ``MethodParams`` check it once.
+    block-sized scratch, and :func:`_maxima` takes each block's speeds and
+    component maxima while it is in cache.  The speeds go into a
+    block-sized scratch too: they raise each record's running maximum,
+    which starts from 0 as ``max(initial=0.0)`` does and, a maximum being
+    exact, keeps its bits.  So no float array outlives its block but the
+    component maxima, and no velocity or speed does.  ``v_th`` is not
+    checked here: the public helpers and ``MethodParams`` check it once.
     """
     *lead, n, length = data.shape
     m, width = length - 1, min(length - 1, BLOCK)
-    component_max, v_max = np.empty((*lead, m)), np.zeros(lead)
+    maxima, v_max = np.empty((*lead, m)), np.zeros(lead)
     # The block-sized scratch is allocated before the velocity block: heap
     # blocks follow one another in the order they are allocated, so each
     # output row then sits just below its input modulo 4 KiB, and no store
@@ -146,51 +143,74 @@ def _accept(data: np.ndarray, v_th: float) -> tuple[np.ndarray, np.ndarray]:
             data[..., lo + 1:hi + 1], data[..., lo:hi], out=velocities[..., : hi - lo]
         )
         row, speed = scratch[..., : hi - lo], speeds[..., : hi - lo]
-        ordered_row_norms(block, row, out=speed)
-        top = np.abs(block[..., 0, :], out=component_max[..., lo:hi])
-        for i in range(1, n):
-            np.maximum(top, np.abs(block[..., i, :], out=row), out=top)
-        _mark_still(top, speed)
+        _maxima(block, row, speed, maxima[..., lo:hi])
         np.maximum(v_max, speed.max(axis=-1), out=v_max)
-    return _threshold(component_max, v_max, v_th), v_max
+    return _threshold(maxima, v_max, v_th)
 
 
-def _mark_still(component_max: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """``component_max`` with ``-inf`` where the speed is zero, in place.
+def velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Velocities ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
 
-    A velocity whose squares underflow has zero speed but a positive
-    component maximum; marked, it fails every threshold, as a velocity
-    without a direction must.
+    Velocity j is sample j + 1 minus sample j; j is at most L - 2.  Both
+    samples are read by flat ``np.take``: sample j of channel i of record r
+    sits at ``(r * N + i) * L + j``.  The deflation loop's direction steps
+    form every velocity they read here.
     """
-    component_max[speeds == 0.0] = -np.inf
-    return component_max
+    _, n, length = data.shape
+    take = (record * (n * length) + index) + (np.arange(n) * length)[:, None]
+    flat = data.reshape(-1)
+    rows = np.take(flat, take + 1)
+    rows -= np.take(flat, take)
+    return rows
 
 
-def _threshold(component_max: np.ndarray, v_max: np.ndarray, v_th: float) -> np.ndarray:
+def heading_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Unit headings ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
+
+    :func:`velocity_rows` divided in place by the lengths of its rows,
+    taken by :func:`~sparsebss.signals.ordered_row_norms`: elementwise the
+    speeds :func:`accept_stack` computed, with their bits.
+    """
+    rows = velocity_rows(data, record, index)
+    rows /= ordered_row_norms(rows)
+    return rows
+
+
+def _maxima(rows: np.ndarray, scratch=None, speeds=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Speeds and component maxima of (..., N, M) velocity channel rows.
+
+    The speeds are :func:`~sparsebss.signals.ordered_row_norms` of
+    ``rows``; each velocity's largest component magnitude is a running
+    maximum over the channels.  A maximum is ``-inf`` where the speed is
+    zero: a velocity whose squares underflow has zero speed but a positive
+    component maximum, and marked, it fails every threshold, as a velocity
+    without a direction must.  ``scratch`` takes each channel's squares and
+    magnitudes, ``speeds`` and ``out`` receive the results; numpy allocates
+    what is not given.  Returns ``(speeds, maxima)``.
+    """
+    speeds = ordered_row_norms(rows, scratch, out=speeds)
+    maxima = np.abs(rows[..., 0, :], out=out)
+    for i in range(1, rows.shape[-2]):
+        np.maximum(maxima, np.abs(rows[..., i, :], out=scratch), out=maxima)
+    maxima[speeds == 0.0] = -np.inf
+    return speeds, maxima
+
+
+def _unit_headings(v: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """``v / |v|`` row by row, with zero rows where the speed is zero."""
+    live = speeds != 0.0
+    return np.divide(v, speeds[..., None], out=np.zeros_like(v), where=live[..., None])
+
+
+def _threshold(maxima: np.ndarray, v_max: np.ndarray, v_th: float) -> np.ndarray:
     """Acceptance mask of a (..., M) stack of component maxima against each record's ``v_max``.
 
-    The maxima carry ``-inf`` at zero speeds (:func:`_mark_still`), so
+    The maxima carry ``-inf`` at zero speeds (:func:`_maxima`), so
     ``v_th * v_max >= 0`` rejects them without a test of the speeds.
     """
-    return component_max >= v_th * v_max[..., None]
+    return maxima >= v_th * v_max[..., None]
 
 
 def _check_v_th(v_th: float) -> None:
     if not 0.0 < v_th < 1.0:
         raise ValueError(f"v_th must lie in (0, 1), got {v_th}")
-
-
-def compute_headings(whitened, v_th: float) -> HeadingSet:
-    """Full velocity/heading/threshold pass over one (possibly deflated) record."""
-    _check_v_th(v_th)
-    v = compute_velocities(whitened)
-    speeds = _speeds(v)
-    accepted, v_max = _threshold_rows(v, speeds, v_th)
-    return HeadingSet(
-        velocities=v,
-        headings=_unit_headings(v, speeds),
-        speeds=speeds,
-        nonzero=speeds != 0.0,
-        accepted=accepted,
-        v_max=float(v_max),
-    )

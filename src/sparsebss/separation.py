@@ -14,20 +14,22 @@ and reports diagnostics or a typed error, and the Monte Carlo engine
 records, from which a record leaves as soon as its direction step fails.
 Each iteration projects straight into the caller's (Q, N, L) estimates, so
 the loop holds no record-sized array besides the data and the estimates.
-No velocity buffer is kept either: the velocity-and-threshold
-pass forms the velocities one block of :data:`~sparsebss.signals.BLOCK`
-samples at a time and keeps only their component maxima and the mask, and
-each direction step forms again, from the samples on either side, only the
-velocities it reads, as (N, K) channel rows, through one gather,
-:func:`_velocity_rows`.  MHC's step reads them as unit headings
-(:func:`_heading_rows`), divided by lengths taken by the threshold pass's
-rule, and returns the heading it scored, so no velocity is formed twice.
-Every array the loop yields has one row per record still in it.  Every
-velocity, heading and change length is taken on channel rows by that one
-rule, :func:`~sparsebss.signals.ordered_row_norms`, a sum of squares in
-channel order.  The other full passes also run a block at a time,
-with no temporary larger than a block per record: the deflation in place,
-and the residual energy through :func:`~sparsebss.signals.sum_of_products`.
+No velocity buffer is kept either: the threshold pass,
+:func:`~sparsebss.headings.accept_stack`, forms the velocities one block of
+:data:`~sparsebss.signals.BLOCK` samples at a time and keeps only their
+component maxima and the mask, and each direction step forms again, from
+the samples on either side, only the velocities it reads, as (N, K) channel
+rows, through :func:`~sparsebss.headings.velocity_rows`.  MHC's step reads
+them as unit headings (:func:`~sparsebss.headings.heading_rows`) and
+returns the heading it scored, so no velocity is formed twice.  Every
+velocity and heading is formed in :mod:`sparsebss.headings`; this module
+builds no sample index.  Every array the loop yields has one row per record
+still in it.  Every velocity, heading and change length is taken on channel
+rows by one rule, :func:`~sparsebss.signals.ordered_row_norms`, a sum of
+squares in channel order.  The other full passes also run a block at a
+time, with no temporary larger than a block per record: the deflation in
+place, and the residual energy through
+:func:`~sparsebss.signals.sum_of_products`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     NoConsecutivePairError,
     SparseBssError,
 )
-from .headings import HeadingSet, _accept
+from .headings import HeadingSet, accept_stack, heading_rows, velocity_rows
 from .signals import BLOCK, as_real_finite, ordered_row_norms, sum_of_products
 from .whitening import gram_schmidt_whiten
 
@@ -200,16 +202,16 @@ def mhc_find_direction(heading_set: HeadingSet) -> EstimatedDirection:
     ``min(|r[n] - r[n-1]|, |r[n] + r[n-1]|)``, since a source line may be
     traversed in alternating directions.  The most recent heading of the
     winning pair is returned, as :func:`mhc_pick` scored it; ties go to the
-    smallest index.  :func:`mhc_pick` gathers the headings of its pairs
-    alone, each the set's velocity divided by its speed.
+    smallest index.  :func:`mhc_pick` reads the headings of its pairs
+    alone, from the set's unit headings.
 
     Raises
     ------
     NoConsecutivePairError
         If no two consecutive headings are both accepted.
     """
-    v, speeds = heading_set.velocities, heading_set.speeds
-    _, found, headings = mhc_pick(lambda _, i: v[i].T / speeds[i], heading_set.accepted[None])
+    rows = heading_set.headings
+    _, found, headings = mhc_pick(lambda _, i: rows[i].T, heading_set.accepted[None])
     if not found[0]:
         raise NoConsecutivePairError("no consecutive pair of accepted headings")
     return EstimatedDirection(unit_vector=headings[0], support_size=1)
@@ -288,16 +290,17 @@ def _global_direction(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | ClusterFormationFailedError]:
     """The global direction step for a (1, N, L) record, via :func:`find_cluster`.
 
-    Only the accepted velocities are formed, by :func:`_velocity_rows` as
-    the stacked step forms them, into contiguous (N, K) channel rows handed
-    over as their (K, N) view.  Returns the (1, N) unit direction (zero on
-    failure), whether it was found, and the cluster's ``(member indices,
-    epsilon)`` or the error.
+    Only the accepted velocities are formed, by
+    :func:`~sparsebss.headings.velocity_rows` as the stacked step forms
+    them, into contiguous (N, K) channel rows handed over as their (K, N)
+    view.  Returns the (1, N) unit direction (zero on failure), whether it
+    was found, and the cluster's ``(member indices, epsilon)`` or the
+    error.
     """
     accepted_idx = np.flatnonzero(accepted[0])
     try:
         epsilon = gap_threshold(alpha, accepted_idx.size)
-        cluster, _ = find_cluster(_velocity_rows(data, 0, accepted_idx).T, epsilon)
+        cluster, _ = find_cluster(velocity_rows(data, 0, accepted_idx).T, epsilon)
         direction = weighted_average_heading(cluster)
     except SparseBssError as cause:
         failed = ClusterFormationFailedError(iteration, cause)
@@ -333,7 +336,7 @@ def _global_directions(
     found = count >= 2
     if not found.any():
         return directions, found
-    velocities = _velocity_rows(data, record, index)
+    velocities = velocity_rows(data, record, index)
     # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
     epsilon = alpha / np.maximum(count, 2)
     magnitudes = np.abs(velocities / ordered_row_norms(velocities))
@@ -352,34 +355,6 @@ def _global_directions(
     members.reshape(-1, n)[rows] = np.take(velocities, slots[member[runs]], axis=1).T
     directions[runs], _, found[runs] = average_directions(members, size)
     return directions, found
-
-
-def _velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Velocities ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
-
-    Velocity j is sample j + 1 minus sample j; j is at most L - 2.  Both
-    samples are read by flat ``np.take``: sample j of channel i of record r
-    sits at ``(r * N + i) * L + j``.  This is the one place where the
-    deflation loop forms a velocity from samples.
-    """
-    _, n, length = data.shape
-    take = (record * (n * length) + index) + (np.arange(n) * length)[:, None]
-    flat = data.reshape(-1)
-    rows = np.take(flat, take + 1)
-    rows -= np.take(flat, take)
-    return rows
-
-
-def _heading_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Unit headings ``index`` of records ``record`` of a (Q, N, L) stack, as (N, K) channel rows.
-
-    :func:`_velocity_rows` divided in place by the lengths of its rows,
-    taken by :func:`~sparsebss.signals.ordered_row_norms`: elementwise the
-    speeds :func:`~sparsebss.headings._accept` computed, with their bits.
-    """
-    rows = _velocity_rows(data, record, index)
-    rows /= ordered_row_norms(rows)
-    return rows
 
 
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
@@ -406,29 +381,29 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     caller's array.  Every pass works record by record, so a record keeps
     the bits it has alone.
 
-    No velocity or speed outlives the pass that reads it.  The
-    velocity-and-threshold pass forms them one block of
+    No velocity or speed outlives the pass that reads it.  The threshold
+    pass, :func:`~sparsebss.headings.accept_stack`, forms them one block of
     :data:`~sparsebss.signals.BLOCK` samples at a time and keeps only the
     component maxima, and each direction step forms again only the
-    velocities it reads, through :func:`_velocity_rows`: the accepted ones,
-    or, for MHC, the two unit headings of each consecutive accepted pair,
-    gathered by :func:`mhc_pick` through :func:`_heading_rows`, which also
-    returns the winning headings.  So beyond the data and the estimates the
-    MHC iteration holds only the maxima and pair-sized arrays.  The
-    deflation subtracts in place, over all channels at once, ``BLOCK // N``
-    samples a step.  ``params`` was validated when it was built.
+    velocities it reads, through :func:`~sparsebss.headings.velocity_rows`:
+    the accepted ones, or, for MHC, the two unit headings of each consecutive
+    accepted pair, gathered by :func:`mhc_pick` through
+    :func:`~sparsebss.headings.heading_rows`, which also returns the winning
+    headings.  So beyond the data and the estimates the MHC iteration holds
+    only the maxima and pair-sized arrays.  The deflation subtracts in place,
+    over all channels at once, ``BLOCK // N`` samples a step.  ``params`` was
+    validated when it was built.
     """
     q, n, length = data.shape
-    stacked = q > 1
     # Row j of every array the loop holds or yields belongs to the caller's record survivors[j].
     survivors = np.arange(q)
     step = max(1, BLOCK // n)
     for iteration in range(n):
-        accepted, _ = _accept(data, params.v_th)
+        accepted = accept_stack(data, params.v_th)
         cluster = None
         if params.method == "mhc":
-            _, found, directions = mhc_pick(partial(_heading_rows, data), accepted)
-        elif stacked:
+            _, found, directions = mhc_pick(partial(heading_rows, data), accepted)
+        elif q > 1:
             directions, found = _global_directions(data, accepted, params.alpha)
         else:
             directions, found, cluster = _global_direction(data, accepted, params.alpha, iteration)

@@ -152,6 +152,7 @@ class TestScenarioConfig:
             ("example1", "sample_rate_hz", float("nan")),
             ("example1", "width_s", float("nan")),
             ("example1", "amplitude", float("inf")),
+            ("example1", "noise_sd", 10**400),
             ("section2iii", "seed", 3.9),
             ("section2iii", "seed", True),
             ("section2iii", "length", 100.5),
@@ -165,6 +166,29 @@ class TestScenarioConfig:
         pulse = key in ("amplitude", "center_s", "width_s")
         (data["sources"][0] if pulse else data)[key] = value
         with pytest.raises(ValueError, match=f"^{key} must"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("example1", "noise_sd", "0.1"),
+            ("section2iii", "noise_sd", True),
+            ("example1", "mixing", [["1", True], [1.0, 2.85]]),
+            ("example1", "mixing", [[1.3, True], [1.0, 2.85]]),
+            ("example1", "sample_rate_hz", "250"),
+            ("section2iii", "sample_rate_hz", True),
+            ("example1", "duration_s", "0.2"),
+            ("example1", "center_s", True),
+            ("example1", "amplitude", "1"),
+            ("example1", "width_s", False),
+        ],
+    )
+    def test_string_or_boolean_number_rejected_by_name(self, name, key, value):
+        # float() read each of these as a number: "0.1" as 0.1, true as 1.0.
+        data = load_preset(name).to_dict()
+        pulse = key in ("amplitude", "center_s", "width_s")
+        (data["sources"][0] if pulse else data)[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got "):
             ScenarioConfig.from_dict(data)
 
     def test_unknown_kind_rejected(self):

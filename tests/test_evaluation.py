@@ -168,6 +168,22 @@ class TestAssociate:
         assert np.all(np.abs(assoc.correlations) <= 1.0 + 1e-12)
 
     @pytest.mark.parametrize("length", [0, 1])
+    def test_stack_of_fewer_than_two_samples_is_too_short(self, length):
+        # Refused before any arithmetic: it warned "divide by zero", which the
+        # suite's error::RuntimeWarning filter turns into an error.
+        with pytest.raises(TooShortError, match=f"got {length}"):
+            associate_stack(np.ones((2, length)), np.ones((3, 2, length)))
+
+    @pytest.mark.parametrize(
+        "actual_shape, estimates_shape",
+        [((2, 5), (3, 3, 5)), ((2, 5), (3, 2, 6)), ((2, 5), (2, 5)), ((3, 2, 5), (3, 2, 5))],
+        ids=["sources", "samples", "unstacked-estimates", "stacked-actual"],
+    )
+    def test_stack_of_other_shapes_is_refused(self, actual_shape, estimates_shape):
+        with pytest.raises(DimensionMismatchError):
+            associate_stack(np.ones(actual_shape), np.ones(estimates_shape))
+
+    @pytest.mark.parametrize("length", [0, 1])
     @pytest.mark.parametrize("metric", [associate, source_errors])
     def test_fewer_than_two_samples_are_too_short(self, metric, length):
         # Refused before the correlation divides by length - 1 or by zero variances.
@@ -190,6 +206,12 @@ class TestPointwiseError:
     def test_orthogonal_case(self):
         err = pointwise_error(np.array([1.0, 0.0]), np.array([0.0, 1.0]), +1.0)
         np.testing.assert_array_equal(err, [1.0, -1.0])
+
+    @pytest.mark.parametrize("estimate", [np.ones(4), 1.0], ids=["longer", "scalar"])
+    def test_rows_of_two_shapes_are_refused(self, estimate):
+        # numpy raised an untyped ValueError for (3,) and (4,), and broadcast a scalar.
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3,\)"):
+            pointwise_error(np.ones(3), estimate, 1.0)
 
 
 class TestSourceErrors:

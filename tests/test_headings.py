@@ -8,8 +8,7 @@ from sparsebss import (
     compute_velocities,
     normalize_headings,
 )
-from sparsebss.headings import _accept
-from sparsebss.separation import _heading_rows, _velocity_rows
+from sparsebss.headings import accept_stack, heading_rows, velocity_rows
 from sparsebss.signals import BLOCK, ordered_row_norms
 
 
@@ -115,20 +114,28 @@ def test_threshold_on_a_stack_matches_each_record():
 def test_channel_row_kernel_keeps_the_helpers_bits(n):
     # The deflation loop's kernel forms (N, L-1) channel rows in blocks and
     # keeps no speeds; the public helpers apply the same rule to the (L-1, N)
-    # view.  Masks and v_max agree bit for bit on both sides of eight
-    # channels, across blocks, and so do the velocities a direction step
-    # forms again from the samples, their lengths and the headings it divides.
+    # view.  Masks agree bit for bit on both sides of eight channels, across
+    # blocks, and so do the velocities a direction step forms again from the
+    # samples, their lengths and the headings it divides.  The last two
+    # velocities have largest components v_th * v_max and the float below
+    # it, so the masks agree only if both sides take v_max with one set of bits.
+    v_th = 0.3
     e = np.random.default_rng(n).standard_normal((n, 2 * BLOCK + 7))
-    expected = compute_headings(e, 0.3)
-    accepted, v_max = _accept(e[None], 0.3)
+    e[:, -3:] = 0.0
+    v_max = compute_headings(e, v_th).v_max
+    edge = v_th * v_max
+    e[0, -2:] = edge
+    e[1, -1] = np.nextafter(edge, 0.0)
+    expected = compute_headings(e, v_th)
+    assert expected.v_max == v_max and list(expected.accepted[-2:]) == [True, False]
+    accepted = accept_stack(e[None], v_th)
     np.testing.assert_array_equal(accepted[0], expected.accepted)
-    assert v_max[0] == expected.v_max
     idx = np.flatnonzero(accepted[0])
-    rows = _velocity_rows(e[None], np.zeros_like(idx), idx)
+    rows = velocity_rows(e[None], np.zeros_like(idx), idx)
     assert rows.T.tobytes() == expected.velocities[idx].tobytes()
     lengths = ordered_row_norms(rows, np.empty(idx.size), np.empty(idx.size))
     assert lengths.tobytes() == expected.speeds[idx].tobytes()
-    headings = _heading_rows(e[None], np.zeros_like(idx), idx)
+    headings = heading_rows(e[None], np.zeros_like(idx), idx)
     assert headings.tobytes() == (expected.velocities[idx].T / expected.speeds[idx]).tobytes()
 
 
@@ -145,18 +152,19 @@ def test_zero_speeds_are_never_accepted(n):
     e[0, :, BLOCK - 3:BLOCK + 4] = e[0, :, BLOCK - 3:BLOCK - 2]
     e[1] = 1.5
     e[2] = 1e-170 * np.round(e[2])
-    accepted, v_max = _accept(e, 0.3)
+    accepted = accept_stack(e, 0.3)
+    v_max = []
     for q in range(3):
         velocities = compute_velocities(e[q])
         expected = compute_headings(e[q], 0.3)
         np.testing.assert_array_equal(accepted[q], apply_velocity_threshold(velocities, 0.3))
         np.testing.assert_array_equal(accepted[q], expected.accepted)
-        assert v_max[q].tobytes() == np.float64(expected.v_max).tobytes()
         assert not np.any(accepted[q] & ~expected.nonzero)
+        v_max.append(expected.v_max)
     still = np.r_[100:109, BLOCK - 3:BLOCK + 3]
     assert np.all(np.abs(compute_velocities(e[0])[still]) == 0.0) and not accepted[0, still].any()
     assert accepted[0].any() and v_max[0] > 0.0
-    assert np.all(v_max[1:] == 0.0) and not accepted[1:].any()
+    assert v_max[1:] == [0.0, 0.0] and not accepted[1:].any()
     assert np.abs(compute_velocities(e[2])).max(axis=1).any()  # nonzero components, zero speeds
 
 

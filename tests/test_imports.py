@@ -19,7 +19,6 @@ ALLOWED = {("evaluation.py", "monte_carlo", "concurrent.futures")}
 #: one home; a shrink that merges the modules can make them local.
 PRIVATE_IMPORTS = {
     ("whitening.py", "signals", "_scale_error"),
-    ("separation.py", "headings", "_accept"),
 }
 
 

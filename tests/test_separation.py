@@ -34,7 +34,8 @@ from sparsebss import (
     source_errors,
     weighted_average_heading,
 )
-from sparsebss import clustering
+from sparsebss import clustering, separation
+from sparsebss.clustering import cluster_tables
 from sparsebss.headings import HeadingSet
 from sparsebss.separation import _global_directions, average_directions, deflation_steps
 from sparsebss.signals import BLOCK
@@ -318,6 +319,66 @@ def test_stacked_global_step_on_tight_records_equals_find_cluster(n, alpha):
         assert len(cluster) == index.size
         expected = weighted_average_heading(cluster).unit_vector
         assert directions[r].tobytes() == expected.tobytes()
+
+
+def channel_order_average(members):
+    """One (k, N) cluster's unit average and its length, by average_directions' steps.
+
+    Each member's magnitude is its squares added in channel order, written out here.
+    """
+    magnitudes = np.sqrt(sum(np.square(members[None, :, i]) for i in range(members.shape[1])))
+    strongest = members[np.argmax(magnitudes[0])]
+    weighted = np.where(members @ strongest < 0.0, -magnitudes, magnitudes)
+    average = (weighted[:, None, :] @ members[None])[:, 0]
+    average /= np.add.reduce(np.square(magnitudes), axis=-1)[:, None]
+    length = np.sqrt((average[:, None, :] @ average[:, :, None])[:, 0, 0])
+    return average[0] / length[0], length[0]
+
+
+@pytest.mark.parametrize("seed", [11, 13])  # seeds where every record has such a member
+def test_nine_channel_averages_sum_lengths_in_channel_order(seed):
+    # From 8 channels on, np.linalg.norm sums a contiguous row pairwise, and
+    # the one length rule sums in channel order.  Every record below has
+    # members whose lengths differ between the two.  Their averages, alone,
+    # in a padded stack and through the stacked global step, and the
+    # magnitudes that step clusters, must have the channel-order bits.
+    n, size = 9, np.array([2, 3, 5, 5, 8])
+    q, width = size.size, size[-1]
+    rng = np.random.default_rng(seed)
+    steps = rng.standard_normal(n) + 1e-3 * rng.standard_normal((q, width, n))
+    steps *= rng.choice([-1.0, 1.0], (q, width, 1)) * rng.uniform(1.0, 2.0, (q, width, 1))
+    data = np.concatenate([np.zeros((q, n, 1)), np.cumsum(steps, axis=1).swapaxes(1, 2)], axis=2)
+    accepted = np.arange(width) < size[:, None]
+    clusters = [np.diff(data[r], axis=1).T[:k] for r, k in enumerate(size)]
+    velocities = np.concatenate(clusters).T
+    lengths = np.sqrt(sum(np.square(velocities[i]) for i in range(n)))
+    pairwise = np.linalg.norm(np.ascontiguousarray(velocities.T), axis=1)
+    assert all((lengths != pairwise)[size[:r].sum():size[: r + 1].sum()].any() for r in range(q))
+    expected = [channel_order_average(members) for members in clusters]
+
+    stack = np.zeros((q, width, n))
+    for r, members in enumerate(clusters):
+        stack[r, : len(members)] = members
+        unit, length, _ = average_directions(members[None], size[r:r + 1])
+        assert (unit[0].tobytes(), length[0].tobytes()) == tuple(x.tobytes() for x in expected[r])
+    unit, length, moving = average_directions(stack, size)
+    assert moving.all()
+    for r in range(q):
+        assert (unit[r].tobytes(), length[r].tobytes()) == tuple(x.tobytes() for x in expected[r])
+
+    clustered = []
+
+    def spy(magnitudes, *args):
+        clustered.append(magnitudes.copy())
+        return cluster_tables(magnitudes, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(separation, "cluster_tables", spy)
+        directions, found = _global_directions(data, accepted, 1.0)
+    assert clustered[0].tobytes() == np.abs(velocities / lengths).tobytes()
+    assert found.all()
+    for r in range(q):
+        assert directions[r].tobytes() == expected[r][0].tobytes()
 
 
 def test_stacked_global_step_is_quiet_under_any_errstate():
