@@ -49,10 +49,9 @@ def _write_report(path: Path, lines: list[str], record: dict) -> None:
 
 
 def _jsonify(obj):
+    """An array as nested lists; a ``np.float64`` is a ``float`` and needs no help."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"cannot serialize {type(obj)}")
 
 

@@ -85,23 +85,43 @@ def gap_threshold(alpha: float, n_headings: int) -> float:
     linearly, so adjacent gaps are about ``1/n_headings``; values bunch far
     tighter than that only where one source dominates.  The global direction
     step of :mod:`sparsebss.separation` takes its epsilon, and its minimum of
-    two accepted headings, from here for one record; its stacked form takes
-    ``alpha / n_headings`` per record and leaves a record under two headings
-    unfound.
+    two accepted headings, from here for one record, and from
+    :func:`gap_thresholds` for a stack.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     if n_headings < 2:
         raise TooFewHeadingsError(f"need at least 2 headings, got {n_headings}")
     return alpha / n_headings
+
+
+def gap_thresholds(alpha: float, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gap_threshold` for records of ``count`` headings each: ``(epsilon, enough)``.
+
+    ``epsilon`` is ``alpha / count`` by the same division, and ``enough``
+    marks the records of at least two headings.  A record under two gets
+    ``alpha / 2``, at most 1/2, instead of an error, and is not to be
+    clustered.  ``alpha`` is not checked here: ``MethodParams`` checks it
+    once, with :func:`check_alpha`.
+    """
+    return alpha / np.maximum(count, 2), count >= 2
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the gap scale ``alpha`` lies in (0, 1]."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def sort_component(magnitudes: np.ndarray, component: int) -> SortedComponent:
     """Sort one column of the (M, N) heading-magnitude matrix ascending.
 
     Ties are broken by ascending heading index (one stable sort), which
-    keeps the result deterministic.
+    keeps the result deterministic.  A matrix that is not 2-D raises
+    ``DimensionMismatchError``, one of fewer than two rows
+    ``TooFewHeadingsError``.
     """
+    if np.ndim(magnitudes) != 2:
+        raise DimensionMismatchError(f"expected (M, N) magnitudes, got shape {np.shape(magnitudes)}")
     if magnitudes.shape[0] < 2:
         raise TooFewHeadingsError("need at least 2 headings to sort")
     column = magnitudes[:, component]
@@ -128,9 +148,13 @@ def find_largest_run(adjacency: np.ndarray) -> tuple[int, int, int]:
 
     Raises
     ------
+    DimensionMismatchError
+        If the table is not 2-D.
     NoRunFoundError
         If the table contains no true entry.
     """
+    if np.ndim(adjacency) != 2:
+        raise DimensionMismatchError(f"expected an (M, N) table, got shape {np.shape(adjacency)}")
     component, lo, length = longest_runs(np.asarray(adjacency, dtype=bool)[None])
     if length[0] == 0:
         raise NoRunFoundError("adjacency table contains no true entries")
@@ -302,8 +326,8 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     package's one length rule, :func:`~sparsebss.signals.ordered_row_norms`
     on a contiguous copy of the channel rows: the magnitudes, and so the
     cluster, do not depend on the layout of ``velocities``.
-    A NaN or infinite entry raises ``NonFiniteError``, a length that
-    overflows float64 ``SparseBssError``, no sorted gap below epsilon
+    A NaN or infinite entry raises ``NonFiniteError``, a zero or overflowing
+    length ``SparseBssError``, no sorted gap below epsilon
     ``NoRunFoundError``, and no heading left by the AND ``EmptyClusterError``.
     """
     v = np.atleast_2d(as_real_finite(velocities, "velocities"))
@@ -313,7 +337,7 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     with np.errstate(over="ignore"):
         speeds = ordered_row_norms(rows)
     if np.any(speeds == 0.0):
-        raise ValueError("zero-velocity rows must be filtered out before clustering")
+        raise SparseBssError("zero-velocity rows must be filtered out before clustering")
     if np.any(speeds == np.inf):
         i = int(np.argmax(speeds))
         raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .simulate import (
     GaussianPulseSpec,
+    check_positive,
     generate_gaussian_sources,
     generate_shifted_uniform_sources,
     mix,
@@ -69,13 +70,11 @@ class ScenarioConfig:
             raise ValueError(f"mixing must hold finite numbers, got {self.mixing}")
         if not 0.0 <= self.noise_sd < math.inf:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
-        if not 0.0 < self.sample_rate_hz < math.inf:
-            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        check_positive("sample_rate_hz", self.sample_rate_hz)
         if self.kind == "gaussian":
             if not self.sources:
                 raise ValueError("gaussian scenario needs at least one source spec")
-            if not 0.0 < self.duration_s < math.inf:
-                raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+            check_positive("duration_s", self.duration_s)
         elif self.length < 1:
             raise ValueError("shifted_uniform scenario needs length >= 1")
         elif not 0 <= self.shift <= self.length:

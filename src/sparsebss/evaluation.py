@@ -30,7 +30,7 @@ from .errors import AllRunsFailedError, DimensionMismatchError, SparseBssError
 from .errors import TooShortError, ZeroChannelError
 from .rng import derive_seed
 from .separation import MethodParams, deflation_steps
-from .signals import as_real_finite, in_scale_range, normalize_unit_norm
+from .signals import as_real_finite, in_scale_range, normalize_unit_norm, sum_of_products
 from .simulate import noisy_stack
 from .whitening import whiten_stack
 
@@ -258,7 +258,8 @@ def run_chunk(
     flagged once: whitening flags a zero, rank-deficient or out-of-scale
     channel (a non-finite one has an rms out of range), the loop a missing
     direction, the norms an estimate out of scale, and association a
-    constant row.
+    constant row.  The norms are ``normalize_unit_norm``'s rule, the square
+    root of :func:`~sparsebss.signals.sum_of_products`.
 
     The chunk makes no throwaway copy of its records: the noise is drawn
     into the array it is added in (:func:`~sparsebss.rng.normal_grid`), the
@@ -274,7 +275,7 @@ def run_chunk(
         noisy = noisy_stack(clean, noise_sd, seeds)
     ok = np.zeros(len(noisy), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        data, _, failed = whiten_stack(noisy)
+        data, _, failed, _ = whiten_stack(noisy)
         del noisy
         runs = np.flatnonzero(failed < 0)
         if runs.size < ok.size:
@@ -290,7 +291,7 @@ def run_chunk(
         if not runs.size:
             return np.empty((0, *actual.shape)), ok
         estimates = estimates[: runs.size]
-        scale = np.linalg.norm(estimates, axis=-1)
+        scale = np.sqrt(sum_of_products(estimates))
         ok[runs] = in_scale_range(scale).all(axis=-1)
         estimates /= scale[..., None]
         permutation, signs, _, constant = associate_stack(actual, estimates)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BLOCK, as_signal_matrix, ordered_row_norms
+from .signals import BLOCK, as_real_finite, as_signal_matrix, ordered_row_norms
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,10 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
         ``v / |v|`` where ``|v| > 0``; zero rows where ``|v| == 0``.
     zero_mask : ndarray of bool
         True at indices whose velocity is exactly zero.
+
+    A NaN or infinite velocity raises ``NonFiniteError``.
     """
-    v = np.atleast_2d(np.asarray(velocities, dtype=float))
+    v = np.atleast_2d(as_real_finite(velocities, "velocities"))
     speeds = ordered_row_norms(v.swapaxes(-1, -2))
     return _unit_headings(v, speeds), speeds == 0.0
 
@@ -91,17 +93,18 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
 def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
     """Acceptance mask: ``max_i |v_i[n]| >= v_th * max_m |v[m]|``.
 
-    ``v_th`` must lie in (0, 1).  Zero velocities are never accepted.
+    ``v_th`` must lie in (0, 1).  Zero velocities are never accepted, and
+    a NaN or infinite velocity raises ``NonFiniteError``.
     """
-    _check_v_th(v_th)
-    v = np.atleast_2d(np.asarray(velocities, dtype=float))
+    check_v_th(v_th)
+    v = np.atleast_2d(as_real_finite(velocities, "velocities"))
     speeds, maxima = _maxima(v.swapaxes(-1, -2))
     return _threshold(maxima, speeds.max(axis=-1, initial=0.0), v_th)
 
 
 def compute_headings(whitened, v_th: float) -> HeadingSet:
     """Full velocity/heading/threshold pass over one (possibly deflated) record."""
-    _check_v_th(v_th)
+    check_v_th(v_th)
     v = compute_velocities(whitened)
     speeds, maxima = _maxima(v.T)
     v_max = speeds.max(initial=0.0)
@@ -125,7 +128,8 @@ def accept_stack(data: np.ndarray, v_th: float) -> np.ndarray:
     which starts from 0 as ``max(initial=0.0)`` does and, a maximum being
     exact, keeps its bits.  So no float array outlives its block but the
     component maxima, and no velocity or speed does.  ``v_th`` is not
-    checked here: the public helpers and ``MethodParams`` check it once.
+    checked here: the public helpers and ``MethodParams`` check it once,
+    with :func:`check_v_th`.
     """
     *lead, n, length = data.shape
     m, width = length - 1, min(length - 1, BLOCK)
@@ -211,6 +215,7 @@ def _threshold(maxima: np.ndarray, v_max: np.ndarray, v_th: float) -> np.ndarray
     return maxima >= v_th * v_max[..., None]
 
 
-def _check_v_th(v_th: float) -> None:
+def check_v_th(v_th: float) -> None:
+    """Raise ``ValueError`` unless the velocity threshold ``v_th`` lies in (0, 1)."""
     if not 0.0 < v_th < 1.0:
         raise ValueError(f"v_th must lie in (0, 1), got {v_th}")

@@ -39,15 +39,17 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import Cluster, cluster_tables, find_cluster, gap_threshold
+from .clustering import Cluster, check_alpha, cluster_tables, find_cluster
+from .clustering import gap_threshold, gap_thresholds
 from .errors import (
     ClusterFormationFailedError,
     DegenerateClusterError,
     DimensionMismatchError,
+    EmptyClusterError,
     NoConsecutivePairError,
     SparseBssError,
 )
-from .headings import HeadingSet, accept_stack, heading_rows, velocity_rows
+from .headings import HeadingSet, accept_stack, check_v_th, heading_rows, velocity_rows
 from .signals import BLOCK, as_real_finite, ordered_row_norms, sum_of_products
 from .whitening import gram_schmidt_whiten
 
@@ -72,10 +74,8 @@ class MethodParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.v_th < 1.0:
-            raise ValueError(f"v_th must lie in (0, 1), got {self.v_th}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        check_v_th(self.v_th)
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,16 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
     ------
     NonFiniteError
         If a member velocity has a NaN or infinite entry.
+    EmptyClusterError
+        If the cluster has no member.
     DegenerateClusterError
         If every member has zero velocity.
     SparseBssError
         If the members' squared lengths overflow float64.
     """
     members = np.atleast_2d(as_real_finite(cluster.member_velocities, "velocities"))
+    if members.size == 0:
+        raise EmptyClusterError("the cluster has no member")
     unit, length, moving = average_directions(members[None], np.array([len(members)]))
     if not moving[0]:
         raise DegenerateClusterError("all cluster members have zero velocity")
@@ -263,9 +267,12 @@ def mhc_pick(heading_rows, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def project_source(data, direction: EstimatedDirection) -> np.ndarray:
-    """Dot the direction with every sample vector: the source estimate row."""
-    e = np.asarray(data, dtype=float)
-    r = direction.unit_vector
+    """Dot the direction with every sample vector: the source estimate row.
+
+    A NaN or infinite entry in ``data`` or the direction raises ``NonFiniteError``.
+    """
+    e = as_real_finite(data)
+    r = as_real_finite(direction.unit_vector, "direction")
     if e.shape[0] != r.shape[0]:
         raise DimensionMismatchError(
             f"direction has {r.shape[0]} components, data has {e.shape[0]} channels"
@@ -274,10 +281,13 @@ def project_source(data, direction: EstimatedDirection) -> np.ndarray:
 
 
 def deflate(data, direction: EstimatedDirection, source_row) -> np.ndarray:
-    """Remove a source's rank-one contribution along its direction."""
-    e = np.asarray(data, dtype=float)
-    s = np.asarray(source_row, dtype=float)
-    r = direction.unit_vector
+    """Remove a source's rank-one contribution along its direction.
+
+    A NaN or infinite entry in any operand raises ``NonFiniteError``.
+    """
+    e = as_real_finite(data)
+    s = as_real_finite(source_row, "source row")
+    r = as_real_finite(direction.unit_vector, "direction")
     if e.shape[0] != r.shape[0] or e.shape[1] != s.shape[0]:
         raise DimensionMismatchError(
             f"cannot deflate shape {e.shape} with direction {r.shape} and source {s.shape}"
@@ -314,9 +324,10 @@ def _global_directions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The global method's direction step for a (Q, N, L) record stack.
 
-    The stacked form of :func:`_global_direction`, with :func:`gap_threshold`'s
-    epsilon and minimum applied per record.  ``np.flatnonzero`` lists the
-    accepted velocities record by record, in index order, and each is
+    The stacked form of :func:`_global_direction`, with its epsilon and
+    two-heading minimum taken per record by
+    :func:`~sparsebss.clustering.gap_thresholds`.  ``np.flatnonzero`` lists
+    the accepted velocities record by record, in index order, and each is
     formed from the samples on either side of it by flat ``np.take``, into
     one (N, K) channel rows array for all records.  The AND of their
     :func:`~sparsebss.clustering.cluster_tables` membership marks each
@@ -333,12 +344,10 @@ def _global_directions(
     directions = np.zeros((q, n))
     record, index = np.divmod(np.flatnonzero(accepted), length - 1)
     count = np.bincount(record, minlength=q)
-    found = count >= 2
+    epsilon, found = gap_thresholds(alpha, count)
     if not found.any():
         return directions, found
     velocities = velocity_rows(data, record, index)
-    # Epsilon is alpha / count, at most 1/2: a record under two headings is not found.
-    epsilon = alpha / np.maximum(count, 2)
     magnitudes = np.abs(velocities / ordered_row_norms(velocities))
     member = cluster_tables(magnitudes, count, epsilon)[0].all(0)
     size = member.sum(axis=-1)

@@ -8,7 +8,9 @@ data uses this layout.
 Velocities and headings are held the same way, as (..., N, M) channel
 rows, and their lengths have one rule, :func:`ordered_row_norms`: each
 vector's squares added in channel order.  So a length has the same bits
-whatever the layout, and every step that divides by one agrees.
+whatever the layout, and every step that divides by one agrees.  A norm
+along the samples, a channel's or an estimate's, has one rule too, the
+blocked sum :func:`sum_of_products`.
 """
 
 from __future__ import annotations
@@ -153,9 +155,12 @@ def normalize_unit_norm(signal) -> np.ndarray:
     """Rescale each channel to unit Euclidean norm (sum of squares = 1).
 
     This is the normalization used by the evaluation metrics; see
-    :mod:`sparsebss.evaluation`.  Raises as :func:`normalize_rms` does.
+    :mod:`sparsebss.evaluation`.  The norm is the square root of
+    :func:`sum_of_products`, which on contiguous rows has the bits of
+    ``np.linalg.norm(x, axis=1)`` and keeps no record-sized temporary.
+    Raises as :func:`normalize_rms` does.
     """
-    return _rescale(signal, lambda x: np.linalg.norm(x, axis=1), "norm")
+    return _rescale(signal, lambda x: np.sqrt(sum_of_products(x)), "norm")
 
 
 def in_scale_range(scale) -> np.ndarray:
@@ -170,11 +175,11 @@ def _rescale(signal, measure, name: str) -> np.ndarray:
         scale = measure(x)
     bad = np.flatnonzero(~in_scale_range(scale))
     if bad.size:
-        raise _scale_error(x[bad[0]], int(bad[0]), name)
+        raise scale_error(x[bad[0]], int(bad[0]), name)
     return x / scale[:, None]
 
 
-def _scale_error(channel: np.ndarray, index: int, name: str) -> SparseBssError:
+def scale_error(channel: np.ndarray, index: int, name: str) -> SparseBssError:
     """The error for a finite channel whose ``name`` (an rms or norm) is out of range.
 
     Only a channel of zeros is a :class:`ZeroChannelError`.  Otherwise its

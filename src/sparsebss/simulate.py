@@ -32,8 +32,13 @@ class GaussianPulseSpec:
         for key in ("amplitude", "center_s"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if not 0.0 < self.width_s < math.inf:
-            raise ValueError(f"width_s must be finite and positive, got {self.width_s}")
+        check_positive("width_s", self.width_s)
+
+
+def check_positive(key: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value}")
 
 
 def generate_gaussian_sources(
@@ -43,9 +48,11 @@ def generate_gaussian_sources(
 
     Returns an (n_sources, L) matrix with L = ceil(duration * rate)
     samples; entries beyond four widths from a pulse center are exactly 0.
+    The rate and the duration must be positive and finite, as a
+    ``ScenarioConfig`` checks them (:func:`check_positive`).
     """
-    if sample_rate_hz <= 0.0:
-        raise ValueError("sample_rate_hz must be positive")
+    check_positive("sample_rate_hz", sample_rate_hz)
+    check_positive("duration_s", duration_s)
     n_samples = int(np.ceil(duration_s * sample_rate_hz))
     t = np.arange(n_samples) / sample_rate_hz
     rows = []

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError
-from .signals import BLOCK, _scale_error, as_signal_matrix, in_scale_range, rms, sum_of_products
+from .signals import BLOCK, as_signal_matrix, in_scale_range, rms, scale_error, sum_of_products
 
 #: Residuals below this fraction of the channel rms are treated as rank loss.
 RANK_TOLERANCE = 1e-12
+
+#: Why whitening fails a channel, in the order it tests: its rms is out of
+#: range, its residual shows rank loss, or its residual's rms is out of
+#: range.  A scale's entry is the name its error message gives it.
+CAUSES = ("rms", "rank", "residual rms")
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,9 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
     """Orthogonalize and unit-rms-normalize mixture channels in row order.
 
     Channel 0 seeds the basis; each later channel is projected against all
-    previous components before normalization.
+    previous components before normalization.  A failure is raised from
+    :func:`whiten_stack`'s record of its channel and cause: nothing is
+    measured twice.
 
     Raises
     ------
@@ -54,30 +61,29 @@ def gram_schmidt_whiten(mixtures) -> WhitenedData:
         ``RANK_TOLERANCE`` times the channel rms.
     """
     z = as_signal_matrix(mixtures)
-    components, transform, failed = whiten_stack(z[None])
-    i = int(failed[0])
+    components, transform, failed, cause = whiten_stack(z[None])
+    i, name = int(failed[0]), CAUSES[cause[0]]
+    if i >= 0 and name == "rank":
+        raise RankDeficientError(f"channel {i} is linearly dependent on channels 0..{i - 1}")
     if i >= 0:
-        with np.errstate(over="ignore"):
-            channel_rms = rms(z[i])[0]
-        if not in_scale_range(channel_rms):
-            raise _scale_error(z[i], i, "rms")
-        # The diagonal of the transform is one over each residual's rms.
-        if 1.0 / transform[0, i, i] >= RANK_TOLERANCE * channel_rms:
-            raise _scale_error(z[i], i, "residual rms")
-        raise RankDeficientError(
-            f"channel {i} is linearly dependent on channels 0..{i - 1}"
-        )
+        raise scale_error(z[i], i, name)
     return WhitenedData(components=components[0], transform=transform[0])
 
 
-def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gram-Schmidt whitening of a (Q, n, L) stack of records, one per run.
 
     Every reduction runs along the sample axis, so each record whitens
-    exactly as it would alone.  Returns ``(components, transform, failed)``:
-    ``failed[q]`` is the first channel at which record ``q`` is zero, has an
-    rms or residual rms out of range (:func:`~sparsebss.signals.in_scale_range`),
-    or is rank deficient (its other outputs are then meaningless), or -1.
+    exactly as it would alone.  Returns ``(components, transform, failed,
+    cause)``: ``failed[q]`` is the first channel at which record ``q``
+    fails a test, or -1, and ``cause[q]`` indexes :data:`CAUSES` with the
+    first test it fails there.  The tests, in that order, are: the
+    channel's rms in range (:func:`~sparsebss.signals.in_scale_range`,
+    which a zero or non-finite channel fails), its residual's rms at least
+    ``RANK_TOLERANCE`` times the channel's (which a NaN residual fails),
+    and the residual's rms in range.  Both rms are kept per channel and
+    tested once, after the loop.  A failed record's other outputs are
+    meaningless, and so is ``cause`` where ``failed`` is -1.
 
     A record longer than :data:`BLOCK` samples is whitened in place: each
     channel is copied into ``components``, each projection subtracted a
@@ -90,7 +96,7 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q, n, length = z.shape
     components = np.empty_like(z)
     transform = np.zeros((q, n, n))
-    failed = np.full(q, -1)
+    scales = np.empty((2, q, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n):
             if length > BLOCK:
@@ -98,7 +104,7 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 residual[...] = z[:, i]
             else:
                 residual = z[:, i].copy()
-            channel_rms = rms(residual)
+            channel_rms = scales[0, :, i] = rms(residual)
             row = np.zeros((q, n))
             row[:, i] = 1.0
             for k in range(i):
@@ -107,10 +113,14 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     residual[:, lo:lo + BLOCK] -= coeff * components[:, k, lo:lo + BLOCK]
                 row -= coeff * transform[:, k]
             # Channel 0 has nothing to project out: its residual is the channel.
-            residual_rms = (rms(residual) if i else channel_rms)[:, None]
-            bad = ~(in_scale_range(channel_rms) & in_scale_range(residual_rms[:, 0]))
-            bad |= residual_rms[:, 0] < RANK_TOLERANCE * channel_rms
-            failed[bad & (failed < 0)] = i
-            np.divide(residual, residual_rms, out=components[:, i])
-            transform[:, i] = row / residual_rms
-    return components, transform, failed
+            residual_rms = scales[1, :, i] = rms(residual) if i else channel_rms
+            np.divide(residual, residual_rms[:, None], out=components[:, i])
+            transform[:, i] = row / residual_rms[:, None]
+        in_range = in_scale_range(scales)
+        rank_kept = scales[1] >= RANK_TOLERANCE * scales[0]  # False for a NaN residual
+    # Each record's tests in channel order, and at each channel in CAUSES
+    # order, as one (Q, n * 3) row: its first false entry is the verdict.
+    passed = np.stack([in_range[0], rank_kept, in_range[1]], axis=-1).reshape(q, 3 * n)
+    first = np.argmin(passed, axis=1)
+    failed = np.where(passed[np.arange(q), first], -1, first // 3)
+    return components, transform, failed, first % 3

@@ -515,7 +515,7 @@ def test_every_yielded_row_belongs_to_a_survivor(method, v_th):
     # acceptance masks of each iteration hold one row per survivor, in the
     # caller's order, each with the bits of that record run alone.
     _, clean = noisy_example1(0.01).generate()
-    data, _, failed = whiten_stack(noisy_stack(clean, 0.01, [derive_seed(41, q) for q in range(60)]))
+    data, _, failed, _ = whiten_stack(noisy_stack(clean, 0.01, [derive_seed(41, q) for q in range(60)]))
     assert (failed < 0).all()
     params = MethodParams(method, v_th)
     alone = [

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsebss import clustering
-from sparsebss.clustering import cluster_tables, longest_runs
+from sparsebss.clustering import check_alpha, cluster_tables, gap_thresholds, longest_runs
 from sparsebss import (
     DimensionMismatchError,
     EmptyClusterError,
+    MethodParams,
     NoRunFoundError,
     NonFiniteError,
     SparseBssError,
@@ -129,6 +130,37 @@ def test_gap_threshold_validates():
         gap_threshold(1.5, 10)
     with pytest.raises(TooFewHeadingsError):
         gap_threshold(1.0, 1)
+
+
+def test_stacked_gap_thresholds_are_the_one_record_rule():
+    # The stacked global step's epsilon is gap_threshold's division, record
+    # by record; a record under two headings is marked, not raised.
+    count = np.array([0, 1, 2, 3, 7, 10, 1000])
+    for alpha in (1.0, 0.3, 0.1, 1e-3):
+        epsilon, enough = gap_thresholds(alpha, count)
+        assert enough.tolist() == [False, False, True, True, True, True, True]
+        for k, eps in zip(count[enough].tolist(), epsilon[enough]):
+            assert eps.tobytes() == np.float64(gap_threshold(alpha, k)).tobytes()
+        assert (epsilon[~enough] == alpha / 2).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
+def test_alpha_has_one_check(alpha):
+    for check in (check_alpha, lambda a: gap_threshold(a, 10), lambda a: MethodParams(alpha=a)):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\], got "):
+            check(alpha)
+
+
+def test_one_dimensional_magnitudes_are_a_dimension_mismatch():
+    # A 1-D array escaped as numpy's IndexError.
+    with pytest.raises(DimensionMismatchError, match=r"shape \(4,\)"):
+        sort_component(np.array([0.1, 0.3, 0.6, 0.95]), 0)
+
+
+@pytest.mark.parametrize("table", [[True, False, True], np.ones(5, dtype=bool), [[[True]]]])
+def test_adjacency_that_is_not_a_table_is_a_dimension_mismatch(table):
+    with pytest.raises(DimensionMismatchError, match="table"):
+        find_largest_run(table)
 
 
 def test_adjacency_golden(worked_velocities):
@@ -258,7 +290,7 @@ def test_find_cluster_needs_two_headings():
 def test_find_cluster_rejects_zero_velocity(worked_velocities):
     velocities = worked_velocities.copy()
     velocities[3] = 0.0
-    with pytest.raises(ValueError, match="zero-velocity rows"):
+    with pytest.raises(SparseBssError, match="zero-velocity rows"):
         find_cluster(velocities, EPSILON)
 
 

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from sparsebss import (
+    MethodParams,
+    NonFiniteError,
     TooShortError,
     apply_velocity_threshold,
     compute_headings,
     compute_velocities,
     normalize_headings,
 )
-from sparsebss.headings import accept_stack, heading_rows, velocity_rows
+from sparsebss.headings import accept_stack, check_v_th, heading_rows, velocity_rows
 from sparsebss.signals import BLOCK, ordered_row_norms
 
 
@@ -193,3 +195,21 @@ def test_heading_helpers_do_not_depend_on_the_layout():
     masks = [apply_velocity_threshold(x, v_th) for x in layouts]
     np.testing.assert_array_equal(masks[0], masks[1])
     assert masks[0][-1] == (in_order <= pairwise)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("helper", [normalize_headings, lambda v: apply_velocity_threshold(v, 0.4)],
+                         ids=["normalize_headings", "apply_velocity_threshold"])
+def test_non_finite_velocities_are_named(helper, bad):
+    # normalize_headings gave NaN headings, and one NaN row made the
+    # threshold reject every velocity.
+    velocities = np.array([[1.0, 0.5], [bad, 1.0], [0.2, -0.3]])
+    with pytest.raises(NonFiniteError, match="velocities"):
+        helper(velocities)
+
+
+@pytest.mark.parametrize("v_th", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_v_th_has_one_check(v_th):
+    for check in (check_v_th, lambda v: MethodParams(v_th=v), lambda v: compute_headings(np.eye(2), v)):
+        with pytest.raises(ValueError, match=r"^v_th must lie in \(0, 1\), got "):
+            check(v_th)

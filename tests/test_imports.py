@@ -15,11 +15,9 @@ PACKAGE = Path(sparsebss.__file__).parent
 ALLOWED = {("evaluation.py", "monte_carlo", "concurrent.futures")}
 
 
-#: Private names that one module still imports from another.  Each rule has
-#: one home; a shrink that merges the modules can make them local.
-PRIVATE_IMPORTS = {
-    ("whitening.py", "signals", "_scale_error"),
-}
+#: Private names that one module still imports from another: none.  Each
+#: rule has one home, and a name that another module needs is public.
+PRIVATE_IMPORTS = set()
 
 
 def function_imports(path):

@@ -12,6 +12,7 @@ from sparsebss import (
     ClusterFormationFailedError,
     DegenerateClusterError,
     DimensionMismatchError,
+    EmptyClusterError,
     EstimatedDirection,
     IterationDiagnostics,
     MethodParams,
@@ -37,7 +38,12 @@ from sparsebss import (
 from sparsebss import clustering, separation
 from sparsebss.clustering import cluster_tables
 from sparsebss.headings import HeadingSet
-from sparsebss.separation import _global_directions, average_directions, deflation_steps
+from sparsebss.separation import (
+    _global_direction,
+    _global_directions,
+    average_directions,
+    deflation_steps,
+)
 from sparsebss.signals import BLOCK
 from sparsebss.whitening import whiten_stack
 
@@ -87,6 +93,12 @@ class TestWeightedAverageHeading:
         cluster = make_cluster([[1e-20, 0.0], [-1e-20, 0.0]])
         direction = weighted_average_heading(cluster)
         np.testing.assert_allclose(np.abs(direction.unit_vector), [1.0, 0.0])
+
+    @pytest.mark.parametrize("members", [np.empty((0, 2)), np.empty(0)], ids=["no-rows", "no-entries"])
+    def test_empty_cluster_is_named(self, members):
+        # numpy's "attempt to get argmax of an empty sequence" escaped before.
+        with pytest.raises(EmptyClusterError, match="no member"):
+            weighted_average_heading(Cluster(np.arange(len(members)), members))
 
     def test_degenerate_cluster_of_zero_velocities(self):
         with pytest.raises(DegenerateClusterError):
@@ -191,6 +203,23 @@ class TestProjectAndDeflate:
         residual = deflate(data, d, project_source(data, d))
         np.testing.assert_array_equal(residual, [[0.0, 0.0], [5.0, 7.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operands_are_named(self, bad):
+        # Both returned NaN estimates without a word.
+        data = np.array([[1.0, 2.0, 3.0], [4.0, bad, 6.0]])
+        d = EstimatedDirection(unit_vector=np.array([0.6, 0.8]), support_size=1)
+        with pytest.raises(NonFiniteError, match="signal"):
+            project_source(data, d)
+        with pytest.raises(NonFiniteError, match="signal"):
+            deflate(data, d, np.ones(3))
+        with pytest.raises(NonFiniteError, match="source row"):
+            deflate(np.ones((2, 3)), d, [1.0, bad, 1.0])
+        nan_direction = EstimatedDirection(unit_vector=np.array([bad, 0.8]), support_size=1)
+        with pytest.raises(NonFiniteError, match="direction"):
+            project_source(np.ones((2, 3)), nan_direction)
+        with pytest.raises(NonFiniteError, match="direction"):
+            deflate(np.ones((2, 3)), nan_direction, np.ones(3))
+
     def test_deflate_idempotent(self):
         rng = np.random.default_rng(43)
         data = rng.normal(size=(2, 30))
@@ -242,6 +271,29 @@ def test_stacked_global_step_without_two_accepted_headings():
     assert directions.shape == (3, 2)
     assert not found.any()
     assert not directions.any()
+
+
+def test_stacked_global_step_when_every_and_is_empty():
+    # Three headings per record.  Component 0's magnitudes 0.5, 0.995 and
+    # 0.999 hold the one sorted gap below epsilon = 0.03 / 3, but component
+    # 1's, 0.866, 0.0999 and 0.0447, hold none, so the AND is empty in every
+    # record with two headings and none is averaged.  Each record alone
+    # fails the same way in the one-record step.
+    component = np.array([0.5, 0.995, 0.999])
+    headings = np.stack([component, np.sqrt(1.0 - component**2)])
+    data = np.zeros((3, 2, 4))
+    for r, scale in enumerate([1.0, 3.0, 0.25]):
+        data[r, :, 1:] = np.cumsum(scale * headings, axis=1)
+    accepted = np.ones((3, 3), dtype=bool)
+    accepted[2, 1:] = False  # one heading: not clustered at all
+    directions, found = _global_directions(data, accepted, 0.03)
+    assert directions.shape == (3, 2)
+    assert not found.any()
+    assert not directions.any()
+    for r in range(3):
+        _, found_alone, failed = _global_direction(data[r : r + 1], accepted[r : r + 1], 0.03, 0)
+        assert not found_alone[0]
+        assert type(failed.cause) is (EmptyClusterError if r < 2 else TooFewHeadingsError)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -387,7 +439,7 @@ def test_stacked_global_step_is_quiet_under_any_errstate():
     # warn wherever the loop runs, not only inside ``run_chunk``.
     z = np.random.default_rng(1).normal(size=(3, 2, 40))
     z[..., 1::2] = z[..., ::2]
-    data, _, failed = whiten_stack(z)
+    data, _, failed, _ = whiten_stack(z)
     assert (failed < 0).all()
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")

@@ -175,11 +175,12 @@ def test_row_norms_keep_numpys_bits(n):
             assert got is out and out.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("module", ["clustering.py", "headings.py", "separation.py"])
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(sparsebss.__file__).parent.glob("*.py")))
 def test_heading_lengths_have_one_rule(module):
     # np.linalg.norm sums a contiguous row pairwise from 8 values on and a
     # strided one in order, so a length taken with it would bring back a
-    # second rule beside ordered_row_norms.
+    # second rule beside ordered_row_norms; along the samples, beside the
+    # blocked sum_of_products.  No module of the package calls it.
     tree = ast.parse((Path(sparsebss.__file__).parent / module).read_text())
     uses = [
         node.lineno
@@ -188,3 +189,17 @@ def test_heading_lengths_have_one_rule(module):
         or isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
     ]
     assert uses == [], f"{module} takes a length with np.linalg.norm at lines {uses}"
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 50), (250, 2, 50), (3, BLOCK + 7), (2, 4 * BLOCK + 13), (1, 4, 10**6), (5, 1), (2, 2)]
+)
+def test_norm_along_the_samples_is_the_blocked_sum(shape):
+    # normalize_unit_norm and the Monte Carlo chunk's estimates take
+    # sqrt(sum_of_products(x)), which has np.linalg.norm's bits on C-contiguous rows.
+    x = np.random.default_rng(shape[-1]).standard_normal(shape)
+    assert np.sqrt(sum_of_products(x)).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+    rows = x.reshape(-1, shape[-1])
+    if rows.shape[1] >= 2:
+        expected = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert normalize_unit_norm(rows).tobytes() == expected.tobytes()

@@ -60,6 +60,22 @@ class TestGaussianSources:
         with pytest.raises(ValueError):
             GaussianPulseSpec(amplitude=1.0, center_s=0.0, width_s=0.0)
 
+    @pytest.mark.parametrize(
+        "key, rate, duration",
+        [
+            ("duration_s", 250.0, math.inf),
+            ("duration_s", 250.0, math.nan),
+            ("duration_s", 250.0, 0.0),
+            ("duration_s", 250.0, -0.2),
+            ("sample_rate_hz", math.nan, 0.2),
+            ("sample_rate_hz", math.inf, 0.2),
+        ],
+    )
+    def test_rate_and_duration_are_checked_as_a_scenario_checks_them(self, key, rate, duration):
+        # An infinite duration raised OverflowError, a NaN rate numpy's message.
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite, got "):
+            generate_gaussian_sources([GaussianPulseSpec(1.0, 0.1, 0.01)], rate, duration)
+
 
 class TestShiftedUniformSources:
     def test_full_shift_gives_disjoint_supports(self):

@@ -1,9 +1,13 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
 from sparsebss import RankDeficientError, SparseBssError, ZeroChannelError, gram_schmidt_whiten
 from sparsebss.signals import BLOCK
-from sparsebss.whitening import whiten_stack
+from sparsebss.whitening import CAUSES, whiten_stack
 
 
 def sample_gram(x):
@@ -132,7 +136,7 @@ def test_stack_matches_each_record_and_the_plain_reference(length):
     # Short records whiten in a copy of the channel, long ones in place one
     # block at a time; both keep the bits of the plain loop.
     z = np.random.default_rng(28).normal(size=(3, 4, length)) * np.array([[3.0], [0.2], [11.0], [1.0]])
-    components, transform, failed = whiten_stack(z)
+    components, transform, failed, _ = whiten_stack(z)
     assert (failed == -1).all()
     for q in range(3):
         alone = gram_schmidt_whiten(z[q])
@@ -141,3 +145,50 @@ def test_stack_matches_each_record_and_the_plain_reference(length):
             assert got.tobytes() == expected[0].tobytes()
         for got in (alone.transform, transform[q]):
             assert got.tobytes() == expected[1].tobytes()
+
+
+def failing_records():
+    """(record, failed channel, cause, error type, message pattern) of records that fail each test."""
+    a, b, c = np.random.default_rng(29).normal(size=(3, 100))
+    nan = np.array([a, b, c])
+    nan[2, 7] = np.nan
+    alternating = np.resize([1.0, -1.0], 100)
+    return [
+        (np.array([a, b, c]), -1, None, None, None),
+        (np.array([a, 0.0 * b, c]), 1, "rms", ZeroChannelError, "channel 1 is identically zero"),
+        (np.array([a, b, a - 2.0 * b]), 2, "rank", RankDeficientError, "channel 2 is linearly dependent"),
+        # A residual of exactly zero fails both later tests; rank loss comes first.
+        (np.array([alternating, 2.0 * alternating, c]), 1, "rank", RankDeficientError,
+         "channel 1 is linearly dependent"),
+        (1e-150 * np.array([a, a + 1e-6 * b, c]), 1, "residual rms", SparseBssError,
+         "channel 1 .* residual rms underflows"),
+        (np.array([a, b, 1e-160 * c]), 2, "rms", SparseBssError, "channel 2 .* rms underflows"),
+        (np.array([a, 1e300 * b, c]), 1, "rms", SparseBssError, "channel 1 .* rms overflows"),
+        (nan, 2, "rms", None, None),
+    ]
+
+
+def test_stack_records_the_first_test_each_record_fails():
+    # The tests run in CAUSES order at each channel; a record keeps the first
+    # it fails, and gram_schmidt_whiten raises from that record alone.
+    cases = failing_records()
+    _, _, failed, cause = whiten_stack(np.stack([record for record, *_ in cases]))
+    for q, (record, channel, name, error, message) in enumerate(cases):
+        assert failed[q] == channel
+        if channel >= 0:
+            assert CAUSES[cause[q]] == name
+        if error is not None:
+            with pytest.raises(error, match=message) as excinfo:
+                gram_schmidt_whiten(record)
+            assert type(excinfo.value) is error
+
+
+def test_whitening_raises_from_the_record_and_measures_nothing():
+    # The verdict is whiten_stack's: the one-record entry takes no rms and no
+    # range test of its own.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(gram_schmidt_whiten)))
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert called.isdisjoint({"rms", "in_scale_range", "sum_of_products"})
