@@ -45,14 +45,9 @@ def _write_report(path: Path, lines: list[str], record: dict) -> None:
     text_path = path if path != json_path else path.with_suffix(".txt")
     text_path.parent.mkdir(parents=True, exist_ok=True)
     text_path.write_text("\n".join(lines) + "\n")
-    json_path.write_text(json.dumps(record, default=_jsonify) + "\n")
-
-
-def _jsonify(obj):
-    """An array as nested lists; a ``np.float64`` is a ``float`` and needs no help."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)}")
+    # An array is written as nested lists; any other object the encoder
+    # cannot take makes the unbound ``tolist`` raise TypeError.
+    json_path.write_text(json.dumps(record, default=np.ndarray.tolist) + "\n")
 
 
 def cmd_simulate(args) -> int:

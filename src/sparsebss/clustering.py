@@ -32,6 +32,7 @@ from .errors import (
     SparseBssError,
     TooFewHeadingsError,
 )
+from .headings import check_speeds
 from .signals import as_real_finite, ordered_row_norms
 
 
@@ -85,8 +86,8 @@ def gap_threshold(alpha: float, n_headings: int) -> float:
     linearly, so adjacent gaps are about ``1/n_headings``; values bunch far
     tighter than that only where one source dominates.  The global direction
     step of :mod:`sparsebss.separation` takes its epsilon, and its minimum of
-    two accepted headings, from here for one record, and from
-    :func:`gap_thresholds` for a stack.
+    two accepted headings, from :func:`gap_thresholds`, the same division for
+    a stack of records.
     """
     check_alpha(alpha)
     if n_headings < 2:
@@ -116,12 +117,16 @@ def sort_component(magnitudes: np.ndarray, component: int) -> SortedComponent:
     """Sort one column of the (M, N) heading-magnitude matrix ascending.
 
     Ties are broken by ascending heading index (one stable sort), which
-    keeps the result deterministic.  A matrix that is not 2-D raises
-    ``DimensionMismatchError``, one of fewer than two rows
-    ``TooFewHeadingsError``.
+    keeps the result deterministic.  A matrix that is not 2-D, or a
+    component outside ``0 .. N-1``, raises ``DimensionMismatchError``, one
+    of fewer than two rows ``TooFewHeadingsError``.
     """
     if np.ndim(magnitudes) != 2:
         raise DimensionMismatchError(f"expected (M, N) magnitudes, got shape {np.shape(magnitudes)}")
+    if not 0 <= component < magnitudes.shape[1]:
+        raise DimensionMismatchError(
+            f"component {component} is out of range for {magnitudes.shape[1]} components"
+        )
     if magnitudes.shape[0] < 2:
         raise TooFewHeadingsError("need at least 2 headings to sort")
     column = magnitudes[:, component]
@@ -192,11 +197,23 @@ def expand_and_remap(
 
     Position ``lo`` marks the difference ``values[lo] - values[lo - 1]``,
     so the value at ``lo - 1`` belongs to the same bunch and is included
-    before mapping sorted positions back to heading indices.
+    before mapping sorted positions back to heading indices.  A run whose
+    component has no sorted component, or whose positions ``lo .. hi`` do
+    not lie in order within it, raises ``DimensionMismatchError``.
     """
     component, lo, hi = run
+    if not 0 <= component < len(sorted_components):
+        raise DimensionMismatchError(
+            f"run component {component} is out of range for {len(sorted_components)} components"
+        )
+    index_map = sorted_components[component].index_map
+    if not 0 <= lo <= hi < len(index_map):
+        raise DimensionMismatchError(
+            f"run {lo}..{hi} does not lie within the {len(index_map)} sorted positions"
+            f" of component {component}"
+        )
     positions = np.arange(max(lo - 1, 0), hi + 1)
-    return np.sort(sorted_components[component].index_map[positions])
+    return np.sort(index_map[positions])
 
 
 def cross_check_components(
@@ -338,9 +355,7 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
         speeds = ordered_row_norms(rows)
     if np.any(speeds == 0.0):
         raise SparseBssError("zero-velocity rows must be filtered out before clustering")
-    if np.any(speeds == np.inf):
-        i = int(np.argmax(speeds))
-        raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")
+    check_speeds(speeds)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     membership, adjacency = cluster_tables(

@@ -6,8 +6,9 @@ pulses, ``sources`` a list of ``{amplitude, center_s, width_s}`` objects)
 and ``shifted_uniform``.  ``mixing`` is a list of rows.  A key outside its
 kind's set is an error, and so is a value that cannot make a dataset: a
 string or boolean where a number is read, a non-finite number, a rate,
-duration or width that is not positive, or a ``seed``, ``length`` or
-``shift`` that is not an integer.  Each is rejected by name when the config
+duration or width that is not positive, a ``seed``, ``length`` or
+``shift`` that is not an integer, and a ``mixing`` without rows or with
+rows empty or of unequal length.  Each is rejected by name when the config
 is built.
 
 Floats survive the JSON round trip exactly (shortest-repr encoding), so a
@@ -79,6 +80,10 @@ class ScenarioConfig:
             raise ValueError("shifted_uniform scenario needs length >= 1")
         elif not 0 <= self.shift <= self.length:
             raise ValueError(f"shift must lie in [0, length], got {self.shift}")
+        if len({len(row) for row in self.mixing}) != 1 or not self.mixing[0]:
+            raise ValueError(
+                f"mixing must be one or more rows of one nonzero length, got {self.mixing}"
+            )
 
     @property
     def mixing_matrix(self) -> np.ndarray:

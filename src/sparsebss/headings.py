@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SparseBssError
 from .signals import BLOCK, as_real_finite, as_signal_matrix, ordered_row_norms
 
 
@@ -83,30 +84,42 @@ def normalize_headings(velocities) -> tuple[np.ndarray, np.ndarray]:
     zero_mask : ndarray of bool
         True at indices whose velocity is exactly zero.
 
-    A NaN or infinite velocity raises ``NonFiniteError``.
+    A NaN or infinite velocity raises ``NonFiniteError``, one whose length
+    overflows float64 ``SparseBssError`` (:func:`check_speeds`).
     """
     v = np.atleast_2d(as_real_finite(velocities, "velocities"))
-    speeds = ordered_row_norms(v.swapaxes(-1, -2))
+    with np.errstate(over="ignore"):
+        speeds = ordered_row_norms(v.swapaxes(-1, -2))
+    check_speeds(speeds)
     return _unit_headings(v, speeds), speeds == 0.0
 
 
 def apply_velocity_threshold(velocities, v_th: float) -> np.ndarray:
     """Acceptance mask: ``max_i |v_i[n]| >= v_th * max_m |v[m]|``.
 
-    ``v_th`` must lie in (0, 1).  Zero velocities are never accepted, and
-    a NaN or infinite velocity raises ``NonFiniteError``.
+    ``v_th`` must lie in (0, 1).  Zero velocities are never accepted, a
+    NaN or infinite velocity raises ``NonFiniteError``, and one whose length
+    overflows float64 ``SparseBssError`` (:func:`check_speeds`).
     """
     check_v_th(v_th)
     v = np.atleast_2d(as_real_finite(velocities, "velocities"))
-    speeds, maxima = _maxima(v.swapaxes(-1, -2))
+    with np.errstate(over="ignore"):
+        speeds, maxima = _maxima(v.swapaxes(-1, -2))
+    check_speeds(speeds)
     return _threshold(maxima, speeds.max(axis=-1, initial=0.0), v_th)
 
 
 def compute_headings(whitened, v_th: float) -> HeadingSet:
-    """Full velocity/heading/threshold pass over one (possibly deflated) record."""
+    """Full velocity/heading/threshold pass over one (possibly deflated) record.
+
+    A velocity whose length overflows float64 raises ``SparseBssError``
+    (:func:`check_speeds`).
+    """
     check_v_th(v_th)
     v = compute_velocities(whitened)
-    speeds, maxima = _maxima(v.T)
+    with np.errstate(over="ignore"):
+        speeds, maxima = _maxima(v.T)
+    check_speeds(speeds)
     v_max = speeds.max(initial=0.0)
     return HeadingSet(
         velocities=v,
@@ -213,6 +226,18 @@ def _threshold(maxima: np.ndarray, v_max: np.ndarray, v_th: float) -> np.ndarray
     ``v_th * v_max >= 0`` rejects them without a test of the speeds.
     """
     return maxima >= v_th * v_max[..., None]
+
+
+def check_speeds(speeds: np.ndarray) -> None:
+    """Raise ``SparseBssError`` naming the first velocity whose length overflows float64.
+
+    Its squares overflowed, so it has no unit heading and would fail every
+    threshold.  The deflation loop needs no such check: it runs on whitened
+    records, whose velocities are far from float64's range.
+    """
+    if np.any(speeds == np.inf):
+        i = int(np.argmax(speeds))
+        raise SparseBssError(f"the length of velocity {i} overflows float64; rescale the record")
 
 
 def check_v_th(v_th: float) -> None:

@@ -12,6 +12,9 @@ whitened records deflated in place: :func:`separate` runs it on one record
 and reports diagnostics or a typed error, and the Monte Carlo engine
 (:func:`sparsebss.evaluation.run_chunk`) runs it on a chunk of noisy
 records, from which a record leaves as soon as its direction step fails.
+Each method's direction step is written once too, for any number of
+records: the global method gathers, clusters and averages the accepted
+velocities of every record in one :func:`_global_directions` call.
 Each iteration projects straight into the caller's (Q, N, L) estimates, so
 the loop holds no record-sized array besides the data and the estimates.
 No velocity buffer is kept either: the threshold pass,
@@ -39,8 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import Cluster, check_alpha, cluster_tables, find_cluster
-from .clustering import gap_threshold, gap_thresholds
+from .clustering import Cluster, check_alpha, cluster_tables, find_cluster, gap_thresholds
 from .errors import (
     ClusterFormationFailedError,
     DegenerateClusterError,
@@ -120,7 +122,8 @@ def weighted_average_heading(cluster: Cluster) -> EstimatedDirection:
     directions contributes antiparallel velocities).  The average weights
     each member by its Euclidean length, putting more trust in velocities
     that stand further above the noise.  After that reconciliation the
-    members cannot cancel: see :func:`average_directions`.
+    members cannot cancel: see :func:`average_directions`, which the
+    deflation loop calls on all its clusters at once.
 
     Raises
     ------
@@ -295,66 +298,63 @@ def deflate(data, direction: EstimatedDirection, source_row) -> np.ndarray:
     return e - np.outer(r, s)
 
 
-def _global_direction(
-    data: np.ndarray, accepted: np.ndarray, alpha: float, iteration: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | ClusterFormationFailedError]:
-    """The global direction step for a (1, N, L) record, via :func:`find_cluster`.
-
-    Only the accepted velocities are formed, by
-    :func:`~sparsebss.headings.velocity_rows` as the stacked step forms
-    them, into contiguous (N, K) channel rows handed over as their (K, N)
-    view.  Returns the (1, N) unit direction (zero on failure), whether it
-    was found, and the cluster's ``(member indices, epsilon)`` or the
-    error.
-    """
-    accepted_idx = np.flatnonzero(accepted[0])
-    try:
-        epsilon = gap_threshold(alpha, accepted_idx.size)
-        cluster, _ = find_cluster(velocity_rows(data, 0, accepted_idx).T, epsilon)
-        direction = weighted_average_heading(cluster)
-    except SparseBssError as cause:
-        failed = ClusterFormationFailedError(iteration, cause)
-        return np.zeros((1, data.shape[1])), np.zeros(1, dtype=bool), failed
-    members = accepted_idx[cluster.member_indices]
-    return direction.unit_vector[None], np.ones(1, dtype=bool), (members, epsilon)
-
-
 def _global_directions(
     data: np.ndarray, accepted: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, float] | SparseBssError | None]:
     """The global method's direction step for a (Q, N, L) record stack.
 
-    The stacked form of :func:`_global_direction`, with its epsilon and
-    two-heading minimum taken per record by
+    Each record's epsilon and two-heading minimum are taken by
     :func:`~sparsebss.clustering.gap_thresholds`.  ``np.flatnonzero`` lists
     the accepted velocities record by record, in index order, and each is
-    formed from the samples on either side of it by flat ``np.take``, into
-    one (N, K) channel rows array for all records.  The AND of their
-    :func:`~sparsebss.clustering.cluster_tables` membership marks each
-    record's cluster among its slots.
+    formed from the samples on either side of it by
+    :func:`~sparsebss.headings.velocity_rows`, into one (N, K) channel rows
+    array for all records.
+
+    Only the source of each record's cluster membership among its slots
+    depends on Q.  In a stack, a record that forms no cluster just leaves
+    the loop, so the AND of the stack's
+    :func:`~sparsebss.clustering.cluster_tables` membership is all it needs.
+    One record is :func:`separate`'s, which must say why no cluster formed,
+    so it takes its membership from :func:`~sparsebss.clustering.find_cluster`:
+    the same rule on the same magnitudes, with the same bits, that raises the
+    typed cause (too few headings, no run, an empty AND).  The benchmark's
+    span test also counts that call, one per global iteration of
+    :func:`separate`.  Either way the membership is one (Q, width) mask,
+    from which the members are packed and, for one record, the member
+    indices are read, so both report exactly the members averaged.
 
     Every found record's cluster is averaged in one :func:`average_directions`
     call.  The records are ordered by cluster size, and the members, record
     by record, fill the leading rows of each record's zero-padded block, so
     the three steps whose shape depends on the size run once per size, on a
-    basic slice, and keep each record's one-cluster bits.  Returns the unit
-    directions and which records formed a cluster.
+    basic slice, and keep each record's one-cluster bits.  The data is
+    whitened, so an accepted velocity moves and its squares do not
+    overflow: a cluster that formed always averages.  Returns the unit
+    directions (zero where none was found), which records found one, and,
+    for one record, its cluster's ``(member indices, epsilon)`` or the
+    ``SparseBssError`` that stopped it (None for a stack).
     """
     q, n, length = data.shape
     directions = np.zeros((q, n))
     record, index = np.divmod(np.flatnonzero(accepted), length - 1)
     count = np.bincount(record, minlength=q)
     epsilon, found = gap_thresholds(alpha, count)
-    if not found.any():
-        return directions, found
+    if q > 1 and not found.any():
+        return directions, found, None
     velocities = velocity_rows(data, record, index)
-    magnitudes = np.abs(velocities / ordered_row_norms(velocities))
-    member = cluster_tables(magnitudes, count, epsilon)[0].all(0)
+    if q == 1:
+        try:
+            member = find_cluster(velocities.T, float(epsilon[0]))[1].survivors[None]
+        except SparseBssError as cause:
+            return directions, np.zeros(1, dtype=bool), cause
+    else:
+        magnitudes = np.abs(velocities / ordered_row_norms(velocities))
+        member = cluster_tables(magnitudes, count, epsilon)[0].all(0)
     size = member.sum(axis=-1)
     found &= size > 0
     runs = np.flatnonzero(found)
     if runs.size == 0:
-        return directions, found
+        return directions, found, None
     runs = runs[np.argsort(size[runs], kind="stable")]
     size = size[runs]
     # Slot j of record r holds velocity column (cumsum(count) - count)[r] + j.
@@ -363,7 +363,7 @@ def _global_directions(
     rows = np.flatnonzero(np.arange(size[-1]) < size[:, None])
     members.reshape(-1, n)[rows] = np.take(velocities, slots[member[runs]], axis=1).T
     directions[runs], _, found[runs] = average_directions(members, size)
-    return directions, found
+    return directions, found, (index[member[0]], float(epsilon[0])) if q == 1 else None
 
 
 def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarray):
@@ -373,12 +373,10 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     directions into ``estimates[:k, i]``, where ``estimates`` is a (Q, N, L)
     array the caller owns, and yields the (k, N) directions, the caller's
     rows of those k records in order, their (k, L - 1) acceptance masks,
-    and, for the global method on one record, :func:`_global_direction`'s
-    cluster or error (else None).
-    One record clusters through :func:`find_cluster` and many through
-    :func:`_global_directions`, both by one rule with the same bits: the
-    benchmark's span test requires one :func:`find_cluster` call per global
-    iteration of :func:`separate`.  The caller's Q makes that choice once.
+    and, for the global method on one record, :func:`_global_directions`'
+    cluster or the error that stopped it (else None).  Each method has one
+    direction step for every stack size: :func:`mhc_pick` and
+    :func:`_global_directions`.
 
     A record whose direction step finds nothing leaves the loop at once:
     before the projection, the data, the directions and the acceptance
@@ -412,10 +410,8 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
         cluster = None
         if params.method == "mhc":
             _, found, directions = mhc_pick(partial(heading_rows, data), accepted)
-        elif q > 1:
-            directions, found = _global_directions(data, accepted, params.alpha)
         else:
-            directions, found, cluster = _global_direction(data, accepted, params.alpha, iteration)
+            directions, found, cluster = _global_directions(data, accepted, params.alpha)
         if not found.all():
             kept = np.flatnonzero(found)
             survivors, data = survivors[kept], data[kept]
@@ -455,8 +451,8 @@ def separate(mixtures, params: MethodParams) -> SeparationResult:
     iterations: list[IterationDiagnostics] = []
     steps = deflation_steps(data, params, estimates)
     for iteration, (units, survivors, accepted, cluster) in enumerate(steps):
-        if isinstance(cluster, ClusterFormationFailedError):
-            raise cluster from cluster.cause
+        if isinstance(cluster, SparseBssError):
+            raise ClusterFormationFailedError(iteration, cluster) from cluster
         if not survivors.size:
             raise NoConsecutivePairError(
                 f"no consecutive pair of accepted headings at iteration {iteration}",

@@ -6,6 +6,8 @@ table at epsilon = 0.01, seed expansion with the left anchor, the
 cross-component check, and the final AND.  All indices here are 0-based.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,27 @@ def test_sort_component_equals_stable_argsort(case):
 def test_sort_component_needs_two_headings():
     with pytest.raises(TooFewHeadingsError):
         sort_component(np.array([[0.5, 0.5]]), 0)
+
+
+@pytest.mark.parametrize("component", [2, -1, 7])
+def test_sort_component_names_a_component_out_of_range(component):
+    with pytest.raises(DimensionMismatchError, match=f"component {component} is out of range"):
+        sort_component(np.ones((3, 2)), component)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        ((2, 1, 3), "run component 2 is out of range for 2 components"),
+        ((0, 1, 7), "run 1..7 does not lie within the 5 sorted positions of component 0"),
+        ((1, -1, 2), "run -1..2 does not lie within"),
+        ((1, 3, 2), "run 3..2 does not lie within"),
+    ],
+)
+def test_expand_and_remap_names_a_run_out_of_range(run, message):
+    sorted_components = [sort_component(np.random.default_rng(0).random((5, 2)), i) for i in (0, 1)]
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        expand_and_remap(run, sorted_components)
 
 
 def test_gap_threshold_values():

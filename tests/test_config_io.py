@@ -207,6 +207,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(mixing=((1.0,),), **fields)
 
+    @pytest.mark.parametrize("mixing", [[[1.3, 0.6], [1.0]], [], [[]], [[], []]])
+    def test_mixing_without_rows_of_one_length_rejected(self, mixing):
+        # A ragged mixing used to load, and generate() failed in numpy.
+        data = dict(load_preset("example1").to_dict(), mixing=mixing)
+        with pytest.raises(ValueError, match="^mixing must be one or more rows of one nonzero length"):
+            ScenarioConfig.from_dict(data)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset 'nope'"):
             load_preset("nope")

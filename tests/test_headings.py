@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sparsebss import (
     MethodParams,
     NonFiniteError,
+    SparseBssError,
     TooShortError,
     apply_velocity_threshold,
     compute_headings,
@@ -72,6 +75,23 @@ def test_threshold_mixes_component_and_vector_norms():
     v = np.array([[1.0, 0.0], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
     mask = apply_velocity_threshold(v, 0.8)
     assert list(mask) == [True, False]
+
+
+@pytest.mark.parametrize("helper", ["normalize_headings", "apply_velocity_threshold", "compute_headings"])
+def test_overflowing_velocity_lengths_are_named(helper):
+    # The squares of velocity 1 overflow: it has no unit heading, and its
+    # infinite speed would make every velocity fail the threshold.
+    velocities = np.array([[1.0, 2.0], [1e200, 1e200], [3e199, 0.0]])
+    signal = np.cumsum(np.vstack([np.zeros((1, 2)), velocities]), axis=0).T
+    call = {
+        "normalize_headings": lambda: normalize_headings(velocities),
+        "apply_velocity_threshold": lambda: apply_velocity_threshold(velocities, 0.4),
+        "compute_headings": lambda: compute_headings(signal, 0.4),
+    }[helper]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SparseBssError, match="length of velocity 1 overflows float64"):
+            call()
 
 
 def test_threshold_validates_vth():
