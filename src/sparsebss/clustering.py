@@ -286,10 +286,12 @@ def cluster_tables(
     (strict, as the adjacency test), nothing is sorted and the tables are
     read-only views: no sorted gap exceeds the span, so the longest run,
     positions 1 .. count-1 of component 0, takes in every heading of a
-    record of two or more.  This is so at a deflation's last iteration.
+    record of two or more.  This is so at a deflation's last iteration, and
+    in a stack with no heading at all: an empty stack gives (N, 0, 0) tables,
+    and one whose every record holds under two headings tables of no member.
     """
     n, listed = magnitudes.shape
-    q, width = count.size, int(count.max())
+    q, width = count.size, int(count.max(initial=0))
     position = np.arange(width)
     start = np.cumsum(count) - count
     edges = start[count > 0]

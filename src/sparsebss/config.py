@@ -6,10 +6,12 @@ pulses, ``sources`` a list of ``{amplitude, center_s, width_s}`` objects)
 and ``shifted_uniform``.  ``mixing`` is a list of rows.  A key outside its
 kind's set is an error, and so is a value that cannot make a dataset: a
 string or boolean where a number is read, a non-finite number, a rate,
-duration or width that is not positive, a ``seed``, ``length`` or
-``shift`` that is not an integer, and a ``mixing`` without rows or with
-rows empty or of unequal length.  Each is rejected by name when the config
-is built.
+duration or width that is not positive, a sample count that overflows, a
+width whose square is not a normal float64, a ``seed``, ``length`` or
+``shift`` that is not an integer, and a ``mixing`` without rows, with rows
+empty or of unequal length, or with a column count other than the number
+of sources (two for ``shifted_uniform``).  Each is rejected by name when
+the config is built.
 
 Floats survive the JSON round trip exactly (shortest-repr encoding), so a
 config regenerates its dataset bit-identically.  Bundled presets:
@@ -31,6 +33,7 @@ import numpy as np
 from .simulate import (
     GaussianPulseSpec,
     check_positive,
+    check_sample_count,
     generate_gaussian_sources,
     generate_shifted_uniform_sources,
     mix,
@@ -75,7 +78,7 @@ class ScenarioConfig:
         if self.kind == "gaussian":
             if not self.sources:
                 raise ValueError("gaussian scenario needs at least one source spec")
-            check_positive("duration_s", self.duration_s)
+            check_sample_count(self.sample_rate_hz, self.duration_s)
         elif self.length < 1:
             raise ValueError("shifted_uniform scenario needs length >= 1")
         elif not 0 <= self.shift <= self.length:
@@ -83,6 +86,11 @@ class ScenarioConfig:
         if len({len(row) for row in self.mixing}) != 1 or not self.mixing[0]:
             raise ValueError(
                 f"mixing must be one or more rows of one nonzero length, got {self.mixing}"
+            )
+        sources = len(self.sources) if self.kind == "gaussian" else 2
+        if len(self.mixing[0]) != sources:
+            raise ValueError(
+                f"mixing must have one column per source, {sources}, got {len(self.mixing[0])}"
             )
 
     @property

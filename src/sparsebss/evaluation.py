@@ -250,7 +250,9 @@ def run_chunk(
     whose direction step finds nothing (:func:`deflation_steps`), and the
     norms, the association and the signed errors are taken over the runs
     that came through the loop, in the leading rows of the loop's
-    estimates.  A chunk in which no run survives a stage stops there.
+    estimates.  A chunk in which no run comes through the loop stops there;
+    one whose every run fails whitening runs the loop on no record, whose
+    one yield is empty.
     Every step reduces along the sample axis and multiplies in the one-run
     shapes, so each run gives the bits that ``separate``,
     ``normalize_unit_norm`` and ``source_errors`` give it alone, and fails
@@ -281,13 +283,12 @@ def run_chunk(
         if runs.size < ok.size:
             data = data[runs]
         estimates = np.empty_like(data)
-        if runs.size:
-            steps = deflation_steps(data, params, estimates)
-            del data
-            # The last step names the runs that found a direction at every iteration.
-            for _, survivors, _, _ in steps:
-                pass
-            runs = runs[survivors]
+        steps = deflation_steps(data, params, estimates)
+        del data
+        # The last step names the runs that found a direction at every iteration.
+        for _, survivors, _, _ in steps:
+            pass
+        runs = runs[survivors]
         if not runs.size:
             return np.empty((0, *actual.shape)), ok
         estimates = estimates[: runs.size]

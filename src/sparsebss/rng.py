@@ -19,6 +19,8 @@ angle are formed in that buffer's even and odd slots, and ``cos`` and
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -42,8 +44,12 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Per-run seed: ``master_seed + index`` modulo 2**64, for Python or numpy integers."""
-    return (int(master_seed) + int(index)) % 2**64
+    """Per-run seed: ``master_seed + index`` modulo 2**64, for Python or numpy integers.
+
+    Any other seed, a float among them, raises ``TypeError`` rather than
+    being truncated to another seed's stream.
+    """
+    return (operator.index(master_seed) + operator.index(index)) % 2**64
 
 
 def uniform_values(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -56,14 +62,15 @@ def _uniform_grid(seeds, count: int, start: int = 0) -> np.ndarray:
 
     ``seeds`` is an integer array or a sequence of Python or numpy integers,
     each taken exactly modulo 2**64: an integer array is cast to uint64,
-    which wraps it so, and other seeds are reduced as Python ints.
+    which wraps it so, and other seeds are reduced as Python ints.  A seed
+    that is not an integer raises ``TypeError``.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         base = seeds.astype(np.uint64, copy=False)
     else:
-        base = np.array([int(s) % 2**64 for s in seeds], dtype=np.uint64)
+        base = np.array([operator.index(s) % 2**64 for s in seeds], dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         idx *= _GOLDEN

@@ -314,6 +314,9 @@ def _global_directions(
     depends on Q.  In a stack, a record that forms no cluster just leaves
     the loop, so the AND of the stack's
     :func:`~sparsebss.clustering.cluster_tables` membership is all it needs.
+    Any stack takes that one path, an empty one or one whose every record
+    holds under two accepted headings too: its tables hold no member, and
+    it finds nothing.
     One record is :func:`separate`'s, which must say why no cluster formed,
     so it takes its membership from :func:`~sparsebss.clustering.find_cluster`:
     the same rule on the same magnitudes, with the same bits, that raises the
@@ -339,8 +342,6 @@ def _global_directions(
     record, index = np.divmod(np.flatnonzero(accepted), length - 1)
     count = np.bincount(record, minlength=q)
     epsilon, found = gap_thresholds(alpha, count)
-    if q > 1 and not found.any():
-        return directions, found, None
     velocities = velocity_rows(data, record, index)
     if q == 1:
         try:
@@ -384,9 +385,9 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     estimates are copied into the leading rows of ``estimates``.  So row j
     of every array the loop holds or yields belongs to the j-th survivor,
     no later pass reads a record that left, and the loop ends when none is
-    left, with an empty yield.  From then on ``data`` is no longer the
-    caller's array.  Every pass works record by record, so a record keeps
-    the bits it has alone.
+    left, with an empty yield; an empty stack yields that one empty step.
+    From then on ``data`` is no longer the caller's array.  Every pass works
+    record by record, so a record keeps the bits it has alone.
 
     No velocity or speed outlives the pass that reads it.  The threshold
     pass, :func:`~sparsebss.headings.accept_stack`, forms them one block of

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import rng
 from .errors import DimensionMismatchError, NonFiniteError
+from .signals import in_scale_range
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,9 @@ class GaussianPulseSpec:
     """One truncated-Gaussian source: amplitude, center (s), and width (s).
 
     The pulse is exactly zero beyond four widths from its center.  Every
-    field must be finite, and the width positive.
+    field must be finite, and the width's square a normal float64: the width
+    is in the package's scale range (:func:`~sparsebss.signals.in_scale_range`)
+    and its square is finite.
     """
 
     amplitude: float
@@ -32,13 +35,27 @@ class GaussianPulseSpec:
         for key in ("amplitude", "center_s"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        check_positive("width_s", self.width_s)
+        if not (in_scale_range(self.width_s) and math.isfinite(self.width_s * self.width_s)):
+            raise ValueError(
+                f"width_s must be at least 2**-511 with a finite square, got {self.width_s}"
+            )
 
 
 def check_positive(key: str, value: float) -> None:
     """Raise ``ValueError`` naming ``key`` unless ``value`` is positive and finite."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{key} must be positive and finite, got {value}")
+
+
+def check_sample_count(sample_rate_hz: float, duration_s: float) -> None:
+    """Raise ``ValueError`` unless the rate and the duration are positive and
+    finite (:func:`check_positive`) and their product, the sample count, is finite."""
+    check_positive("sample_rate_hz", sample_rate_hz)
+    check_positive("duration_s", duration_s)
+    if not math.isfinite(duration_s * sample_rate_hz):
+        raise ValueError(
+            f"duration_s must give a finite sample count at {sample_rate_hz} Hz, got {duration_s}"
+        )
 
 
 def generate_gaussian_sources(
@@ -48,17 +65,19 @@ def generate_gaussian_sources(
 
     Returns an (n_sources, L) matrix with L = ceil(duration * rate)
     samples; entries beyond four widths from a pulse center are exactly 0.
-    The rate and the duration must be positive and finite, as a
-    ``ScenarioConfig`` checks them (:func:`check_positive`).
+    The rate and the duration must be positive and finite, and so must
+    their product, as a ``ScenarioConfig`` checks them
+    (:func:`check_sample_count`).
     """
-    check_positive("sample_rate_hz", sample_rate_hz)
-    check_positive("duration_s", duration_s)
+    check_sample_count(sample_rate_hz, duration_s)
     n_samples = int(np.ceil(duration_s * sample_rate_hz))
     t = np.arange(n_samples) / sample_rate_hz
     rows = []
     for spec in specs:
         offset = t - spec.center_s
-        row = spec.amplitude * np.exp(-np.square(offset) / (2.0 * spec.width_s**2))
+        # A far sample's exponent may overflow to -inf: exp gives 0, as the cut does.
+        with np.errstate(over="ignore"):
+            row = spec.amplitude * np.exp(-np.square(offset) / (2.0 * spec.width_s**2))
         row[np.abs(offset) > 4.0 * spec.width_s] = 0.0
         rows.append(row)
     return np.array(rows)

@@ -538,6 +538,38 @@ def test_every_yielded_row_belongs_to_a_survivor(method, v_th):
         assert survivors.tolist() == [q for q in ran if alone[q][iteration][1].size]
 
 
+@pytest.mark.parametrize("method", ["global", "mhc"])
+def test_loop_on_an_empty_stack_yields_one_empty_step(method):
+    data = np.zeros((0, 2, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps = list(deflation_steps(data, MethodParams(method), np.empty_like(data)))
+    ((directions, survivors, accepted, cluster),) = steps
+    assert directions.shape == (0, 2) and survivors.shape == (0,) and accepted.shape == (0, 49)
+    assert cluster is None
+
+
+@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("mhc", 0.7)])
+def test_chunk_that_whitening_empties_runs_the_loop_on_no_record(monkeypatch, method, v_th):
+    # Rank-deficient mixing: whitening rejects every run, and the chunk goes
+    # through the one deflation loop with nothing in it.
+    yields = []
+
+    def recording_steps(data, params, estimates):
+        for step in deflation_steps(data, params, estimates):
+            yields.append(step)
+            yield step
+
+    monkeypatch.setattr(evaluation, "deflation_steps", recording_steps)
+    sources, clean = noisy_example1(0.005).generate()
+    clean[1] = 2.0 * clean[0]
+    errors, ok = run_chunk(clean, normalize_unit_norm(sources), MethodParams(method, v_th), 0.0, [1, 2, 3])
+    assert ok.shape == (3,) and not ok.any()
+    assert errors.shape == (0, *sources.shape)
+    ((directions, survivors, accepted, _),) = yields
+    assert directions.shape == (0, 2) and survivors.size == 0 and accepted.shape == (0, clean.shape[1] - 1)
+
+
 #: Bound on one 1 x 1000 ``monte_carlo`` call's traced peak, in multiples of
 #: its (1000, 2, 50) error array.  The chunks' errors and their one
 #: concatenation, squared in place, measured 2.08 for both methods; pooling

@@ -53,8 +53,11 @@ def test_simulate_malformed_config(tmp_path, capsys):
     lambda config: dict(config, mixing=5),
     lambda config: dict(config, seed=None),
     lambda config: dict(config, sources=[1]),
+    lambda config: dict(config, duration_s=1e308),
+    lambda config: dict(config, mixing=[[1, 2, 3], [4, 5, 6]]),
     None,  # a directory in place of the file
-], ids=["top-level-list", "mixing-number", "seed-null", "source-number", "directory"])
+], ids=["top-level-list", "mixing-number", "seed-null", "source-number", "sample-count-overflow",
+        "mixing-columns", "directory"])
 def test_simulate_reports_a_malformed_config_by_path(tmp_path, capsys, change):
     bad = tmp_path / "bad.json"
     if change is None:

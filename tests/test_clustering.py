@@ -167,6 +167,19 @@ def test_stacked_gap_thresholds_are_the_one_record_rule():
         assert (epsilon[~enough] == alpha / 2).all()
 
 
+@pytest.mark.parametrize("count", [[], [0, 0, 0], [1, 0, 1]])
+def test_stack_without_two_headings_gives_tables_of_no_member(count):
+    # An empty stack, or one whose every record holds under two headings,
+    # gives (N, Q, width) tables as wide as its largest record, with no member.
+    count = np.array(count, dtype=np.intp)
+    magnitudes = np.full((3, int(count.sum())), 0.5)
+    epsilon, _ = gap_thresholds(1.0, count)
+    membership, adjacency = cluster_tables(magnitudes, count, epsilon)
+    width = int(count.max(initial=0))
+    assert membership.shape == adjacency.shape == (3, count.size, width)
+    assert not membership.any() and not adjacency.any()
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
 def test_alpha_has_one_check(alpha):
     for check in (check_alpha, lambda a: gap_threshold(a, 10), lambda a: MethodParams(alpha=a)):

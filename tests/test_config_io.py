@@ -151,6 +151,8 @@ class TestScenarioConfig:
             ("example1", "duration_s", -0.2),
             ("example1", "sample_rate_hz", float("nan")),
             ("example1", "width_s", float("nan")),
+            ("example1", "width_s", 1e-170),
+            ("example1", "duration_s", 1e308),
             ("example1", "amplitude", float("inf")),
             ("example1", "noise_sd", 10**400),
             ("section2iii", "seed", 3.9),
@@ -161,7 +163,9 @@ class TestScenarioConfig:
         ],
     )
     def test_value_that_cannot_make_a_dataset_rejected_by_name(self, name, key, value):
-        # Each of these loaded and failed later, or was silently truncated by int().
+        # Each of these loaded and failed later, or was silently truncated by
+        # int(): a width of 1e-170 gave a NaN sample, a duration of 1e308 an
+        # OverflowError.
         data = load_preset(name).to_dict()
         pulse = key in ("amplitude", "center_s", "width_s")
         (data["sources"][0] if pulse else data)[key] = value
@@ -212,6 +216,21 @@ class TestScenarioConfig:
         # A ragged mixing used to load, and generate() failed in numpy.
         data = dict(load_preset("example1").to_dict(), mixing=mixing)
         with pytest.raises(ValueError, match="^mixing must be one or more rows of one nonzero length"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "name, mixing, sources",
+        [
+            ("example1", [[1, 2, 3], [4, 5, 6]], 2),
+            ("example1", [[1], [4]], 2),
+            ("section2iii", [[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
+        ],
+    )
+    def test_mixing_without_one_column_per_source_rejected(self, name, mixing, sources):
+        # It loaded, and generate() raised DimensionMismatchError.
+        data = dict(load_preset(name).to_dict(), mixing=mixing)
+        message = f"^mixing must have one column per source, {sources}, got {len(mixing[0])}$"
+        with pytest.raises(ValueError, match=message):
             ScenarioConfig.from_dict(data)
 
     def test_unknown_preset_rejected(self):

@@ -142,3 +142,18 @@ def test_integer_seed_arrays_draw_each_seeds_stream(dtype):
     assert grid.tobytes() == normal_grid([1, 2, 250], (2, 3)).tobytes()
     negative = normal_grid(np.array([-1, -7]), (5,))
     assert negative.tobytes() == normal_grid([2**64 - 1, 2**64 - 7], (5,)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, np.float64(2.0), -0.5])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # int() truncated 1.9 to seed 1's stream without a word.
+    with pytest.raises(TypeError):
+        derive_seed(seed, 0)
+    with pytest.raises(TypeError):
+        derive_seed(0, seed)
+    with pytest.raises(TypeError):
+        uniform_values(seed, 4)
+    with pytest.raises(TypeError):
+        normal_grid(np.array([1.0, seed]), (2, 2))
+    with pytest.raises(TypeError):
+        add_noise(np.ones((2, 3)), 0.1, seed)

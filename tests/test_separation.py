@@ -261,6 +261,31 @@ def test_global_estimates_are_symmetric_under_time_reversal(example1, v_th):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("method, v_th", [("global", 0.4), ("global", 0.3), ("mhc", 0.7)])
+def test_scaling_one_mixture_channel_changes_nothing(example1, method, v_th):
+    # Gram-Schmidt whitening divides each channel's residual by its own rms,
+    # so a channel's scale leaves the whitened record as it was up to
+    # rounding: the estimates agree to rounding, and a record that fails
+    # fails the same way.  The power-of-two test covers sign flips.
+    _, _, clean = example1
+    params = MethodParams(method=method, v_th=v_th)
+    worst, separated = 0.0, 0
+    for seed in range(600, 640):
+        x = add_noise(clean, 0.005, seed)
+        base, base_error = outcome(separate, x, params)
+        for channel in (0, 1):
+            for factor in (3.7, 0.013, 123.456):
+                scaled = x.copy()
+                scaled[channel] *= factor
+                result, error = outcome(separate, scaled, params)
+                assert error == base_error
+                if error is None:
+                    separated += 1
+                    for f, g in zip(base.estimates, result.estimates):
+                        worst = max(worst, 1.0 - abs(np.corrcoef(f, g)[0, 1]))
+    assert separated and worst <= 1e-12
+
+
 def test_single_channel_single_source():
     t = np.linspace(0.0, 1.0, 100)
     source = np.exp(-((t - 0.5) ** 2) / 0.005)

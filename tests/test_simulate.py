@@ -76,6 +76,28 @@ class TestGaussianSources:
         with pytest.raises(ValueError, match=f"^{key} must be positive and finite, got "):
             generate_gaussian_sources([GaussianPulseSpec(1.0, 0.1, 0.01)], rate, duration)
 
+    @pytest.mark.parametrize("width", [1e-170, 2.0**-512, 1.35e154, -0.01, math.nan, math.inf])
+    def test_width_whose_square_is_not_a_normal_float_is_refused(self, width):
+        # 1e-170 gave a NaN centre sample: its square underflowed to 0.
+        with pytest.raises(ValueError, match="^width_s must be at least 2\\*\\*-511 with a finite square"):
+            GaussianPulseSpec(amplitude=1.0, center_s=0.0, width_s=width)
+
+    @pytest.mark.parametrize("width", [2.0**-511, 2e-154, 1e154])
+    def test_extreme_widths_give_finite_pulses_without_a_warning(self, width):
+        # At 2e-154 the far samples' exponents overflow; exp gives them 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = generate_gaussian_sources([GaussianPulseSpec(1.0, 0.0, width)], 1.0, 100.0)
+        assert np.isfinite(s).all() and s[0, 0] == 1.0
+        assert (s[0, 1:] == (1.0 if width > 1.0 else 0.0)).all()
+
+    @pytest.mark.parametrize("rate, duration", [(250.0, 1e308), (1e300, 1e10)])
+    def test_sample_count_that_overflows_is_refused(self, rate, duration):
+        # It raised OverflowError converting an infinite count to an integer.
+        message = f"duration_s must give a finite sample count at {rate} Hz, got {duration}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_gaussian_sources([GaussianPulseSpec(1.0, 0.1, 0.01)], rate, duration)
+
 
 class TestShiftedUniformSources:
     def test_full_shift_gives_disjoint_supports(self):
