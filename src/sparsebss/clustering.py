@@ -113,6 +113,12 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless the gap threshold ``epsilon`` is positive."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
 def sort_component(magnitudes: np.ndarray, component: int) -> SortedComponent:
     """Sort one column of the (M, N) heading-magnitude matrix ascending.
 
@@ -136,8 +142,7 @@ def sort_component(magnitudes: np.ndarray, component: int) -> SortedComponent:
 
 def build_adjacency(sorted_component: SortedComponent, epsilon: float) -> np.ndarray:
     """Boolean column marking sorted positions within epsilon of their predecessor."""
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     values = sorted_component.values
     column = np.zeros(len(values), dtype=bool)
     column[1:] = np.diff(values) < epsilon
@@ -358,8 +363,7 @@ def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:
     if np.any(speeds == 0.0):
         raise SparseBssError("zero-velocity rows must be filtered out before clustering")
     check_speeds(speeds)
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     membership, adjacency = cluster_tables(
         np.abs(rows / speeds), np.array([len(v)]), np.array([epsilon])
     )

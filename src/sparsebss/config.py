@@ -32,8 +32,10 @@ import numpy as np
 
 from .simulate import (
     GaussianPulseSpec,
+    check_nonnegative,
     check_positive,
     check_sample_count,
+    check_shift,
     generate_gaussian_sources,
     generate_shifted_uniform_sources,
     mix,
@@ -72,17 +74,14 @@ class ScenarioConfig:
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if not all(math.isfinite(x) for row in self.mixing for x in row):
             raise ValueError(f"mixing must hold finite numbers, got {self.mixing}")
-        if not 0.0 <= self.noise_sd < math.inf:
-            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
+        check_nonnegative("noise_sd", self.noise_sd)
         check_positive("sample_rate_hz", self.sample_rate_hz)
         if self.kind == "gaussian":
             if not self.sources:
                 raise ValueError("gaussian scenario needs at least one source spec")
             check_sample_count(self.sample_rate_hz, self.duration_s)
-        elif self.length < 1:
-            raise ValueError("shifted_uniform scenario needs length >= 1")
-        elif not 0 <= self.shift <= self.length:
-            raise ValueError(f"shift must lie in [0, length], got {self.shift}")
+        else:
+            check_shift(self.length, self.shift)
         if len({len(row) for row in self.mixing}) != 1 or not self.mixing[0]:
             raise ValueError(
                 f"mixing must be one or more rows of one nonzero length, got {self.mixing}"

@@ -7,6 +7,9 @@ consecutive uniform pairs by the Box-Muller transform.  Both mappings are
 pure functions of (seed, index), so identical seeds give bit-identical
 streams regardless of chunking, platform, or process count.
 
+Every entry point reads its seeds with :func:`seed_words`, the package's
+one seed check.
+
 :func:`normal_grid` allocates its output once and fills it one block of
 :data:`_BLOCK_PAIRS` Box-Muller pairs (over all its seeds) at a time, so
 beyond the output it holds under 2 MB of temporaries at any size (plus one
@@ -23,14 +26,17 @@ import operator
 
 import numpy as np
 
+from .signals import BLOCK
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
 
-#: Box-Muller pairs per block of :func:`normal_grid`, over all its seeds.  A
-#: 250-run Monte Carlo chunk of 2 x 50 records (50 pairs a run) is one block.
-_BLOCK_PAIRS = 1 << 14
+#: Box-Muller pairs per block of :func:`normal_grid`, over all its seeds: the
+#: package's block of :data:`~sparsebss.signals.BLOCK` values.  A 250-run
+#: Monte Carlo chunk of 2 x 50 records (50 pairs a run) is one block.
+_BLOCK_PAIRS = BLOCK // 2
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -43,38 +49,44 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seed(master_seed: int, index: int) -> int:
-    """Per-run seed: ``master_seed + index`` modulo 2**64, for Python or numpy integers.
+def seed_words(seeds) -> np.ndarray:
+    """``seeds`` as uint64 words, each seed taken exactly modulo 2**64.
 
-    Any other seed, a float among them, raises ``TypeError`` rather than
-    being truncated to another seed's stream.
+    ``seeds`` is an integer array, cast to uint64, which wraps it so, or a
+    sequence of Python or numpy integers, each reduced as a Python int.  Any
+    other seed raises ``TypeError`` rather than being truncated to another
+    seed's stream: a float, and a boolean, which ``ScenarioConfig`` refuses
+    too.
     """
-    return (operator.index(master_seed) + operator.index(index)) % 2**64
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        return seeds.astype(np.uint64, copy=False)
+    words = []
+    for seed in seeds:
+        if isinstance(seed, (bool, np.bool_)):
+            raise TypeError(f"a seed must be an integer, not a boolean, got {seed!r}")
+        words.append(operator.index(seed) % 2**64)
+    return np.array(words, dtype=np.uint64)
+
+
+def derive_seed(master_seed: int, index: int) -> int:
+    """Per-run seed: ``master_seed + index`` modulo 2**64, each read by :func:`seed_words`."""
+    master, offset = seed_words([master_seed, index]).tolist()
+    return (master + offset) % 2**64
 
 
 def uniform_values(seed: int, count: int, start: int = 0) -> np.ndarray:
     """``count`` uniforms on [0, 1) from stream ``seed`` starting at ``start``."""
-    return _uniform_grid([seed], count, start)[0]
+    return _uniform_grid(seed_words([seed]), count, start)[0]
 
 
-def _uniform_grid(seeds, count: int, start: int = 0) -> np.ndarray:
-    """(len(seeds), count) uniforms: row ``q`` is stream ``seeds[q]``.
-
-    ``seeds`` is an integer array or a sequence of Python or numpy integers,
-    each taken exactly modulo 2**64: an integer array is cast to uint64,
-    which wraps it so, and other seeds are reduced as Python ints.  A seed
-    that is not an integer raises ``TypeError``.
-    """
+def _uniform_grid(words: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """(len(words), count) uniforms: row ``q`` is the stream of uint64 seed ``words[q]``."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-        base = seeds.astype(np.uint64, copy=False)
-    else:
-        base = np.array([operator.index(s) % 2**64 for s in seeds], dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         idx *= _GOLDEN
-        state = _mix64(np.add(base[:, None], idx))
+        state = _mix64(np.add(words[:, None], idx))
     state >>= np.uint64(11)
     # Each 53-bit integer converts exactly, into the float64 that overlays it.
     return np.multiply(state, _U53, out=state.view(np.float64))
@@ -94,15 +106,16 @@ def normal_grid(seeds, shape: tuple[int, ...]) -> np.ndarray:
     depends only on its own seed, so a stream comes out the same whichever
     other seeds share the call.
     """
+    words = seed_words(seeds)
     count = int(np.prod(shape))
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
-    out = np.empty((len(seeds), 2 * pairs))
-    width = max(1, _BLOCK_PAIRS // max(1, len(seeds)))
+    out = np.empty((len(words), 2 * pairs))
+    width = max(1, _BLOCK_PAIRS // max(1, len(words)))
     for start in range(0, pairs, width):
         stop = min(start + width, pairs)
-        u = _uniform_grid(seeds, 2 * (stop - start), 2 * start)
+        u = _uniform_grid(words, 2 * (stop - start), 2 * start)
         r, theta = u[:, 0::2], u[:, 1::2]
         np.negative(r, out=r)
         np.log1p(r, out=r)
@@ -115,4 +128,4 @@ def normal_grid(seeds, shape: tuple[int, ...]) -> np.ndarray:
         np.sin(theta, out=sin)
         cos *= r
         sin *= r
-    return out[:, :count].reshape((len(seeds), *shape))
+    return out[:, :count].reshape((len(words), *shape))

@@ -47,6 +47,12 @@ def check_positive(key: str, value: float) -> None:
         raise ValueError(f"{key} must be positive and finite, got {value}")
 
 
+def check_nonnegative(key: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is nonnegative and finite."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{key} must be finite and nonnegative, got {value}")
+
+
 def check_sample_count(sample_rate_hz: float, duration_s: float) -> None:
     """Raise ``ValueError`` unless the rate and the duration are positive and
     finite (:func:`check_positive`) and their product, the sample count, is finite."""
@@ -56,6 +62,14 @@ def check_sample_count(sample_rate_hz: float, duration_s: float) -> None:
         raise ValueError(
             f"duration_s must give a finite sample count at {sample_rate_hz} Hz, got {duration_s}"
         )
+
+
+def check_shift(length: int, shift: int) -> None:
+    """Raise ``ValueError`` unless a burst ``length`` is at least 1 and ``shift`` lies in [0, length]."""
+    if length < 1:
+        raise ValueError("shifted_uniform scenario needs length >= 1")
+    if not 0 <= shift <= length:
+        raise ValueError(f"shift must lie in [0, length], got {shift}")
 
 
 def generate_gaussian_sources(
@@ -89,10 +103,11 @@ def generate_shifted_uniform_sources(length: int, shift: int, seed: int) -> np.n
     Source 0 holds ``length`` uniform samples on [0, 1) followed by
     ``shift`` zeros; source 1 holds ``shift`` zeros followed by ``length``
     uniform samples.  ``shift == length`` gives fully disjoint supports,
-    ``shift == 0`` full overlap.
+    ``shift == 0`` full overlap.  ``length`` must be at least 1 and ``shift``
+    lie in [0, length], as a ``ScenarioConfig`` checks them
+    (:func:`check_shift`).
     """
-    if not 0 <= shift <= length:
-        raise ValueError(f"need 0 <= shift <= length, got shift={shift} length={length}")
+    check_shift(length, shift)
     draws = rng.uniform_values(seed, 2 * length)
     total = length + shift
     sources = np.zeros((2, total))
@@ -142,14 +157,11 @@ def add_noise(mixtures, sd: float, seed: int) -> np.ndarray:
     """Add iid zero-mean Gaussian noise of standard deviation ``sd``.
 
     Returns a new array and leaves ``mixtures`` unchanged: the one record of
-    ``noisy_stack(z, sd, [seed])``.  Raises ``ValueError`` unless ``sd`` is
-    finite and nonnegative, and :class:`NonFiniteError` when a noisy sample
-    is not finite, as when noise of an ``sd`` near the largest double
-    overflows.
+    ``noisy_stack(z, sd, [seed])``, which checks ``sd`` and ``seed``.  Raises
+    :class:`NonFiniteError` when a noisy sample is not finite, as when noise
+    of an ``sd`` near the largest double overflows.
     """
     z = np.atleast_2d(np.asarray(mixtures, dtype=float))
-    if not (math.isfinite(sd) and sd >= 0.0):
-        raise ValueError(f"sd must be finite and nonnegative, got {sd}")
     with np.errstate(over="ignore"):
         noisy = noisy_stack(z, sd, [seed])[0]
     # min and max take no temporary the size of the record; a NaN reaches both
@@ -162,8 +174,13 @@ def noisy_stack(clean: np.ndarray, sd: float, seeds) -> np.ndarray:
     """``clean + sd * rng.normal_matrix(seeds[q], clean.shape)`` for each seed, stacked.
 
     Each record draws only its own stream (:func:`~sparsebss.rng.normal_grid`);
-    at ``sd == 0`` it is a copy of ``clean``.  ``sd`` is checked by the callers.
+    at ``sd == 0`` it is a copy of ``clean``.  ``sd`` must be finite and
+    nonnegative (:func:`check_nonnegative`), and the seeds are read by
+    :func:`~sparsebss.rng.seed_words` at every ``sd``, so a seed that is not
+    an integer raises ``TypeError`` even where no noise is drawn.
     """
+    check_nonnegative("sd", sd)
+    seeds = rng.seed_words(seeds)
     if sd == 0.0:
         return np.repeat(clean[None], len(seeds), axis=0)
     noisy = rng.normal_grid(seeds, clean.shape)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparsebss
 from sparsebss import load_preset
 
 # Ten 2-component velocity vectors of the worked clustering example; the
@@ -33,3 +39,18 @@ def example1():
     config = load_preset("example1")
     sources, mixtures = config.generate()
     return config, sources, mixtures
+
+
+def run_fresh(code, **env):
+    """Stdout of ``code`` run by a fresh interpreter that imports this package.
+
+    ``env`` sets environment variables for it on top of this process's.
+    """
+    path = os.pathsep.join(
+        filter(None, [str(Path(sparsebss.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+    )
+    env = dict(os.environ, **env, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.strip()

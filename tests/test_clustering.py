@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsebss import clustering
-from sparsebss.clustering import check_alpha, cluster_tables, gap_thresholds, longest_runs
+from sparsebss.clustering import (
+    check_alpha,
+    check_epsilon,
+    cluster_tables,
+    gap_thresholds,
+    longest_runs,
+)
 from sparsebss import (
     DimensionMismatchError,
     EmptyClusterError,
@@ -304,18 +310,17 @@ def test_extract_cluster_dimension_mismatch(worked_velocities):
         extract_cluster(tables, worked_velocities[:-1])
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.01, float("nan")])
-def test_build_adjacency_needs_positive_epsilon(worked_velocities, epsilon):
-    sorted_component = sort_component(magnitudes_of(worked_velocities), 0)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        build_adjacency(sorted_component, epsilon)
-
-
-@pytest.mark.parametrize("epsilon", [0.0, -0.01, float("nan")])
-def test_find_cluster_needs_positive_epsilon(worked_velocities, epsilon):
+@pytest.mark.parametrize("epsilon", [0.0, -0.01, float("nan"), -float("inf")])
+def test_epsilon_has_one_check(worked_velocities, epsilon):
     # NaN passes an `epsilon <= 0` test and would be reported as no run.
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        find_cluster(worked_velocities, epsilon)
+    sorted_component = sort_component(magnitudes_of(worked_velocities), 0)
+    for check in (
+        check_epsilon,
+        lambda e: build_adjacency(sorted_component, e),
+        lambda e: find_cluster(worked_velocities, e),
+    ):
+        with pytest.raises(ValueError, match=r"^epsilon must be positive, got "):
+            check(epsilon)
 
 
 def test_find_cluster_needs_two_headings():

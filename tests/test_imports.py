@@ -1,10 +1,9 @@
 """The package's import graph: modules import each other at their tops only."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
+
+from conftest import run_fresh
 
 import sparsebss
 
@@ -53,16 +52,6 @@ def private_imports(path):
 def test_no_private_name_imported_from_another_module():
     found = set().union(*(private_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert found - PRIVATE_IMPORTS == set()
-
-
-def run_fresh(code):
-    """Stdout of ``code`` run by a fresh interpreter that imports this package."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return result.stdout.strip()
 
 
 def test_cli_import_leaves_process_pools_unloaded():

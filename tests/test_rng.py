@@ -1,15 +1,25 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparsebss
+from sparsebss import load_preset
+from sparsebss.evaluation import monte_carlo
 from sparsebss.rng import (
     _BLOCK_PAIRS,
     _uniform_grid,
     derive_seed,
     normal_grid,
     normal_matrix,
+    seed_words,
     uniform_values,
 )
-from sparsebss.simulate import add_noise
+from sparsebss.separation import MethodParams
+from sparsebss.simulate import add_noise, generate_shifted_uniform_sources, noisy_stack
+
+PACKAGE = Path(sparsebss.__file__).parent
 
 #: Counts around one block edge, and an odd count over several blocks.
 BLOCK_COUNTS = [1, 2 * _BLOCK_PAIRS - 1, 2 * _BLOCK_PAIRS + 1, 5 * _BLOCK_PAIRS + 3]
@@ -19,7 +29,7 @@ def unblocked_normal_grid(seeds, shape):
     """Box-Muller over the whole count at once: the bits blocking must keep."""
     count = int(np.prod(shape))
     pairs = (count + 1) // 2
-    u = _uniform_grid(seeds, 2 * pairs)
+    u = _uniform_grid(seed_words(seeds), 2 * pairs)
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     theta = (2.0 * np.pi) * u[:, 1::2]
     out = np.empty((len(seeds), 2 * pairs))
@@ -45,7 +55,7 @@ def test_uniform_grid_matches_integer_splitmix64(start):
     # Independent of the array kernel, so an in-place mix that drifted fails here.
     seeds = [0, 1, 2**63, 2**64 - 1, 20240707]
     expected = np.array([splitmix64_uniforms(seed, 7, start) for seed in seeds])
-    assert _uniform_grid(seeds, 7, start).tobytes() == expected.tobytes()
+    assert _uniform_grid(seed_words(seeds), 7, start).tobytes() == expected.tobytes()
     for seed, row in zip(seeds, expected):
         assert uniform_values(seed, 7, start).tobytes() == row.tobytes()
 
@@ -155,5 +165,80 @@ def test_a_seed_that_is_not_an_integer_is_refused(seed):
         uniform_values(seed, 4)
     with pytest.raises(TypeError):
         normal_grid(np.array([1.0, seed]), (2, 2))
+    for sd in (0.1, 0.0):
+        # At sd 0 no noise is drawn, and the copy came back without a word.
+        with pytest.raises(TypeError):
+            add_noise(np.ones((2, 3)), sd, seed)
+        with pytest.raises(TypeError):
+            noisy_stack(np.ones((2, 3)), sd, [3, seed])
+
+
+#: Each entry point that takes a seed, with ``seed`` in the place of one.
+SEEDED = {
+    "derive_seed master": lambda seed: derive_seed(seed, 0),
+    "derive_seed index": lambda seed: derive_seed(0, seed),
+    "seed_words": lambda seed: seed_words([seed]),
+    "seed_words array": lambda seed: seed_words(np.array([seed, True])),
+    "uniform_values": lambda seed: uniform_values(seed, 4),
+    "normal_matrix": lambda seed: normal_matrix(seed, (2, 2)),
+    "normal_grid": lambda seed: normal_grid([1, seed], (2, 2)),
+    "normal_grid array": lambda seed: normal_grid(np.array([seed]), (2, 2)),
+    "add_noise": lambda seed: add_noise(np.ones((2, 3)), 0.1, seed),
+    "add_noise sd 0": lambda seed: add_noise(np.ones((2, 3)), 0.0, seed),
+    "noisy_stack": lambda seed: noisy_stack(np.ones((2, 3)), 0.1, np.array([seed])),
+    "noisy_stack sd 0": lambda seed: noisy_stack(np.ones((2, 3)), 0.0, np.array([seed])),
+    "shifted_uniform": lambda seed: generate_shifted_uniform_sources(10, 5, seed),
+    "monte_carlo": lambda seed: monte_carlo(load_preset("example1"), MethodParams(), 1, 1, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("entry", SEEDED.values(), ids=SEEDED.keys())
+def test_a_boolean_seed_is_refused(entry, seed):
+    # A boolean is an int to operator.index: True drew seed 1's stream.
     with pytest.raises(TypeError):
-        add_noise(np.ones((2, 3)), 0.1, seed)
+        entry(seed)
+
+
+def test_seed_words_keep_an_unsigned_array():
+    words = np.arange(5, dtype=np.uint64)
+    assert seed_words(words) is words
+
+
+def reduces_a_seed(node) -> bool:
+    """A call of ``operator.index``, or a remainder modulo 2**64."""
+    if isinstance(node, ast.Attribute) and node.attr == "index":
+        return isinstance(node.value, ast.Name) and node.value.id == "operator"
+    if isinstance(node, ast.ImportFrom) and node.module == "operator":
+        return True
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+        modulus = node.right if isinstance(node, ast.BinOp) else node.value
+        return ast.unparse(modulus).replace(" ", "") in {"2**64", "1<<64", str(2**64)}
+    return False
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_rng_reduces_a_seed(module):
+    # rng.seed_words is the one seed check; a second reduction would be a
+    # second rule for which seeds are valid and which stream each draws.
+    tree = ast.parse((PACKAGE / module).read_text())
+    uses = [node.lineno for node in ast.walk(tree) if reduces_a_seed(node)]
+    if module == "rng.py":
+        assert uses, "the guard no longer finds rng's own reductions"
+    else:
+        assert uses == [], f"{module} reduces a seed at lines {uses}"
+
+
+@pytest.mark.parametrize(
+    "message, home",
+    [
+        ("finite and nonnegative", "simulate.py"),
+        ("epsilon must be positive", "clustering.py"),
+        ("shift must lie in", "simulate.py"),
+    ],
+)
+def test_each_range_message_has_one_home(message, home):
+    # One check per input: simulate.check_nonnegative, clustering.check_epsilon
+    # and simulate.check_shift, called from every entry point.
+    modules = [p.name for p in sorted(PACKAGE.glob("*.py")) if message in p.read_text()]
+    assert modules == [home]

@@ -10,6 +10,7 @@ from sparsebss import (
     DimensionMismatchError,
     GaussianPulseSpec,
     NonFiniteError,
+    ScenarioConfig,
     add_noise,
     generate_gaussian_sources,
     generate_shifted_uniform_sources,
@@ -18,7 +19,7 @@ from sparsebss import (
     mix,
 )
 from sparsebss.rng import normal_matrix
-from sparsebss.simulate import noisy_stack
+from sparsebss.simulate import check_nonnegative, check_shift, noisy_stack
 
 EXAMPLE1_MIXING = np.array([[1.3, 2.0], [1.0, 2.85]])
 
@@ -123,9 +124,22 @@ class TestShiftedUniformSources:
         b = generate_shifted_uniform_sources(80, 40, seed=123)
         assert np.array_equal(a, b)
 
-    def test_validates_shift(self):
-        with pytest.raises(ValueError):
-            generate_shifted_uniform_sources(10, 11, seed=0)
+    @pytest.mark.parametrize(
+        "length, shift, message",
+        [(0, 0, "^shifted_uniform scenario needs length >= 1$"),
+         (-3, -3, "^shifted_uniform scenario needs length >= 1$"),
+         (10, 11, r"^shift must lie in \[0, length\], got 11$"),
+         (10, -1, r"^shift must lie in \[0, length\], got -1$")],
+    )
+    def test_shift_has_one_check(self, length, shift, message):
+        # The generator gave two empty sources for length 0.
+        for check in (
+            check_shift,
+            lambda n, s: generate_shifted_uniform_sources(n, s, 1),
+            lambda n, s: ScenarioConfig(kind="shifted_uniform", mixing=((1.0, 0.5),), length=n, shift=s),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check(length, shift)
 
 
 class TestMix:
@@ -228,10 +242,17 @@ class TestAddNoise:
         assert abs(noise.std() - 0.005) < 0.005 * 0.01
         assert abs(noise.mean()) < 0.005 * 0.01
 
-    @pytest.mark.parametrize("sd", [-0.1, math.nan, math.inf])
-    def test_invalid_sd_rejected(self, sd):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            add_noise(np.ones((1, 4)), sd, seed=0)
+    @pytest.mark.parametrize("sd", [-0.1, -1e-300, math.nan, math.inf, -math.inf])
+    def test_noise_level_has_one_check(self, sd):
+        example1 = load_preset("example1").to_dict()
+        for key, check in (
+            ("sd", lambda v: check_nonnegative("sd", v)),
+            ("sd", lambda v: add_noise(np.ones((1, 4)), v, seed=0)),
+            ("sd", lambda v: noisy_stack(np.ones((1, 4)), v, [0, 1])),
+            ("noise_sd", lambda v: ScenarioConfig.from_dict(dict(example1, noise_sd=v))),
+        ):
+            with pytest.raises(ValueError, match=f"^{key} must be finite and nonnegative, got "):
+                check(sd)
 
     def test_overflowing_noise_raises_without_a_warning(self):
         # draws beyond 1.8 overflow 1e308 * draw; the error names the sd
