@@ -22,6 +22,7 @@ copied into (M, N) rows and the magnitudes do not depend on their layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     TooFewHeadingsError,
 )
 from .headings import check_speeds
-from .signals import as_real_finite, ordered_row_norms
+from .signals import BLOCK, as_real_finite, in_workers, ordered_row_norms, worker_groups
 
 
 @dataclass(frozen=True)
@@ -281,11 +282,14 @@ def cluster_tables(
     of its sorted magnitudes (:func:`build_adjacency`).  The step helpers
     are the reference, one record and one component at a time.
 
-    numpy's default ``argsort`` orders tied magnitudes arbitrarily, and the
-    tables do not depend on it: ties have the same sorted values, share
-    their in-run flags (their gap, 0, is below epsilon), and no maximal run
-    lo - 1 .. hi splits them, since a tie across lo - 2 and lo - 1 would
-    mark lo - 1, and one across hi and hi + 1 would mark hi + 1.
+    When a row holds more than :data:`~sparsebss.signals.BLOCK` headings, the
+    component rows are argsorted in contiguous groups that run at once
+    (:func:`~sparsebss.signals.in_workers`); a row's order is the same wherever
+    it is sorted.  numpy's default ``argsort`` orders tied magnitudes
+    arbitrarily, and the tables do not depend on it: ties have the same sorted
+    values, share their in-run flags (their gap, 0, is below epsilon), and no
+    maximal run lo - 1 .. hi splits them, since a tie across lo - 2 and lo - 1
+    would mark lo - 1, and one across hi and hi + 1 would mark hi + 1.
 
     If, in every record, every component's magnitudes span less than epsilon
     (strict, as the adjacency test), nothing is sorted and the tables are
@@ -315,7 +319,12 @@ def cluster_tables(
         np.put(table, slot + (np.arange(n) * (q * width))[:, None], magnitudes)
     del magnitudes
     # Sorted positions, as flat indices into the (N, Q, width) tables.
-    order = np.argsort(table, axis=-1)
+    if width > BLOCK:
+        order = np.empty(table.shape, dtype=np.intp)
+        rows = partial(_argsort_rows, table.reshape(-1, width), order.reshape(-1, width))
+        in_workers(rows, worker_groups(range(n * q), 1))
+    else:
+        order = np.argsort(table, axis=-1)
     order += (np.arange(n * q) * width).reshape(n, q, 1)
     values = np.take(table, order)
     del table
@@ -337,6 +346,12 @@ def cluster_tables(
     membership.reshape(-1)[order] = in_run
     membership &= membership[component, np.arange(q)]
     return membership, adjacency
+
+
+def _argsort_rows(table: np.ndarray, order: np.ndarray, slot: int, rows: range) -> None:
+    """``order[r] = np.argsort(table[r])`` for each row ``r`` in ``rows`` of two (rows, width) arrays."""
+    for r in rows:
+        order[r] = np.argsort(table[r])
 
 
 def find_cluster(velocities, epsilon: float) -> tuple[Cluster, ClusterTables]:

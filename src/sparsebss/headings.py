@@ -22,23 +22,35 @@ The deflation loop's threshold pass, :func:`accept_stack`, forms the
 velocities of a record stack one block of :data:`~sparsebss.signals.BLOCK`
 samples at a time in a block-sized scratch and runs the kernel on each
 block while it is in cache, so the component maxima are the only
-record-length float array it keeps.  The loop's direction steps form again
-the few velocities they read, from the samples on either side, through
-:func:`velocity_rows`, or as unit headings through :func:`heading_rows`,
-divided by lengths taken by the same rule.  The public helpers take and
-return the time-major (L-1, N) view of the same values, in any layout, and
-run the kernel on its channel-rows view, so they agree with the loop bit
-for bit.
+record-length float array it keeps.  A record of two blocks or more is
+split into contiguous spans of samples that run at once
+(:func:`~sparsebss.signals.in_workers`), each with its own scratch and
+running maximum; every velocity is formed and compared alone, and a maximum
+is exact, so the mask does not depend on the spans.  The loop's direction
+steps form again the few velocities they read, from the samples on either
+side, through :func:`velocity_rows`, or as unit headings through
+:func:`heading_rows`, divided by lengths taken by the same rule.  The
+public helpers take and return the time-major (L-1, N) view of the same
+values, in any layout, and run the kernel on its channel-rows view, so they
+agree with the loop bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import SparseBssError
-from .signals import BLOCK, as_real_finite, as_signal_matrix, ordered_row_norms
+from .signals import (
+    BLOCK,
+    as_real_finite,
+    as_signal_matrix,
+    in_workers,
+    ordered_row_norms,
+    worker_groups,
+)
 
 
 @dataclass(frozen=True)
@@ -134,35 +146,52 @@ def compute_headings(whitened, v_th: float) -> HeadingSet:
 def accept_stack(data: np.ndarray, v_th: float) -> np.ndarray:
     """Acceptance mask of the velocities of (..., N, L) records.
 
-    The velocities are formed one block of :data:`BLOCK` at a time in a
-    block-sized scratch, and :func:`_maxima` takes each block's speeds and
-    component maxima while it is in cache.  The speeds go into a
-    block-sized scratch too: they raise each record's running maximum,
-    which starts from 0 as ``max(initial=0.0)`` does and, a maximum being
-    exact, keeps its bits.  So no float array outlives its block but the
-    component maxima, and no velocity or speed does.  ``v_th`` is not
-    checked here: the public helpers and ``MethodParams`` check it once,
-    with :func:`check_v_th`.
+    The velocities are formed one block at a time in a block-sized
+    scratch, and :func:`_maxima` takes each block's speeds and component
+    maxima while it is in cache.  The speeds go into a block-sized scratch
+    too: they raise each record's running maximum, which starts from 0 as
+    ``max(initial=0.0)`` does and, a maximum being exact, keeps its bits.
+    So no float array outlives its block but the component maxima, and no
+    velocity or speed does.  The velocities are cut into contiguous spans
+    of at least :data:`BLOCK` that run at once
+    (:func:`~sparsebss.signals.in_workers`).  Each span is read in blocks of
+    ``BLOCK`` divided by the number of spans, in its own scratch, so the
+    scratch adds up to one block, and keeps its own running maximum; the
+    record's maximum is the largest of them.  Every velocity is formed and
+    compared alone, so the mask does not depend on the spans.  ``v_th``
+    is not checked here: the public helpers and ``MethodParams`` check it
+    once, with :func:`check_v_th`.
     """
     *lead, n, length = data.shape
-    m, width = length - 1, min(length - 1, BLOCK)
-    maxima, v_max = np.empty((*lead, m)), np.zeros(lead)
-    # The block-sized scratch is allocated before the velocity block: heap
-    # blocks follow one another in the order they are allocated, so each
-    # output row then sits just below its input modulo 4 KiB, and no store
-    # delays the loads that follow it (4K aliasing).  The other order took
-    # about 2 ms more a call on the 4 x 10**6 benchmark record (2-vCPU Xeon).
-    speeds, scratch = np.empty((*lead, width)), np.empty((*lead, width))
-    velocities = np.empty((*lead, n, width))
-    for lo in range(0, m, BLOCK):
-        hi = min(lo + BLOCK, m)
-        block = np.subtract(
-            data[..., lo + 1:hi + 1], data[..., lo:hi], out=velocities[..., : hi - lo]
-        )
-        row, speed = scratch[..., : hi - lo], speeds[..., : hi - lo]
-        _maxima(block, row, speed, maxima[..., lo:hi])
-        np.maximum(v_max, speed.max(axis=-1), out=v_max)
-    return _threshold(maxima, v_max, v_th)
+    m = length - 1
+    spans = worker_groups(range(m), BLOCK)
+    width = max(1, min(m, BLOCK // len(spans)))
+    maxima = np.empty((*lead, m))
+    # Each span's running maximum and scratch.  The block-sized scratch is
+    # allocated before the velocity block: heap blocks follow one another in
+    # the order they are allocated, so each output row then sits just below
+    # its input modulo 4 KiB, and no store delays the loads that follow it
+    # (4K aliasing).  The other order took about 2 ms more a call on the
+    # 4 x 10**6 benchmark record (2-vCPU Xeon).
+    slots = [
+        (np.zeros(lead), np.empty((*lead, width)), np.empty((*lead, width)),
+         np.empty((*lead, n, width)))
+        for _ in spans
+    ]
+
+    def threshold_pass(slot, span):
+        v_max, speeds, scratch, velocities = slots[slot]
+        for lo in range(span.start, span.stop, width):
+            hi = min(lo + width, span.stop)
+            block = np.subtract(
+                data[..., lo + 1:hi + 1], data[..., lo:hi], out=velocities[..., : hi - lo]
+            )
+            row, speed = scratch[..., : hi - lo], speeds[..., : hi - lo]
+            _maxima(block, row, speed, maxima[..., lo:hi])
+            np.maximum(v_max, speed.max(axis=-1), out=v_max)
+
+    in_workers(threshold_pass, spans)
+    return _threshold(maxima, reduce(np.maximum, [v_max for v_max, *_ in slots]), v_th)
 
 
 def velocity_rows(data: np.ndarray, record: np.ndarray, index: np.ndarray) -> np.ndarray:

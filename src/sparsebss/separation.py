@@ -30,9 +30,19 @@ builds no sample index.  Every array the loop yields has one row per record
 still in it.  Every velocity, heading and change length is taken on channel
 rows by one rule, :func:`~sparsebss.signals.ordered_row_norms`, a sum of
 squares in channel order.  The other full passes also run a block at a
-time, with no temporary larger than a block per record: the deflation in
-place, and the residual energy through
+time, with no temporary larger than a block per record: the projection and
+the deflation in place, and the residual energy through
 :func:`~sparsebss.signals.sum_of_products`.
+
+On a record of many blocks the threshold pass, the projection and
+deflation, the residual energy, whitening and the clustering's argsorts
+split their blocks (or component rows) over worker threads
+(:func:`~sparsebss.signals.in_workers`), and keep their bits: each block
+is computed alone.  The projection is one ``matmul`` per block, a multiple
+of 8 samples wide.  Such a call gives the bits of the whole-record call in
+one OpenBLAS thread, and OpenBLAS runs it in one thread.  A whole-record
+call could run in several, whose columns split where their count fell, and
+whose idle threads then kept the second core busy for the passes after it.
 """
 
 from __future__ import annotations
@@ -52,7 +62,14 @@ from .errors import (
     SparseBssError,
 )
 from .headings import HeadingSet, accept_stack, check_v_th, heading_rows, velocity_rows
-from .signals import BLOCK, as_real_finite, ordered_row_norms, sum_of_products
+from .signals import (
+    BLOCK,
+    as_real_finite,
+    in_workers,
+    ordered_row_norms,
+    sum_of_products,
+    worker_groups,
+)
 from .whitening import gram_schmidt_whiten
 
 
@@ -398,14 +415,19 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
     accepted pair, gathered by :func:`mhc_pick` through
     :func:`~sparsebss.headings.heading_rows`, which also returns the winning
     headings.  So beyond the data and the estimates the MHC iteration holds
-    only the maxima and pair-sized arrays.  The deflation subtracts in place,
-    over all channels at once, ``BLOCK // N`` samples a step.  ``params`` was
-    validated when it was built.
+    only the maxima and pair-sized arrays.  The projection and the deflation
+    run together, over all channels at once, ``BLOCK // N`` samples a step
+    rounded down to a multiple of 8: each block is projected by one
+    ``matmul`` into the estimates and deflated in place, and the blocks are
+    split into contiguous groups that run at once
+    (:func:`~sparsebss.signals.in_workers`), each forming its products in a
+    scratch block of its own.  ``params`` was validated when it was built.
     """
     q, n, length = data.shape
     # Row j of every array the loop holds or yields belongs to the caller's record survivors[j].
     survivors = np.arange(q)
-    step = max(1, BLOCK // n)
+    step = max(8, BLOCK // n // 8 * 8)
+    blocks = worker_groups(range(0, length, step))
     for iteration in range(n):
         accepted = accept_stack(data, params.v_th)
         cluster = None
@@ -419,12 +441,29 @@ def deflation_steps(data: np.ndarray, params: MethodParams, estimates: np.ndarra
             directions, accepted = directions[kept], accepted[kept]
             estimates[: kept.size, :iteration] = estimates[kept, :iteration]
         row = estimates[: survivors.size, iteration:iteration + 1]
-        np.matmul(directions[:, None, :], data, out=row)
-        for lo in range(0, length, step):
-            data[..., lo:lo + step] -= directions[..., None] * row[..., lo:lo + step]
+        products = [np.empty((*data.shape[:-1], min(step, length))) for _ in blocks]
+        deflate_blocks = partial(_project_and_deflate, data, directions, row, products, step)
+        in_workers(deflate_blocks, blocks)
+        del products, deflate_blocks
         yield directions, survivors, accepted, cluster
         if not survivors.size:
             return
+
+
+def _project_and_deflate(data, directions, row, products, step, slot, starts) -> None:
+    """Project ``data`` onto ``directions`` into ``row`` and deflate it, on the blocks ``starts``.
+
+    Each block is ``step`` samples wide, a multiple of 8, so that its
+    ``matmul`` gives the columns the bits of a whole-record call in one
+    OpenBLAS thread.  The product ``directions * row`` is formed in
+    ``products[slot]``, its group's scratch.
+    """
+    for lo in starts:
+        block = data[..., lo:lo + step]
+        estimate = row[..., lo:lo + step]
+        np.matmul(directions[:, None, :], block, out=estimate)
+        product = products[slot][..., : block.shape[-1]]
+        block -= np.multiply(directions[..., None], estimate, out=product)
 
 
 def separate(mixtures, params: MethodParams) -> SeparationResult:

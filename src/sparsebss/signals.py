@@ -11,9 +11,27 @@ vector's squares added in channel order.  So a length has the same bits
 whatever the layout, and every step that divides by one agrees.  A norm
 along the samples, a channel's or an estimate's, has one rule too, the
 blocked sum :func:`sum_of_products`.
+
+A blocked pass over a long record splits its blocks into contiguous
+groups, at most one per CPU this process may run on (:data:`WORKERS`), and
+runs them at once through :func:`in_workers`: the first group in the
+caller, the others on persistent daemon threads, while numpy, which
+releases the GIL inside its loops, does the work.  The passes are
+:func:`sum_of_products`, the deflation loop's threshold pass, its
+projection and deflation, whitening's subtraction, and the clustering's
+argsorts of rows longer than a block.  Each computes every value exactly as
+in one thread: a group writes only its own blocks and its own scratch,
+which the caller allocates, and a value that gathers several blocks (a sum,
+a maximum) is combined in the caller in a fixed order, so the bits do not
+depend on the number of groups.  A pass too short to split, the Monte Carlo
+engine's short records among them, runs inline and starts no thread.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -27,6 +45,15 @@ from .errors import NonFiniteError, SparseBssError, TooShortError, ZeroChannelEr
 #: at 2**15, 16.0 ms at 2**13, 17.1 ms at 2**16, 18.5 ms at 2**17 and 19.8 ms
 #: in one block of whole rows (medians of 30 interleaved calls).
 BLOCK = 1 << 15
+
+#: CPUs this process may run on: the most groups a blocked pass splits into.
+WORKERS = len(os.sched_getaffinity(0))
+
+#: Fewest blocks of a sum, a subtraction or a deflation that one worker
+#: group takes.  Such a block takes 30-40 us, and handing a group to a
+#: parked thread about 0.1 ms (2-vCPU Xeon VM), so a group of fewer blocks
+#: gains little or loses: a 2 x 99,000 record's passes ran slower in two.
+GROUP_BLOCKS = 8
 
 #: The smallest rms or norm whose square, the mean square or sum of squares
 #: that whitening and normalization divide by, is a normal float64:
@@ -86,26 +113,147 @@ def sum_of_products(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
     ``a`` and ``b`` have one shape.  numpy sums a contiguous row pairwise: it
     splits ``n`` values at ``n // 2`` rounded down to a multiple of 8 until
-    a part is short enough to add in order.  This sum recurses on the same
-    split down to parts of at most :data:`BLOCK` values, forms each part's
-    products in one scratch block and hands it to ``np.add.reduce``, so no
-    temporary is larger than a block.  A row of at most :data:`BLOCK`
-    values is one part, and its scratch is the row's width.  ``np.square``
-    forms a square as ``x * x`` does, and faster.
+    a part is short enough to add in order.  This sum splits the row the
+    same way down to parts of at most :data:`BLOCK` values, forms each
+    part's products in a scratch block and hands it to ``np.add.reduce``, so
+    no temporary is larger than a block.  The parts are summed in contiguous
+    groups (:func:`in_workers`), each in its own scratch, and their sums are
+    then added up the same tree, head plus tail, whichever group took them.
+    A row of at most :data:`BLOCK` values is one part, summed straight
+    from its products.  ``np.square`` forms a square as ``x * x`` does, and
+    faster.
     """
     product, operands = (np.square, (a,)) if b is None else (np.multiply, (a, b))
-    scratch = np.empty(a.shape[:-1] + (min(a.shape[-1], BLOCK),))
-    return _pairwise(product, operands, scratch)
+    if a.shape[-1] <= BLOCK:
+        return np.add.reduce(product(*operands), axis=-1)
+    parts = _parts(0, a.shape[-1])
+    groups = worker_groups(range(len(parts)))
+    scratch = [np.empty((*a.shape[:-1], BLOCK)) for _ in groups]
+    sums = [None] * len(parts)
+
+    def add(slot, group):
+        for j in group:
+            lo, hi = parts[j]
+            block = product(*(x[..., lo:hi] for x in operands), out=scratch[slot][..., : hi - lo])
+            sums[j] = np.add.reduce(block, axis=-1)
+
+    in_workers(add, groups)
+    return _pairwise(a.shape[-1], iter(sums))
 
 
-def _pairwise(product, operands, scratch: np.ndarray):
-    """:func:`sum_of_products` on numpy's pairwise split, one block of products at a time."""
-    n = operands[0].shape[-1]
+def _parts(lo: int, n: int) -> list[tuple[int, int]]:
+    """The (start, stop) parts of ``n`` values from ``lo``, on numpy's pairwise split, in order."""
     if n <= BLOCK:
-        return np.add.reduce(product(*operands, out=scratch[..., :n]), axis=-1)
+        return [(lo, lo + n)]
     half = n // 2 - n // 2 % 8
-    head = _pairwise(product, [x[..., :half] for x in operands], scratch)
-    return head + _pairwise(product, [x[..., half:] for x in operands], scratch)
+    return _parts(lo, half) + _parts(lo + half, n - half)
+
+
+def _pairwise(n: int, sums):
+    """The parts' ``sums``, in :func:`_parts`' order, added up the pairwise tree of ``n`` values."""
+    if n <= BLOCK:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    head = _pairwise(half, sums)
+    return head + _pairwise(n - half, sums)
+
+
+def worker_groups(items, least: int | None = None) -> list:
+    """``items``, a sequence such as a ``range``, cut into contiguous groups for :func:`in_workers`.
+
+    There are :data:`WORKERS` groups, or fewer, so that each holds at least
+    ``least`` items (:data:`GROUP_BLOCKS` if not given), and always one;
+    their sizes differ by at most one.
+    """
+    count = min(WORKERS, len(items) // (least or GROUP_BLOCKS))
+    if count < 2:
+        return [items]
+    return [items[g * len(items) // count : (g + 1) * len(items) // count] for g in range(count)]
+
+
+def in_workers(fn, groups: list) -> None:
+    """Call ``fn(slot, groups[slot])`` for every slot: the first in the caller, the others at once.
+
+    The other groups run on persistent daemon threads, started at the first
+    call that needs them, each under a copy of the caller's ``contextvars``
+    context, where numpy keeps its error state.  The call returns when every
+    group is done, and then raises the exception of the first group that
+    raised one.  One group, or a call made while the threads are taken (from
+    inside a group, or from another thread), runs every group in the caller,
+    in order.  ``slot`` lets each group use its own scratch, which the
+    caller allocates.
+    """
+    if len(groups) == 1 or not _pool.acquire(blocking=False):
+        for slot, group in enumerate(groups):
+            fn(slot, group)
+        return
+    try:
+        while len(_workers) < len(groups) - 1:
+            _workers.append(_Worker(len(_workers) + 1))
+        workers = _workers[: len(groups) - 1]
+        for worker, slot in zip(workers, range(1, len(groups))):
+            worker.start(contextvars.copy_context(), fn, slot, groups[slot])
+        try:
+            fn(0, groups[0])
+        finally:
+            try:
+                errors = [worker.wait() for worker in workers]
+            except BaseException:  # an interrupted wait: start afresh, without these threads
+                _workers.clear()
+                raise
+    finally:
+        _pool.release()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+class _Worker:
+    """A persistent daemon thread that runs one group at a time for :func:`in_workers`.
+
+    Two locks hand the work over: ``_ready`` is released when a group is
+    set, ``_done`` when it has run.
+    """
+
+    def __init__(self, number: int):
+        self._ready, self._done = threading.Lock(), threading.Lock()
+        self._ready.acquire()
+        self._done.acquire()
+        self._task = self._error = None
+        threading.Thread(target=self._serve, name=f"sparsebss-worker-{number}", daemon=True).start()
+
+    def start(self, context, fn, slot, group) -> None:
+        self._task = (context, fn, slot, group)
+        self._ready.release()
+
+    def wait(self) -> BaseException | None:
+        """Wait for the group to finish; its exception, or None."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        return error
+
+    def _serve(self) -> None:
+        while True:
+            self._ready.acquire()
+            context, fn, slot, group = self._task
+            self._task = None
+            try:
+                context.run(fn, slot, group)
+            except BaseException as error:  # raised again in the caller
+                self._error = error
+            del context, fn, group  # a parked thread holds none of the caller's arrays
+            self._done.release()
+
+
+#: Held by the :func:`in_workers` call whose groups the workers run.  A
+#: child forked while another thread held it runs every group inline.
+_pool = threading.Lock()
+_workers: list[_Worker] = []
+
+# A forked child has none of the workers' threads: it starts its own.  The
+# list's own method is registered, not a function of this module, so a
+# re-imported module is not kept alive by it.
+os.register_at_fork(after_in_child=_workers.clear)
 
 
 def ordered_row_norms(rows: np.ndarray, scratch=None, out=None) -> np.ndarray:

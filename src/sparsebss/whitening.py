@@ -10,11 +10,21 @@ on the raw channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import RankDeficientError
-from .signals import BLOCK, as_signal_matrix, in_scale_range, rms, scale_error, sum_of_products
+from .signals import (
+    BLOCK,
+    as_signal_matrix,
+    in_scale_range,
+    in_workers,
+    rms,
+    scale_error,
+    sum_of_products,
+    worker_groups,
+)
 
 #: Residuals below this fraction of the channel rms are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -86,14 +96,20 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     meaningless, and so is ``cause`` where ``failed`` is -1.
 
     A record longer than :data:`BLOCK` samples is whitened in place: each
-    channel is copied into ``components``, each projection subtracted a
-    block at a time and the residual divided where it lies, so no other
-    array is larger than a block.  A record of at most a block is whitened
-    in a contiguous copy of the channel: over a stack of short records,
-    in-place passes would run one short strided row per record.  Either
-    way the channel's rms is taken from its copy.
+    channel is copied into ``components``, each projection subtracted a block
+    at a time and the residual divided where it lies, so no other array is
+    larger than a block per worker group.  On a record of many blocks the
+    subtraction's blocks, like the sums' parts
+    (:func:`~sparsebss.signals.sum_of_products`), split into contiguous groups
+    that run at once (:func:`~sparsebss.signals.in_workers`), each forming its
+    products in a scratch block of its own; every sample is computed alone, so
+    the bits do not depend on the groups.  A record of at most a block is
+    whitened in a contiguous copy of the channel: over a stack of short
+    records, in-place passes would run one short strided row per record.
+    Either way the channel's rms is taken from its copy.
     """
     q, n, length = z.shape
+    blocks = worker_groups(range(0, length, BLOCK))
     components = np.empty_like(z)
     transform = np.zeros((q, n, n))
     scales = np.empty((2, q, n))
@@ -109,8 +125,9 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
             row[:, i] = 1.0
             for k in range(i):
                 coeff = (sum_of_products(residual, components[:, k]) / length)[:, None]
-                for lo in range(0, length, BLOCK):
-                    residual[:, lo:lo + BLOCK] -= coeff * components[:, k, lo:lo + BLOCK]
+                products = [np.empty((q, min(length, BLOCK))) for _ in blocks]
+                in_workers(partial(_subtract, residual, coeff, components[:, k], products), blocks)
+                del products
                 row -= coeff * transform[:, k]
             # Channel 0 has nothing to project out: its residual is the channel.
             residual_rms = scales[1, :, i] = rms(residual) if i else channel_rms
@@ -124,3 +141,14 @@ def whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     first = np.argmin(passed, axis=1)
     failed = np.where(passed[np.arange(q), first], -1, first // 3)
     return components, transform, failed, first % 3
+
+
+def _subtract(residual, coeff, component, products, slot, starts) -> None:
+    """``residual -= coeff * component`` on the blocks of :data:`BLOCK` samples from ``starts``.
+
+    Each product is formed in ``products[slot]``, its group's scratch.
+    """
+    for lo in starts:
+        part = residual[:, lo:lo + BLOCK]
+        product = products[slot][:, : part.shape[1]]
+        part -= np.multiply(coeff, component[:, lo:lo + BLOCK], out=product)

@@ -41,16 +41,18 @@ def example1():
     return config, sources, mixtures
 
 
-def run_fresh(code, **env):
+def run_fresh(code, timeout=None, **env):
     """Stdout of ``code`` run by a fresh interpreter that imports this package.
 
-    ``env`` sets environment variables for it on top of this process's.
+    ``env`` sets environment variables for it on top of this process's.  A
+    run that outlasts ``timeout`` seconds fails the test rather than hang it.
     """
     path = os.pathsep.join(
         filter(None, [str(Path(sparsebss.__file__).parent.parent), os.environ.get("PYTHONPATH")])
     )
     env = dict(os.environ, **env, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        timeout=timeout,
     )
     return result.stdout.strip()

@@ -327,8 +327,11 @@ class TestMonteCarlo:
         report = monte_carlo(
             config, MethodParams("global", 0.4), sets=3, runs_per_set=2
         )
-        np.testing.assert_array_equal(report.sd_rms_max, 0.0)
-        np.testing.assert_array_equal(report.sd_rms_tot, 0.0)
+        # Without noise every run separates the same record: the three sets
+        # are bit-equal (their spread is zero only while their mean rounds
+        # back to their value, so it is not what is checked).
+        for figures in (report.set_rms_max, report.set_rms_tot):
+            assert all(row.tobytes() == figures[0].tobytes() for row in figures)
         assert report.failures == 0
         # clean recovery: errors at numerical noise level
         assert np.all(report.rms_max < 1e-6)
