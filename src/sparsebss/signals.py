@@ -13,10 +13,10 @@ along the samples, a channel's or an estimate's, has one rule too, the
 blocked sum :func:`sum_of_products`.
 
 A blocked pass over a long record splits its blocks into contiguous
-groups, at most one per CPU this process may run on (:data:`WORKERS`), and
-runs them at once through :func:`in_workers`: the first group in the
-caller, the others on persistent daemon threads, while numpy, which
-releases the GIL inside its loops, does the work.  The passes are
+groups, at most :data:`WORKERS`, and runs them at once through
+:func:`in_workers`: the first group in the caller, the others on
+persistent daemon threads, while numpy, which releases the GIL inside its
+loops, does the work.  The passes are
 :func:`sum_of_products`, the deflation loop's threshold pass, its
 projection and deflation, whitening's subtraction, and the clustering's
 argsorts of rows longer than a block.  Each computes every value exactly as
@@ -46,8 +46,13 @@ from .errors import NonFiniteError, SparseBssError, TooShortError, ZeroChannelEr
 #: in one block of whole rows (medians of 30 interleaved calls).
 BLOCK = 1 << 15
 
-#: CPUs this process may run on: the most groups a blocked pass splits into.
-WORKERS = len(os.sched_getaffinity(0))
+#: The most groups a blocked pass splits into: the CPUs this process may run
+#: on, but no more than 2.  The passes' block widths, their scratch and the
+#: memory bounds were measured with 2 groups (2-vCPU Xeon VM); the threshold
+#: pass's blocks narrow as the groups grow, and more were not measured.
+WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 #: Fewest blocks of a sum, a subtraction or a deflation that one worker
 #: group takes.  Such a block takes 30-40 us, and handing a group to a
@@ -126,36 +131,45 @@ def sum_of_products(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     product, operands = (np.square, (a,)) if b is None else (np.multiply, (a, b))
     if a.shape[-1] <= BLOCK:
         return np.add.reduce(product(*operands), axis=-1)
-    parts = _parts(0, a.shape[-1])
+    tree = _pairwise_tree(0, a.shape[-1])
+    parts = _leaves(tree)
     groups = worker_groups(range(len(parts)))
     scratch = [np.empty((*a.shape[:-1], BLOCK)) for _ in groups]
-    sums = [None] * len(parts)
+    sums = {}
 
     def add(slot, group):
         for j in group:
             lo, hi = parts[j]
             block = product(*(x[..., lo:hi] for x in operands), out=scratch[slot][..., : hi - lo])
-            sums[j] = np.add.reduce(block, axis=-1)
+            sums[parts[j]] = np.add.reduce(block, axis=-1)
 
     in_workers(add, groups)
-    return _pairwise(a.shape[-1], iter(sums))
+    return _fold(tree, sums)
 
 
-def _parts(lo: int, n: int) -> list[tuple[int, int]]:
-    """The (start, stop) parts of ``n`` values from ``lo``, on numpy's pairwise split, in order."""
+def _pairwise_tree(lo: int, n: int):
+    """numpy's pairwise split of ``n`` values from ``lo``, down to parts of at most :data:`BLOCK`.
+
+    A part is its (start, stop) tuple; a split is the [head, tail] list of
+    its two subtrees.
+    """
     if n <= BLOCK:
-        return [(lo, lo + n)]
+        return (lo, lo + n)
     half = n // 2 - n // 2 % 8
-    return _parts(lo, half) + _parts(lo + half, n - half)
+    return [_pairwise_tree(lo, half), _pairwise_tree(lo + half, n - half)]
 
 
-def _pairwise(n: int, sums):
-    """The parts' ``sums``, in :func:`_parts`' order, added up the pairwise tree of ``n`` values."""
-    if n <= BLOCK:
-        return next(sums)
-    half = n // 2 - n // 2 % 8
-    head = _pairwise(half, sums)
-    return head + _pairwise(n - half, sums)
+def _leaves(tree) -> list[tuple[int, int]]:
+    """The parts of a :func:`_pairwise_tree`, in order."""
+    return [tree] if isinstance(tree, tuple) else _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _fold(tree, sums: dict):
+    """The parts' ``sums``, keyed by part, added up the tree: head plus tail at every split."""
+    if isinstance(tree, tuple):
+        return sums[tree]
+    head = _fold(tree[0], sums)
+    return head + _fold(tree[1], sums)
 
 
 def worker_groups(items, least: int | None = None) -> list:
@@ -252,8 +266,10 @@ _workers: list[_Worker] = []
 
 # A forked child has none of the workers' threads: it starts its own.  The
 # list's own method is registered, not a function of this module, so a
-# re-imported module is not kept alive by it.
-os.register_at_fork(after_in_child=_workers.clear)
+# re-imported module is not kept alive by it.  A system without fork has no
+# hook to register.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.clear)
 
 
 def ordered_row_norms(rows: np.ndarray, scratch=None, out=None) -> np.ndarray:

@@ -10,6 +10,7 @@ setting ``GROUP_BLOCKS`` to 1, so even the test records' short passes split.
 import ast
 import dataclasses
 import hashlib
+import os
 import sys
 import threading
 from pathlib import Path
@@ -24,7 +25,7 @@ import sparsebss
 from sparsebss import MethodParams, SparseBssError, load_preset, monte_carlo, separate, signals
 from sparsebss.signals import BLOCK, in_workers, worker_groups
 
-#: Worker counts compared with one worker: this machine's and two more.
+#: Worker counts compared with one worker: the default count, 2 and 3.
 COUNTS = sorted({signals.WORKERS, 2, 3})
 
 
@@ -141,6 +142,12 @@ class TestHelper:
         assert worker_groups(range(5), 8) == [range(5)]
         assert worker_groups(range(0), 1) == [range(0)]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_the_default_count_is_the_cpus_but_at_most_two(self):
+        # More groups were not measured: the threshold pass's blocks narrow
+        # and the scratch grows with them.
+        assert signals.WORKERS == min(2, len(os.sched_getaffinity(0)))
+
     def test_each_group_runs_once_with_its_slot(self):
         seen = []
         groups = [range(0, 2), range(2, 5), range(5, 6)]
@@ -240,6 +247,19 @@ class TestImportAndFork:
             "print(loaded, threading.active_count(), 'queue' in sys.modules)"
         )
         assert run_fresh(code) == "True 1 False"
+
+    def test_import_and_threaded_passes_without_affinity_or_fork(self):
+        # macOS has no os.sched_getaffinity, and Windows neither it nor fork.
+        code = (
+            "import os; cpus = os.cpu_count() or 1; "
+            "del os.sched_getaffinity, os.register_at_fork, os.fork; "
+            "import threading, numpy as np; "
+            "from sparsebss import MethodParams, separate, signals; "
+            "x = np.random.default_rng(5).standard_normal((3, 70_000)); "
+            "separate(x, MethodParams('global', 0.4)); "
+            "print(signals.WORKERS == min(2, cpus), threading.active_count() == signals.WORKERS)"
+        )
+        assert run_fresh(code) == "True True"
 
     def test_process_pool_after_worker_threads_gives_the_one_process_report(self):
         # The forked processes start without the parent's worker threads; a
